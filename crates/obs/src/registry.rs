@@ -22,9 +22,12 @@ use distda_trace::stats::Report;
 use distda_trace::ComponentDump;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-/// An ordered, owned label set (`key=value` pairs, sorted by key).
-type Labels = Vec<(String, String)>;
+/// An ordered, owned label set (`key=value` pairs, sorted by key). Shared,
+/// so cloning a registry (every `/metrics` scrape of the daemon does)
+/// copies no label strings.
+type Labels = Arc<[(String, String)]>;
 
 /// Per-family storage: label set -> value, inside name -> series.
 type Family<T> = BTreeMap<String, BTreeMap<Labels, T>>;
@@ -61,6 +64,12 @@ pub fn sanitize_name(name: &str) -> String {
 /// (backslash, double quote and line feed).
 pub fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
+    push_escaped(&mut out, v);
+    out
+}
+
+/// Appends `v` to `out`, escaped as [`escape_label_value`] does.
+fn push_escaped(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -69,41 +78,53 @@ pub fn escape_label_value(v: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 fn own_labels(labels: &[(&str, &str)]) -> Labels {
-    let mut v: Labels = labels
+    let mut v: Vec<(String, String)> = labels
         .iter()
         .map(|(k, val)| (sanitize_name(k), (*val).to_string()))
         .collect();
     v.sort();
-    v
+    v.into()
 }
 
-fn render_labels(labels: &Labels, extra: Option<(&str, &str)>) -> String {
-    if labels.is_empty() && extra.is_none() {
-        return String::new();
+/// Appends one sample's series name and label set (`{k="v",...}`, with
+/// `extra` last; nothing for an empty set) plus the separating space.
+/// Renders straight into the output: a daemon scrape writes thousands of
+/// series, and building per-label `String`s dominated its cost.
+fn push_series(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    labels: &[(String, String)],
+    extra: Option<(&str, &str)>,
+) {
+    out.push_str(name);
+    out.push_str(suffix);
+    let pairs = labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    for (i, (k, v)) in pairs.chain(extra).enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        out.push_str(k);
+        out.push_str("=\"");
+        push_escaped(out, v);
+        out.push('"');
     }
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", escape_label_value(v)));
+    if !labels.is_empty() || extra.is_some() {
+        out.push('}');
     }
-    format!("{{{}}}", parts.join(","))
+    out.push(' ');
 }
 
-/// Formats an f64 the OpenMetrics way: integral values without a decimal
+/// Appends an f64 the OpenMetrics way: integral values without a decimal
 /// point are fine, but NaN/infinities get their spec spellings.
-fn fmt_f64(v: f64) -> String {
+fn push_f64(out: &mut String, v: f64) {
     if v.is_nan() {
-        "NaN".to_string()
+        out.push_str("NaN");
     } else if v.is_infinite() {
-        if v > 0.0 { "+Inf" } else { "-Inf" }.to_string()
+        out.push_str(if v > 0.0 { "+Inf" } else { "-Inf" });
     } else {
-        format!("{v}")
+        write!(out, "{v}").unwrap();
     }
 }
 
@@ -309,15 +330,19 @@ impl Registry {
         for (name, series) in &self.counters {
             writeln!(out, "# TYPE {name} counter").unwrap();
             for (labels, v) in series {
-                writeln!(out, "{name}_total{} {v}", render_labels(labels, None)).unwrap();
+                push_series(&mut out, name, "_total", labels, None);
+                writeln!(out, "{v}").unwrap();
             }
         }
         for (name, series) in &self.gauges {
             writeln!(out, "# TYPE {name} gauge").unwrap();
             for (labels, v) in series {
-                writeln!(out, "{name}{} {}", render_labels(labels, None), fmt_f64(*v)).unwrap();
+                push_series(&mut out, name, "", labels, None);
+                push_f64(&mut out, *v);
+                out.push('\n');
             }
         }
+        let mut le = String::new();
         for (name, series) in &self.hists {
             writeln!(out, "# TYPE {name} histogram").unwrap();
             for (labels, h) in series {
@@ -327,32 +352,20 @@ impl Registry {
                         continue;
                     }
                     cum += c;
-                    let le = if bucket_upper(i) == u64::MAX {
-                        "+Inf".to_string()
-                    } else {
-                        bucket_upper(i).to_string()
-                    };
-                    writeln!(
-                        out,
-                        "{name}_bucket{} {cum}",
-                        render_labels(labels, Some(("le", &le)))
-                    )
-                    .unwrap();
+                    le.clear();
+                    match bucket_upper(i) {
+                        u64::MAX => le.push_str("+Inf"),
+                        upper => write!(le, "{upper}").unwrap(),
+                    }
+                    push_series(&mut out, name, "_bucket", labels, Some(("le", &le)));
+                    writeln!(out, "{cum}").unwrap();
                 }
-                writeln!(
-                    out,
-                    "{name}_bucket{} {cum}",
-                    render_labels(labels, Some(("le", "+Inf")))
-                )
-                .unwrap();
-                writeln!(out, "{name}_sum{} {}", render_labels(labels, None), h.sum).unwrap();
-                writeln!(
-                    out,
-                    "{name}_count{} {}",
-                    render_labels(labels, None),
-                    h.count
-                )
-                .unwrap();
+                push_series(&mut out, name, "_bucket", labels, Some(("le", "+Inf")));
+                writeln!(out, "{cum}").unwrap();
+                push_series(&mut out, name, "_sum", labels, None);
+                writeln!(out, "{}", h.sum).unwrap();
+                push_series(&mut out, name, "_count", labels, None);
+                writeln!(out, "{}", h.count).unwrap();
             }
         }
         out.push_str("# EOF\n");

@@ -106,12 +106,17 @@ impl Client {
     /// Returns the connect error.
     pub fn connect(addr: &str) -> std::io::Result<Self> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Self { reader, writer })
     }
 
+    /// Sends one request line as a single write: split across writes, its
+    /// trailing newline would wait out the daemon's delayed ACK.
     fn send(&mut self, line: &str) -> Result<(), String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("send: {e}"))
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .map_err(|e| format!("send: {e}"))
     }
 
     fn recv(&mut self) -> Result<(String, json::Value), String> {
@@ -277,6 +282,9 @@ impl Client {
 /// Returns a message on transport failure or a non-200 status line.
 pub fn fetch_metrics(addr: &str) -> Result<String, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("connect: {e}"))?;
     stream
         .write_all(b"GET /metrics HTTP/1.0\r\nConnection: close\r\n\r\n")
         .map_err(|e| format!("send: {e}"))?;

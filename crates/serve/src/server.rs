@@ -21,8 +21,8 @@ use distda_system::{RunConfig, RunResult};
 use distda_trace::metrics::LogHist;
 use distda_workloads::{suite, Scale, Workload};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -250,7 +250,6 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let workers = cfg.resolved_workers();
         let state = Arc::new(State {
             registry: Mutex::new(Registry::new()),
@@ -294,7 +293,12 @@ impl Server {
     fn stop_accept(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            // The loop blocks in `accept`; one loopback connection wakes it
+            // to see `stop`. Should that connect fail, the thread is left to
+            // exit on its next connection rather than joined forever.
+            if TcpStream::connect(wake_addr(self.addr)).is_ok() {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -305,25 +309,45 @@ impl Drop for Server {
     }
 }
 
+/// Where a connection reaches the listener bound at `addr`: the loopback
+/// address of the same family when it is bound to an unspecified address.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 fn accept_loop(listener: TcpListener, state: Arc<State>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for conn in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match conn {
+            Ok(stream) => {
                 let state = state.clone();
                 std::thread::spawn(move || {
                     let _ = handle_connection(stream, &state);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Out of descriptors and the like: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
 
+/// Serves one connection. Responses go through one buffered writer on a
+/// `TCP_NODELAY` socket and are flushed wherever the client waits: at the
+/// end of every response, and inside a sweep after `accepted` and after
+/// each simulated cell's event. A line thus leaves as one segment, never
+/// as a body followed by a newline held back by Nagle until the client's
+/// delayed ACK fires.
 fn handle_connection(stream: TcpStream, state: &State) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
+    stream.set_nodelay(true)?;
+    let mut writer = BufWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
@@ -336,7 +360,8 @@ fn handle_connection(stream: TcpStream, state: &State) -> std::io::Result<()> {
             continue;
         }
         if trimmed.starts_with("GET ") || trimmed.starts_with("HEAD ") {
-            return serve_http(&mut writer, trimmed, state);
+            serve_http(&mut writer, trimmed, state)?;
+            return writer.flush();
         }
         match protocol::parse_request(trimmed) {
             Err(e) => writeln!(writer, "{}", protocol::render_error(&e))?,
@@ -348,10 +373,11 @@ fn handle_connection(stream: TcpStream, state: &State) -> std::io::Result<()> {
             )?,
             Ok(Request::Sweep(req)) => handle_sweep(&mut writer, state, req)?,
         }
+        writer.flush()?;
     }
 }
 
-fn serve_http(writer: &mut TcpStream, request_line: &str, state: &State) -> std::io::Result<()> {
+fn serve_http(writer: &mut impl Write, request_line: &str, state: &State) -> std::io::Result<()> {
     let path = request_line.split_whitespace().nth(1).unwrap_or("/");
     let (status, ctype, body) = if path == "/metrics" {
         (
@@ -388,7 +414,33 @@ enum CellState {
     Pending,
 }
 
-fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std::io::Result<()> {
+/// A job's stream from `accepted` on. The first write error ends the
+/// stream but not the job: the rest of its outcomes still reach the cache
+/// and the registry, so a client that disconnects mid-stream loses no
+/// simulated work, and the error is returned once the job is done.
+struct JobStream<'w, W: Write> {
+    out: &'w mut W,
+    err: Option<std::io::Error>,
+}
+
+impl<W: Write> JobStream<'_, W> {
+    /// Writes one line, pushing it to the client at once with `flush`.
+    fn line(&mut self, line: &str, flush: bool) {
+        if self.err.is_none() {
+            let mut written = writeln!(self.out, "{line}");
+            if flush {
+                written = written.and_then(|()| self.out.flush());
+            }
+            self.err = written.err();
+        }
+    }
+
+    fn finish(self) -> std::io::Result<()> {
+        self.err.map_or(Ok(()), Err)
+    }
+}
+
+fn handle_sweep(writer: &mut impl Write, state: &State, req: SweepRequest) -> std::io::Result<()> {
     // Resolve configs (validated) and kernels before touching the queue:
     // a bad request is an error, never a partial job.
     let config_labels: Vec<String> = if req.configs.is_empty() {
@@ -507,11 +559,14 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
     state
         .cells_deduped
         .fetch_add((cells.len() - to_simulate.len()) as u64, Ordering::SeqCst);
-    writeln!(
-        writer,
-        "{}",
-        protocol::render_accepted(job, cells.len(), cached_count, to_simulate.len())
-    )?;
+    let mut stream = JobStream {
+        out: writer,
+        err: None,
+    };
+    stream.line(
+        &protocol::render_accepted(job, cells.len(), cached_count, to_simulate.len()),
+        true,
+    );
 
     let t0 = Instant::now();
     // Every line after `accepted` carries the job id and a strictly
@@ -522,10 +577,8 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
     for (i, st) in states.iter().enumerate() {
         if let CellState::Cached(_) = st {
             seq += 1;
-            writeln!(
-                writer,
-                "{}",
-                protocol::render_cell(
+            stream.line(
+                &protocol::render_cell(
                     t0.elapsed().as_millis(),
                     job,
                     seq,
@@ -534,8 +587,9 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
                     true,
                     0.0,
                     0,
-                )
-            )?;
+                ),
+                false,
+            );
         }
     }
 
@@ -575,10 +629,8 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
             .unwrap()
             .observe((outcome.host_secs * 1e9) as u64);
         seq += 1;
-        writeln!(
-            writer,
-            "{}",
-            protocol::render_cell(
+        stream.line(
+            &protocol::render_cell(
                 t0.elapsed().as_millis(),
                 job,
                 seq,
@@ -587,8 +639,9 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
                 ok,
                 outcome.host_secs,
                 ticks,
-            )
-        )?;
+            ),
+            true,
+        );
         states[i] = CellState::Simulated(outcome.result);
     }
 
@@ -611,6 +664,9 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
     state
         .cells_failed
         .fetch_add(failed as u64, Ordering::SeqCst);
+    if stream.err.is_some() {
+        return stream.finish();
+    }
 
     // Results in deterministic submission order. In-job duplicates of a
     // just-simulated miss resolve from the cache here. A run that carried
@@ -665,14 +721,12 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
                 }
             }
         };
-        writeln!(writer, "{line}")?;
+        stream.line(&line, false);
     }
 
     seq += 1;
-    writeln!(
-        writer,
-        "{}",
-        protocol::render_summary(
+    stream.line(
+        &protocol::render_summary(
             t0.elapsed().as_millis(),
             job,
             seq,
@@ -681,19 +735,20 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
             new_ticks,
             sim_secs_sum,
             t0.elapsed().as_secs_f64(),
-        )
-    )?;
+        ),
+        false,
+    );
     seq += 1;
-    writeln!(
-        writer,
-        "{}",
-        protocol::render_done(
+    stream.line(
+        &protocol::render_done(
             job,
             seq,
             cells.len(),
             cells.len() - to_simulate.len(),
             to_simulate.len(),
             failed,
-        )
-    )
+        ),
+        false,
+    );
+    stream.finish()
 }

@@ -2,7 +2,10 @@
 //! client over TCP.
 
 use distda_serve::{fetch_metrics, Client, ServeConfig, Server, SweepReply, Transcript};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("distda-serve-test-{}-{tag}", std::process::id()));
@@ -231,6 +234,121 @@ fn in_job_duplicates_dedupe_against_each_other() {
         .sweep(&["pch"], &["Giga-DA"], "tiny", true, false)
         .expect_err("unknown config");
     assert!(err.contains("Giga-DA"));
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn warm_jobs_are_not_held_by_tcp_timers() {
+    let (server, addr, dir) = start("latency", 64);
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut job = || {
+        let t0 = Instant::now();
+        match client
+            .sweep(&["pch"], &["OoO", "Dist-DA-F"], "tiny", true, false)
+            .expect("sweep")
+        {
+            SweepReply::Done(t) => (t, t0.elapsed().as_secs_f64() * 1e3),
+            SweepReply::Rejected { .. } => panic!("unexpected rejection"),
+        }
+    };
+    let (prime, _) = job();
+    assert_eq!(prime.queued, 2, "the priming job simulates");
+
+    // A fully cached job is a fraction of a millisecond of work. A line
+    // written in pieces with Nagle on waits out the peer's delayed ACK
+    // (40 ms minimum on Linux) once per direction, so a median under half
+    // of that means neither end is held by the timer.
+    let mut ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let (t, ms) = job();
+            assert_eq!(t.done_cache_hits, 2);
+            ms
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = (ms[9] + ms[10]) / 2.0;
+    println!(
+        "warm 2-cell job: median {median:.3} ms, max {:.3} ms",
+        ms[19]
+    );
+    assert!(median < 20.0, "warm job median {median:.3} ms: {ms:?}");
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn idle_daemon_shuts_down_promptly() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::start(ServeConfig {
+            addr: bind.to_string(),
+            workers: 1,
+            queue: 4,
+            cache_mem: 4,
+            cache_dir: None,
+            cache_bytes: 0,
+        })
+        .expect("bind ephemeral port");
+        let t0 = Instant::now();
+        server.shutdown();
+        let took = t0.elapsed();
+        println!(
+            "shutdown bound to {bind}: {:.3} ms",
+            took.as_secs_f64() * 1e3
+        );
+        assert!(
+            took < Duration::from_secs(1),
+            "{bind}: shutdown took {took:?}"
+        );
+    }
+}
+
+#[test]
+fn client_disconnect_mid_stream_keeps_simulated_work() {
+    let (server, addr, dir) = start("disconnect", 64);
+
+    // A raw client submits a cold 2-cell job and hangs up as soon as it is
+    // admitted, long before either cell finishes simulating.
+    let mut raw = TcpStream::connect(&addr).expect("connect");
+    raw.write_all(
+        b"{\"req\":\"sweep\",\"kernels\":[\"pch\"],\"configs\":[\"OoO\",\"Dist-DA-F\"],\
+          \"scale\":\"tiny\",\"dedupe\":true,\"payload\":false}\n",
+    )
+    .expect("send");
+    let mut accepted = String::new();
+    BufReader::new(&raw)
+        .read_line(&mut accepted)
+        .expect("read accepted");
+    assert!(accepted.contains("\"event\":\"accepted\""), "{accepted}");
+    drop(raw);
+
+    // The daemon finishes the job anyway and caches both cells.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let metrics = fetch_metrics(&addr).expect("scrape /metrics");
+        if metrics.contains("distda_serve_cells_completed_total 2") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the abandoned job's cells never completed:\n{metrics}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let mut client = Client::connect(&addr).expect("connect");
+    match client
+        .sweep(&["pch"], &["OoO", "Dist-DA-F"], "tiny", true, false)
+        .expect("sweep")
+    {
+        SweepReply::Done(t) => {
+            println!("resubmitted job: {} cache hits", t.done_cache_hits);
+            assert_eq!(t.done_cache_hits, 2, "nothing simulates twice");
+            assert_eq!(t.summary_ticks, 0);
+        }
+        SweepReply::Rejected { .. } => panic!("unexpected rejection"),
+    }
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(dir);
