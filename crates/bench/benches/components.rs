@@ -9,7 +9,7 @@ use distda_mem::cache::Cache;
 use distda_mem::params::CacheParams;
 use distda_noc::{Mesh, NocConfig, Packet, TrafficClass};
 use distda_sim::time::ClockDomain;
-use distda_system::{ConfigKind, RunConfig};
+use distda_system::{try_simulate, ConfigKind, RunConfig, RunSpec};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -99,11 +99,8 @@ fn bench_end_to_end() {
     };
     for kind in [ConfigKind::OoO, ConfigKind::DistDAF] {
         bench(&format!("end_to_end/axpy_1k/{kind:?}"), 10, || {
-            black_box(distda_system::simulate(
-                &prog,
-                &init,
-                &RunConfig::named(kind),
-            ));
+            let cfg = RunConfig::named(kind);
+            black_box(try_simulate(&prog, &init, &cfg, &RunSpec::from_env()).unwrap());
         });
     }
 }

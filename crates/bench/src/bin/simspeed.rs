@@ -4,9 +4,17 @@
 //! both sides alike), and prints the per-kernel wall-clock speedup.
 
 use distda_bench::paper_configs;
-use distda_system::simulate_with_ref;
+use distda_system::RunSpec;
 use distda_workloads::{suite, Scale};
 use std::time::Instant;
+
+/// The environment's run with an explicit skip-ahead setting.
+fn skip(on: bool) -> RunSpec<'static> {
+    RunSpec {
+        skip: Some(on),
+        ..RunSpec::from_env()
+    }
+}
 
 fn main() {
     let scale = Scale::eval();
@@ -16,15 +24,14 @@ fn main() {
     let mut wins = 0usize;
     let workloads = suite(&scale);
     for w in &workloads {
-        let reference = w.reference_exec();
         let (mut t_skip, mut t_base) = (0.0f64, 0.0f64);
         for cfg in &cfgs {
             let t0 = Instant::now();
-            let r = simulate_with_ref(&w.program, &*w.init, cfg, Some(true), Some(reference)).0;
+            let r = w.try_simulate_with(cfg, skip(true)).unwrap().result;
             t_skip += t0.elapsed().as_secs_f64();
             assert!(r.validated, "{} failed under {}", w.name, cfg.label());
             let t0 = Instant::now();
-            let r = simulate_with_ref(&w.program, &*w.init, cfg, Some(false), Some(reference)).0;
+            let r = w.try_simulate_with(cfg, skip(false)).unwrap().result;
             t_base += t0.elapsed().as_secs_f64();
             assert!(r.validated, "{} failed under {}", w.name, cfg.label());
         }

@@ -27,7 +27,7 @@
 //!   registry and write `<stem>.om` in the OpenMetrics text format.
 
 use distda_obs::Registry;
-use distda_system::{ConfigKind, RunConfig};
+use distda_system::{slug, ConfigKind, RunConfig, RunSpec};
 use distda_trace::{chrome, csvout, json, summary, Tracer};
 use distda_workloads::{suite, Scale};
 use std::path::PathBuf;
@@ -89,12 +89,6 @@ fn config_by_label(label: &str) -> Option<RunConfig> {
         .map(RunConfig::named)
 }
 
-fn slug(s: &str) -> String {
-    s.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect()
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -140,7 +134,18 @@ fn main() -> ExitCode {
             continue;
         };
         let tracer = Tracer::with_filter(&args.filter);
-        let r = distda_system::simulate_traced(&w.program, &*w.init, &cfg, &tracer);
+        let spec = RunSpec {
+            tracer: tracer.clone(),
+            ..RunSpec::from_env()
+        };
+        let r = match w.try_simulate_with(&cfg, spec) {
+            Ok(run) => run.result,
+            Err(e) => {
+                eprintln!("{name} / {}: {e}", cfg.kind.label());
+                failures += 1;
+                continue;
+            }
+        };
 
         let stem = format!("trace_{}_{}", slug(&r.kernel), slug(&r.config));
         let json_path = args.out.join(format!("{stem}.json"));

@@ -26,7 +26,7 @@
 //!
 //! Exit status is nonzero if any cell fails.
 
-use distda_system::{parse_label_extension, CheckPolicy, ConfigKind, RunConfig};
+use distda_system::{parse_label_extension, CheckPolicy, ConfigKind, RunConfig, RunSpec};
 use distda_workloads::{micro, suite, Scale, Workload};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -171,7 +171,12 @@ fn main() -> ExitCode {
                     break;
                 };
                 let (w, cfg) = (&workloads[wi], &configs[ci]);
-                if let Err(e) = w.try_simulate_checked(cfg, Some(skip), CheckPolicy::full()) {
+                let spec = RunSpec {
+                    skip: Some(skip),
+                    policy: CheckPolicy::full(),
+                    ..RunSpec::default()
+                };
+                if let Err(e) = w.try_simulate_with(cfg, spec) {
                     failures.lock().unwrap().push((
                         i,
                         format!(

@@ -183,12 +183,14 @@ pub fn fig12a(scale: &Scale) -> String {
     // spmv family.
     let row = spmv(scale);
     let flat = spmv_flat(scale);
-    let ooo = row.simulate(&RunConfig::named(ConfigKind::OoO));
-    let b = row.simulate(&RunConfig::named(ConfigKind::DistDAIO));
-    let bn = flat.simulate(&RunConfig::named(ConfigKind::DistDAIO));
+    let ooo_cfg = RunConfig::named(ConfigKind::OoO);
+    let io_cfg = RunConfig::named(ConfigKind::DistDAIO);
+    let ooo = row.try_simulate(&ooo_cfg).unwrap();
+    let b = row.try_simulate(&io_cfg).unwrap();
+    let bn = flat.try_simulate(&io_cfg).unwrap();
     let mut bns_cfg = RunConfig::dist_da_io_sw();
     bns_cfg.alloc = distda_system::AllocStrategy::Affinity;
-    let bns = flat.simulate(&bns_cfg);
+    let bns = flat.try_simulate(&bns_cfg).unwrap();
     for (label, r) in [
         ("Dist-DA-B", &b),
         ("Dist-DA-BN", &bn),
@@ -208,10 +210,10 @@ pub fn fig12a(scale: &Scale) -> String {
     // nw family: short inner blocks (B) vs full-row localization (BN/BNS).
     let nw_b = nw_blocked(scale, 8);
     let nw_bn = nw_blocked(scale, scale.seq);
-    let ooo_nw = nw_b.simulate(&RunConfig::named(ConfigKind::OoO));
-    let b = nw_b.simulate(&RunConfig::named(ConfigKind::DistDAIO));
-    let bn = nw_bn.simulate(&RunConfig::named(ConfigKind::DistDAIO));
-    let bns = nw_bn.simulate(&bns_cfg);
+    let ooo_nw = nw_b.try_simulate(&ooo_cfg).unwrap();
+    let b = nw_b.try_simulate(&io_cfg).unwrap();
+    let bn = nw_bn.try_simulate(&io_cfg).unwrap();
+    let bns = nw_bn.try_simulate(&bns_cfg).unwrap();
     for (label, r) in [
         ("Dist-DA-B", &b),
         ("Dist-DA-BN", &bn),
@@ -360,8 +362,8 @@ pub fn table06(scale: &Scale) -> String {
         let ck = compile(&w.program, PartitionMode::Distributed);
         let dims: Vec<(usize, usize)> = ck.offloads.iter().map(|p| p.dfg_dims).collect();
         let stats = summarize(&ck.offloads, &dims);
-        let ooo = w.simulate(&RunConfig::named(ConfigKind::OoO));
-        let dist = w.simulate(&RunConfig::named(ConfigKind::DistDAIO));
+        let run = |kind| w.try_simulate(&RunConfig::named(kind)).unwrap();
+        let (ooo, dist) = (run(ConfigKind::OoO), run(ConfigKind::DistDAIO));
         assert!(ooo.validated && dist.validated);
         let accel_ops = dist.total_ops - dist.host_ops;
         let host_mem = dist.report.get("host.mem_ops").unwrap_or(0.0) as u64;
@@ -438,8 +440,8 @@ pub fn sweep_working_set() -> String {
         let mut scale = Scale::big_grid(grid);
         scale.steps = 1;
         let w = fdtd_2d(&scale);
-        let mono = w.simulate(&RunConfig::named(ConfigKind::MonoDAIO));
-        let dist = w.simulate(&RunConfig::named(ConfigKind::DistDAF));
+        let run = |kind| w.try_simulate(&RunConfig::named(kind)).unwrap();
+        let (mono, dist) = (run(ConfigKind::MonoDAIO), run(ConfigKind::DistDAF));
         assert!(mono.validated && dist.validated);
         // On-chip movement excludes DRAM bytes.
         let onchip = |r: &distda_system::RunResult| {

@@ -1,10 +1,17 @@
 //! Regression tests for the performance-engineering layer: the parallel
 //! sweep must produce bit-identical results regardless of worker count,
-//! and idle skip-ahead must be bit-identical to tick-by-tick execution.
+//! idle skip-ahead must be bit-identical to tick-by-tick execution, and
+//! no combination of instruments may perturb a result.
 
 use distda_bench::run_matrix;
-use distda_system::{simulate_with_skip, ConfigKind, RunConfig, Topology};
-use distda_workloads::{micro, suite, Scale};
+use distda_sim::sample::{DEFAULT_WINDOW_CAP, DEFAULT_WINDOW_TICKS};
+use distda_sim::{Profiler, Sampler};
+use distda_system::{
+    try_simulate, try_simulate_instrumented, CheckPolicy, ConfigKind, RunConfig, RunResult,
+    RunSpec, Topology,
+};
+use distda_trace::Tracer;
+use distda_workloads::{micro, pathfinder, pointer_chase, suite, Scale};
 use std::sync::Mutex;
 
 /// Serializes the tests that mutate `DISTDA_THREADS` (process-global
@@ -88,8 +95,12 @@ fn skip_ahead_matches_tick_by_tick() {
     let w = &all[0];
     for kind in [ConfigKind::OoO, ConfigKind::MonoDAF, ConfigKind::DistDAIO] {
         let cfg = RunConfig::named(kind);
-        let (fast, _, _) = simulate_with_skip(&w.program, &*w.init, &cfg, Some(true));
-        let (slow, _, _) = simulate_with_skip(&w.program, &*w.init, &cfg, Some(false));
+        let skip = |on| RunSpec {
+            skip: Some(on),
+            ..RunSpec::from_env()
+        };
+        let fast = w.try_simulate_with(&cfg, skip(true)).unwrap().result;
+        let slow = w.try_simulate_with(&cfg, skip(false)).unwrap().result;
         assert_eq!(
             format!("{fast:?}"),
             format!("{slow:?}"),
@@ -97,5 +108,69 @@ fn skip_ahead_matches_tick_by_tick() {
             w.name,
             cfg.label()
         );
+    }
+}
+
+/// Every simulated quantity of a result: ticks, counters, energy, bytes
+/// and `validated` (the report is left out: instruments add their own
+/// `trace.*`/`explain.*` keys to it).
+fn result_key(r: &RunResult) -> String {
+    format!(
+        "{:?}",
+        (
+            (r.ticks, &r.counters, &r.energy, r.cache_accesses),
+            (r.mem_ops, r.total_ops, r.host_ops),
+            (r.intra_bytes, r.da_bytes, r.aa_bytes, r.noc_bytes),
+            (r.data_moved_bytes, r.validated),
+        )
+    )
+}
+
+/// Instruments observe a run and never steer it: for two tiny kernels
+/// under OoO and Dist-DA-F, a bare run, a run with tracer, profiler and
+/// sampler all enabled under the full check policy, and the flattened
+/// `try_simulate_instrumented` entry with everything disabled must agree
+/// on every simulated quantity.
+#[test]
+fn instruments_never_perturb_results() {
+    let scale = Scale::tiny();
+    for w in [pointer_chase(&scale), pathfinder(&scale)] {
+        for kind in [ConfigKind::OoO, ConfigKind::DistDAF] {
+            let cfg = RunConfig::named(kind);
+            let bare = try_simulate(&w.program, &*w.init, &cfg, &RunSpec::default())
+                .unwrap()
+                .result;
+            let all_on = RunSpec {
+                tracer: Tracer::enabled(),
+                policy: CheckPolicy::full(),
+                profiler: Profiler::enabled(),
+                sampler: Sampler::enabled(DEFAULT_WINDOW_TICKS, DEFAULT_WINDOW_CAP),
+                ..RunSpec::default()
+            };
+            let instrumented = try_simulate(&w.program, &*w.init, &cfg, &all_on).unwrap();
+            assert!(instrumented.explanation.is_some(), "sampler attached");
+            let (flat, _, _) = try_simulate_instrumented(
+                &w.program,
+                &*w.init,
+                &cfg,
+                None,
+                None,
+                &Tracer::disabled(),
+                CheckPolicy::default(),
+                &Profiler::disabled(),
+                &Sampler::disabled(),
+            )
+            .unwrap();
+            let want = result_key(&bare);
+            for (how, r) in [("instrumented", &instrumented.result), ("flattened", &flat)] {
+                assert_eq!(
+                    result_key(r),
+                    want,
+                    "{how} run diverged from bare on {} / {}",
+                    w.name,
+                    cfg.label()
+                );
+            }
+        }
     }
 }

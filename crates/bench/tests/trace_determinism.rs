@@ -3,14 +3,30 @@
 //! alone or among concurrent worker threads, and with idle skip-ahead on
 //! or off; and the export must be structurally valid trace-event JSON.
 
-use distda_system::{simulate_traced_with_skip, simulate_with_skip, ConfigKind, RunConfig};
+use distda_system::{ConfigKind, RunConfig, RunResult, RunSpec};
 use distda_trace::{chrome, json, summary, Tracer};
 use distda_workloads::{suite, Scale};
 
-/// Runs `w` traced (skip-ahead default) and returns the Chrome export.
+/// Runs `w` under the environment's policy with an explicit tracer and
+/// skip-ahead override.
+fn traced(
+    w: &distda_workloads::Workload,
+    cfg: &RunConfig,
+    skip: Option<bool>,
+    tracer: &Tracer,
+) -> RunResult {
+    let spec = RunSpec {
+        skip,
+        tracer: tracer.clone(),
+        ..RunSpec::from_env()
+    };
+    w.try_simulate_with(cfg, spec).unwrap().result
+}
+
+/// Runs `w` traced and returns the Chrome export.
 fn traced_export(w: &distda_workloads::Workload, cfg: &RunConfig, skip: Option<bool>) -> String {
     let tracer = Tracer::enabled();
-    simulate_traced_with_skip(&w.program, &*w.init, cfg, skip, &tracer);
+    traced(w, cfg, skip, &tracer);
     chrome::export(&tracer)
 }
 
@@ -71,17 +87,14 @@ fn tracing_does_not_perturb_results() {
     let w = &all[1];
     let cfg = RunConfig::named(ConfigKind::DistDAIO);
     let tracer = Tracer::enabled();
-    let traced = simulate_traced_with_skip(&w.program, &*w.init, &cfg, None, &tracer);
-    let (plain, _, _) = simulate_with_skip(&w.program, &*w.init, &cfg, None);
-    assert_eq!(traced.ticks, plain.ticks);
-    assert_eq!(traced.ns, plain.ns);
-    assert_eq!(traced.validated, plain.validated);
+    let on = traced(w, &cfg, None, &tracer);
+    let plain = traced(w, &cfg, None, &Tracer::disabled());
+    assert_eq!(on.ticks, plain.ticks);
+    assert_eq!(on.ns, plain.ns);
+    assert_eq!(on.validated, plain.validated);
+    assert_eq!(format!("{:?}", on.energy), format!("{:?}", plain.energy));
     assert_eq!(
-        format!("{:?}", traced.energy),
-        format!("{:?}", plain.energy)
-    );
-    assert_eq!(
-        format!("{:?}", traced.counters),
+        format!("{:?}", on.counters),
         format!("{:?}", plain.counters)
     );
 }
@@ -96,7 +109,7 @@ fn chrome_export_of_real_run_is_valid() {
     let w = all.iter().find(|w| w.name == "bfs").expect("bfs in suite");
     let cfg = RunConfig::named(ConfigKind::DistDAIO);
     let tracer = Tracer::enabled();
-    let r = simulate_traced_with_skip(&w.program, &*w.init, &cfg, None, &tracer);
+    let r = traced(w, &cfg, None, &tracer);
     assert!(r.validated);
 
     let doc = chrome::export(&tracer);

@@ -24,7 +24,7 @@
 
 use distda_obs::manifest::{self, config_hash};
 use distda_obs::{gate, Registry, Thresholds};
-use distda_system::{ConfigKind, RunConfig};
+use distda_system::{slug, ConfigKind, RunConfig};
 use distda_workloads::{suite, Scale};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -90,12 +90,6 @@ fn config_by_label(label: &str) -> Option<RunConfig> {
         .into_iter()
         .find(|k| k.label().eq_ignore_ascii_case(label))
         .map(RunConfig::named)
-}
-
-fn slug(s: &str) -> String {
-    s.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect()
 }
 
 fn cmd_profile(args: &Args) -> Result<u32, String> {

@@ -17,7 +17,7 @@
 //! and reported as a miss (the caller re-simulates and rewrites it).
 
 use distda_energy::{EnergyBreakdown, EnergyCounters};
-use distda_system::RunResult;
+use distda_system::{slug, RunResult};
 use distda_trace::Report;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -267,12 +267,6 @@ pub fn verify_entry(contents: &str) -> Result<&str, String> {
         ));
     }
     Ok(payload)
-}
-
-fn slug(s: &str) -> String {
-    s.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect()
 }
 
 /// Running totals of cache traffic.

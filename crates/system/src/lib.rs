@@ -4,12 +4,12 @@
 //! out-of-order core, the slab allocator that anchors memory objects at
 //! NUCA home clusters, the Table II offload interface (configuration,
 //! register-file and dataflow mechanisms with MMIO accounting), the plan
-//! transforms realizing the Mono-DA baseline, and the [`runner::simulate`]
+//! transforms realizing the Mono-DA baseline, and the [`try_simulate`]
 //! entry point that executes a kernel under any of the paper's six
 //! configurations and validates it against the reference interpreter.
 //!
 //! ```no_run
-//! use distda_system::{simulate, ConfigKind, RunConfig};
+//! use distda_system::{try_simulate, ConfigKind, RunConfig, RunSpec};
 //! use distda_ir::prelude::*;
 //!
 //! let mut b = ProgramBuilder::new("axpy");
@@ -20,8 +20,9 @@
 //!     b.store(y, i, v);
 //! });
 //! let prog = b.build();
-//! let r = simulate(&prog, &|_m| {}, &RunConfig::named(ConfigKind::DistDAF));
-//! assert!(r.validated);
+//! let cfg = RunConfig::named(ConfigKind::DistDAF);
+//! let run = try_simulate(&prog, &|_m| {}, &cfg, &RunSpec::from_env()).unwrap();
+//! assert!(run.result.validated);
 //! ```
 
 pub mod alloc;
@@ -41,10 +42,7 @@ pub use config::{
 pub use error::SimError;
 pub use machine::{Machine, MachineState, PlanHandle, Substrate, CHAN_CAPACITY};
 pub use runner::{
-    mem_config_for, simulate, simulate_capture, simulate_capture_with_ref, simulate_traced,
-    simulate_traced_with_ref, simulate_traced_with_skip, simulate_with_ref, simulate_with_skip,
-    try_simulate, try_simulate_capture_with_ref, try_simulate_checked, try_simulate_explained,
-    try_simulate_instrumented, try_simulate_profiled, try_simulate_with_policy, CheckPolicy,
-    RunResult,
+    mem_config_for, slug, try_simulate, try_simulate_instrumented, CheckPolicy, Run, RunResult,
+    RunSpec,
 };
 pub use transform::decentralize;

@@ -15,13 +15,14 @@ use distda_compiler::affine::Sym;
 use distda_compiler::plan::OffloadPlan;
 use distda_compiler::{compile, CompiledKernel, PNode};
 use distda_energy::{EnergyBreakdown, EnergyCounters, EnergyModel};
+use distda_explain::Explanation;
 use distda_ir::interp::{self, Memory};
 use distda_ir::program::{LoopId, Program, Stmt};
 use distda_ir::value::Value;
 use distda_mem::{MemConfig, MemSystem};
 use distda_noc::TrafficClass;
 use distda_sim::time::{ticks_to_ns, ClockDomain, Tick};
-use distda_sim::Report;
+use distda_sim::{Profiler, Report, Sampler};
 use distda_trace::Tracer;
 use std::collections::HashMap;
 
@@ -44,7 +45,7 @@ pub struct CheckPolicy {
 }
 
 impl CheckPolicy {
-    /// The environment-driven policy every standard entry point uses:
+    /// The environment-driven policy [`RunSpec::from_env`] uses:
     /// `sanitize` follows `DISTDA_SANITIZE` (default: on in debug builds),
     /// `strict_validate` follows `DISTDA_VALIDATE` (default: off).
     pub fn from_env() -> Self {
@@ -121,437 +122,125 @@ impl RunResult {
     }
 }
 
-/// Simulates `prog` (inputs installed by `init`) under `cfg`.
-///
-/// # Panics
-///
-/// Panics if the machine deadlocks (internal tick budget), the sanitizer
-/// flags an invariant violation, or strict validation is enabled and
-/// fails. Use [`try_simulate`] to handle these as [`SimError`]s.
-pub fn simulate(prog: &Program, init: &dyn Fn(&mut Memory), cfg: &RunConfig) -> RunResult {
-    simulate_capture(prog, init, cfg).0
+/// Everything one run attaches and checks, beyond the program and the
+/// configuration: the skip-ahead override, a shared reference execution,
+/// the three instruments and the [`CheckPolicy`]. The instruments are cheap
+/// clone handles whose `Default` is disabled, so [`RunSpec::default`] is a
+/// bare run: no instruments, no sanitizer, no strict validation. Clones
+/// share their instruments, which accumulate across the runs they attach
+/// to: build one spec per run.
+#[derive(Clone, Default)]
+pub struct RunSpec<'a> {
+    /// Idle skip-ahead override; `None` keeps the machine default
+    /// (`DISTDA_SKIP`) and makes the run eligible for the
+    /// `DISTDA_CHECK_SKIP` cross-check.
+    pub skip: Option<bool>,
+    /// Precomputed reference execution (final memory image + scalar
+    /// values from the interpreter). Sweeps run one workload under many
+    /// configurations; interpreting the kernel once and sharing the result
+    /// removes the dominant per-run cost for short kernels. `None`
+    /// recomputes it inline.
+    pub reference: Option<&'a (Memory, Vec<Value>)>,
+    /// Event tracer attached to the machine; the run's report gains a
+    /// `trace.*` section when it is enabled.
+    pub tracer: Tracer,
+    /// Which correctness machinery the run engages.
+    pub policy: CheckPolicy,
+    /// Scheduler self-profiler timing every component tick against the
+    /// host clock (never perturbing results).
+    pub profiler: Profiler,
+    /// Windowed port sampler; when enabled, the run returns a causal
+    /// [`Explanation`] and its report gains the `explain.*` keys.
+    pub sampler: Sampler,
 }
 
-/// Fallible [`simulate`]: deadlocks, budget exhaustion, invariant
-/// violations, invalid configurations and (under `DISTDA_VALIDATE`)
-/// golden-model mismatches come back as [`SimError`] instead of a panic,
-/// so one failing cell of a sweep can be reported without aborting the
-/// rest.
+impl RunSpec<'_> {
+    /// The environment's run: tracer, profiler and sampler per
+    /// `DISTDA_TRACE`, `DISTDA_OBS` and `DISTDA_EXPLAIN`, and
+    /// [`CheckPolicy::from_env`].
+    pub fn from_env() -> Self {
+        Self {
+            tracer: distda_sim::env::tracer(),
+            policy: CheckPolicy::from_env(),
+            profiler: distda_sim::env::profiler(),
+            sampler: distda_sim::env::sampler(),
+            ..Self::default()
+        }
+    }
+}
+
+/// What [`try_simulate`] returns: the measured result, the simulated final
+/// memory image and live-out scalars (for debugging and differential
+/// tests), and the causal tree when a sampler was attached.
+#[derive(Debug)]
+pub struct Run {
+    /// Everything measured.
+    pub result: RunResult,
+    /// The simulated final memory image.
+    pub memory: Memory,
+    /// The simulated live-out scalar values.
+    pub scalars: Vec<Value>,
+    /// The causal explanation, when `spec.sampler` was enabled.
+    pub explanation: Option<Explanation>,
+}
+
+/// The file-name form of a kernel or configuration label: every
+/// non-alphanumeric character becomes `-`. Artifact paths
+/// (`results/trace_<kernel>_<config>.json`, ...) and the serve cache's
+/// entry names are built from it.
+pub fn slug(s: &str) -> String {
+    s.chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
+        .collect()
+}
+
+/// The one simulation pipeline: simulates `prog` (inputs installed
+/// by `init`) under `cfg` with what `spec` attaches.
+///
+/// With `spec.policy.sanitize`, an enabled [`Sanitizer`] is attached to
+/// the machine: the run loops stop on the first conservation-law
+/// violation, and the drained machine is audited (MSHRs, responses,
+/// credits, flits, cache occupancy, tick attribution). With
+/// `spec.policy.strict_validate`, a disagreement with the IR interpreter's
+/// golden execution becomes [`SimError::ValidationMismatch`] naming the
+/// first mismatching object/element.
+///
+/// Two environment rules apply here and nowhere else:
+///
+/// - each enabled instrument whose knob (`DISTDA_TRACE`, `DISTDA_OBS`,
+///   `DISTDA_EXPLAIN`) is set is written once, after the run, to
+///   `results/{trace,profile,explain}_<kernel>_<config>.*`;
+/// - with `DISTDA_CHECK_SKIP=1` and `spec.skip == None`, the run is
+///   repeated tick-by-tick without instruments and the two results must
+///   agree, else [`SimError::InvariantViolation`] with phase
+///   `skip-cross-check`.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] as described above.
+/// Returns [`SimError`] on deadlock, budget exhaustion, invariant
+/// violation, invalid configuration, strict-validation mismatch, or a
+/// skip cross-check divergence.
 pub fn try_simulate(
     prog: &Program,
     init: &dyn Fn(&mut Memory),
     cfg: &RunConfig,
-) -> Result<RunResult, SimError> {
-    try_simulate_capture_with_ref(prog, init, cfg, None).map(|out| out.0)
-}
-
-/// Like [`simulate`], but also returns the simulated final memory image and
-/// scalar values (for debugging and differential tests).
-///
-/// With `DISTDA_CHECK_SKIP=1` every run is executed twice — once with idle
-/// skip-ahead and once tick-by-tick — and the simulated results are
-/// asserted bit-identical (the skip-ahead debug cross-check).
-pub fn simulate_capture(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-) -> (RunResult, Memory, Vec<Value>) {
-    simulate_capture_with_ref(prog, init, cfg, None)
-}
-
-/// [`simulate_capture`] with an optional precomputed reference execution
-/// (final memory image + scalar values from the interpreter). Sweeps run
-/// one workload under many configurations; interpreting the kernel once
-/// and sharing the result removes the dominant per-run cost for short
-/// kernels. `None` recomputes the reference inline.
-pub fn simulate_capture_with_ref(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    reference: Option<&(Memory, Vec<Value>)>,
-) -> (RunResult, Memory, Vec<Value>) {
-    try_simulate_capture_with_ref(prog, init, cfg, reference).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`simulate_capture_with_ref`]: the standard pipeline —
-/// env-driven tracer with auto-export, env-driven [`CheckPolicy`], and the
-/// `DISTDA_CHECK_SKIP` skip-ahead cross-check — with every failure
-/// returned as [`SimError`].
-///
-/// # Errors
-///
-/// Returns [`SimError`] on deadlock, budget exhaustion, invariant
-/// violation, invalid configuration, or strict-validation mismatch.
-pub fn try_simulate_capture_with_ref(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    reference: Option<&(Memory, Vec<Value>)>,
-) -> Result<(RunResult, Memory, Vec<Value>), SimError> {
-    // `DISTDA_TRACE` turns on tracing for any run that goes through the
-    // standard entry points; the trace is auto-exported under `results/`.
-    let tracer = distda_sim::env::tracer();
-    let policy = CheckPolicy::from_env();
-    let out = try_simulate_checked(prog, init, cfg, None, reference, &tracer, policy)?;
-    if tracer.is_enabled() {
-        auto_export(&tracer, &out.0);
-    }
-    if distda_sim::env::check_skip() {
-        // The tick-by-tick cross-check run gets a disabled tracer: its
-        // purpose is comparing simulated results, and tracing it would
-        // double-emit into the same components.
-        let base = try_simulate_checked(
-            prog,
-            init,
-            cfg,
-            Some(false),
-            reference,
-            &Tracer::disabled(),
-            policy,
-        )?;
-        let key = |r: &RunResult| {
-            format!(
-                "{:?} {:?}",
-                (r.ticks, &r.counters, &r.energy, r.cache_accesses),
-                (
-                    r.mem_ops,
-                    r.total_ops,
-                    r.host_ops,
-                    r.intra_bytes,
-                    r.da_bytes,
-                    r.aa_bytes,
-                    r.noc_bytes,
-                    r.data_moved_bytes,
-                    r.validated,
-                )
-            )
-        };
-        assert_eq!(
-            key(&out.0),
-            key(&base.0),
-            "skip-ahead diverged from tick-by-tick on {} / {}",
-            out.0.kernel,
-            out.0.config
-        );
-    }
-    Ok(out)
-}
-
-/// [`simulate_capture`] with an explicit skip-ahead override (`None` keeps
-/// the machine default / `DISTDA_SKIP` setting). Used by the skip-ahead
-/// equivalence tests and the debug cross-check.
-pub fn simulate_with_skip(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    skip: Option<bool>,
-) -> (RunResult, Memory, Vec<Value>) {
-    simulate_with_ref(prog, init, cfg, skip, None)
-}
-
-/// Fallible [`simulate_with_skip`] with an explicit [`CheckPolicy`] —
-/// what the `validate` bin sweeps (skip on and off, everything checked).
-///
-/// # Errors
-///
-/// Returns [`SimError`] on deadlock, budget exhaustion, invariant
-/// violation, invalid configuration, or strict-validation mismatch.
-pub fn try_simulate_with_policy(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    skip: Option<bool>,
-    reference: Option<&(Memory, Vec<Value>)>,
-    policy: CheckPolicy,
-) -> Result<(RunResult, Memory, Vec<Value>), SimError> {
-    try_simulate_checked(
-        prog,
-        init,
-        cfg,
-        skip,
-        reference,
-        &Tracer::disabled(),
-        policy,
-    )
-}
-
-/// [`simulate_with_skip`] with an optional precomputed reference execution
-/// (see [`simulate_capture_with_ref`]).
-pub fn simulate_with_ref(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    skip: Option<bool>,
-    reference: Option<&(Memory, Vec<Value>)>,
-) -> (RunResult, Memory, Vec<Value>) {
-    simulate_traced_with_ref(prog, init, cfg, skip, reference, &Tracer::disabled())
-}
-
-/// [`simulate`] with an explicit tracer attached to the machine. The
-/// tracer's components fill up during the run; export them afterwards with
-/// [`distda_trace::chrome::export`] and friends. The run's report gains a
-/// `trace.*` section with the tracer's counters and histogram summaries.
-pub fn simulate_traced(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    tracer: &Tracer,
-) -> RunResult {
-    simulate_traced_with_ref(prog, init, cfg, None, None, tracer).0
-}
-
-/// [`simulate_traced`] with an explicit skip-ahead override, for the trace
-/// determinism tests (skip on/off must export byte-identical traces).
-pub fn simulate_traced_with_skip(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    skip: Option<bool>,
-    tracer: &Tracer,
-) -> RunResult {
-    simulate_traced_with_ref(prog, init, cfg, skip, None, tracer).0
-}
-
-/// Writes the Chrome trace of an env-enabled run to
-/// `results/trace_<kernel>_<config>.json`.
-fn auto_export(tracer: &Tracer, r: &RunResult) {
-    let slug = |s: &str| -> String {
-        s.chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect()
-    };
-    let dir = std::path::Path::new("results");
-    let path = dir.join(format!(
-        "trace_{}_{}.json",
-        slug(&r.kernel),
-        slug(&r.config)
-    ));
-    let doc = distda_trace::chrome::export(tracer);
-    if std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&path, doc))
-        .is_err()
-    {
-        eprintln!("warning: could not write trace to {}", path.display());
-    }
-}
-
-/// The full pipeline with every knob except a [`CheckPolicy`] (the
-/// environment's policy applies). Panics on any [`SimError`]; see
-/// [`try_simulate_checked`].
-pub fn simulate_traced_with_ref(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    skip: Option<bool>,
-    reference: Option<&(Memory, Vec<Value>)>,
-    tracer: &Tracer,
-) -> (RunResult, Memory, Vec<Value>) {
-    try_simulate_checked(
-        prog,
-        init,
-        cfg,
-        skip,
-        reference,
-        tracer,
-        CheckPolicy::from_env(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The standard checked pipeline ([`try_simulate_instrumented`] with the
-/// environment's `DISTDA_OBS` self-profiling policy): with `DISTDA_OBS`
-/// set, the scheduler structurally times every component and the
-/// "perf top"-style table is written to
-/// `results/profile_<kernel>_<config>.txt` after the run.
-///
-/// # Errors
-///
-/// Returns [`SimError`] on deadlock, budget exhaustion, invariant
-/// violation, invalid configuration, or strict-validation mismatch.
-pub fn try_simulate_checked(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    skip: Option<bool>,
-    reference: Option<&(Memory, Vec<Value>)>,
-    tracer: &Tracer,
-    policy: CheckPolicy,
-) -> Result<(RunResult, Memory, Vec<Value>), SimError> {
-    let profiler = distda_sim::env::profiler();
-    let sampler = distda_sim::env::sampler();
-    let out = try_simulate_instrumented(
-        prog, init, cfg, skip, reference, tracer, policy, &profiler, &sampler,
-    )?;
-    if let Some(snap) = profiler.snapshot_at(out.0.ticks) {
-        auto_export_profile(&snap, &out.0);
-    }
-    Ok(out)
-}
-
-/// Runs a program with an explicit self-profiler: the
-/// entry point the `obs` bin and the observability tests use to measure
-/// where host time goes without touching the process environment.
-///
-/// # Errors
-///
-/// Returns [`SimError`] as [`try_simulate_checked`].
-pub fn try_simulate_profiled(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    reference: Option<&(Memory, Vec<Value>)>,
-    profiler: &distda_sim::Profiler,
-) -> Result<RunResult, SimError> {
-    try_simulate_instrumented(
-        prog,
-        init,
-        cfg,
-        None,
-        reference,
-        &Tracer::disabled(),
-        CheckPolicy::from_env(),
-        profiler,
-        &distda_sim::Sampler::disabled(),
-    )
-    .map(|out| out.0)
-}
-
-/// Runs a program with an explicit explain [`Sampler`](distda_sim::Sampler):
-/// the entry point the `explain` bin and the explain determinism tests use
-/// to attribute bottlenecks without touching the process environment. The
-/// resulting report carries the `explain.*` keys and the returned
-/// explanation holds the full causal tree.
-///
-/// # Errors
-///
-/// Returns [`SimError`] as [`try_simulate_checked`]; accounting violations
-/// found by the analyzer surface as [`SimError::InvariantViolation`] with
-/// phase `explain-accounting` when the policy sanitizes.
-pub fn try_simulate_explained(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    skip: Option<bool>,
-    reference: Option<&(Memory, Vec<Value>)>,
-    sampler: &distda_sim::Sampler,
-) -> Result<(RunResult, Option<distda_explain::Explanation>), SimError> {
-    let mut explanation = None;
-    let out = try_simulate_core(
-        prog,
-        init,
-        cfg,
-        skip,
-        reference,
-        &Tracer::disabled(),
-        CheckPolicy::from_env(),
-        &distda_sim::Profiler::disabled(),
-        sampler,
-        &mut explanation,
-    )?;
-    Ok((out.0, explanation))
-}
-
-/// Writes the self-profile table of an env-enabled run to
-/// `results/profile_<kernel>_<config>.txt`.
-fn auto_export_profile(snap: &distda_sim::ProfileSnapshot, r: &RunResult) {
-    let slug = |s: &str| -> String {
-        s.chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect()
-    };
-    let dir = std::path::Path::new("results");
-    let path = dir.join(format!(
-        "profile_{}_{}.txt",
-        slug(&r.kernel),
-        slug(&r.config)
-    ));
-    let table = distda_sim::profile::render_table(snap);
-    if std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&path, table))
-        .is_err()
-    {
-        eprintln!("warning: could not write profile to {}", path.display());
-    }
-}
-
-/// The root of every entry point: the full pipeline with every knob —
-/// skip override, shared reference, tracer, [`CheckPolicy`], self-profiler.
-///
-/// With `policy.sanitize`, an enabled [`Sanitizer`] is attached to the
-/// machine: the run loops stop on the first conservation-law violation,
-/// and the drained machine is audited (MSHRs, responses, credits, flits,
-/// cache occupancy, tick attribution). With `policy.strict_validate`, a
-/// disagreement with the IR interpreter's golden execution becomes
-/// [`SimError::ValidationMismatch`] naming the first mismatching
-/// object/element. With an enabled `profiler`, the scheduler times every
-/// component tick against the host clock (never perturbing results).
-///
-/// # Errors
-///
-/// Returns [`SimError`] on deadlock, budget exhaustion, invariant
-/// violation, invalid configuration, or strict-validation mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_instrumented(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    skip: Option<bool>,
-    reference: Option<&(Memory, Vec<Value>)>,
-    tracer: &Tracer,
-    policy: CheckPolicy,
-    profiler: &distda_sim::Profiler,
-    sampler: &distda_sim::Sampler,
-) -> Result<(RunResult, Memory, Vec<Value>), SimError> {
-    let mut explanation = None;
-    try_simulate_core(
-        prog,
-        init,
-        cfg,
-        skip,
-        reference,
-        tracer,
-        policy,
-        profiler,
-        sampler,
-        &mut explanation,
-    )
-}
-
-/// The shared pipeline body behind [`try_simulate_instrumented`] and
-/// [`try_simulate_explained`]: `explain_out` receives the full causal
-/// tree when a sampler is attached (the instrumented entry point drops
-/// it; the explained one returns it).
-#[allow(clippy::too_many_arguments)]
-fn try_simulate_core(
-    prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    skip: Option<bool>,
-    reference: Option<&(Memory, Vec<Value>)>,
-    tracer: &Tracer,
-    policy: CheckPolicy,
-    profiler: &distda_sim::Profiler,
-    sampler: &distda_sim::Sampler,
-    explain_out: &mut Option<distda_explain::Explanation>,
-) -> Result<(RunResult, Memory, Vec<Value>), SimError> {
+    spec: &RunSpec,
+) -> Result<Run, SimError> {
     cfg.validate()?;
     // Reference execution for validation (shared across a sweep's
     // configurations when the caller precomputed it).
     let computed;
-    let (ref_mem, ref_scalars): (&Memory, &[Value]) = match reference {
-        Some((m, s)) => (m, s.as_slice()),
+    let reference = match spec.reference {
+        Some(r) => r,
         None => {
             let mut m = Memory::for_program(prog);
             init(&mut m);
             let s = interp::run(prog, &mut m);
             computed = (m, s);
-            (&computed.0, computed.1.as_slice())
+            &computed
         }
     };
+    let (ref_mem, ref_scalars) = (&reference.0, reference.1.as_slice());
 
     // Compile.
     let compiled: Option<CompiledKernel> = cfg.kind.partition_mode().map(|mode| {
@@ -568,7 +257,7 @@ fn try_simulate_core(
         .map(|c| c.offloads.clone())
         .unwrap_or_default();
 
-    let san = if policy.sanitize {
+    let san = if spec.policy.sanitize {
         Sanitizer::enabled()
     } else {
         Sanitizer::disabled()
@@ -577,13 +266,9 @@ fn try_simulate_core(
         let ck = compiled.as_ref().ok_or_else(|| SimError::InvalidConfig {
             detail: "multi-tenant runs require an offload-capable configuration".to_string(),
         })?;
-        run_tenants(
-            prog, init, cfg, &plans, ck, skip, tracer, &san, profiler, sampler,
-        )?
+        run_tenants(prog, init, cfg, &plans, ck, spec, &san)?
     } else {
-        run_single(
-            prog, init, cfg, &plans, compiled, skip, tracer, &san, profiler, sampler,
-        )?
+        run_single(prog, init, cfg, &plans, compiled, spec, &san)?
     };
     let Execution {
         machine,
@@ -607,7 +292,7 @@ fn try_simulate_core(
             first_bad.get_or_insert(t);
         }
     }
-    if policy.strict_validate && !validated {
+    if spec.policy.strict_validate && !validated {
         let t = first_bad.unwrap_or(0);
         let base = mismatch_detail(
             prog,
@@ -652,6 +337,7 @@ fn try_simulate_core(
     let data_moved_bytes = 64 * (l1.fills + l2.fills + dr + dw) + noc.total_hop_bytes();
 
     let ticks = machine.now();
+    let tracer = &spec.tracer;
     // Tick-attribution partition invariant: with full event history, the
     // machine-track phase spans plus the `other` remainder must account
     // for exactly the run's ticks — neither a shortfall nor an
@@ -766,40 +452,133 @@ fn try_simulate_core(
         validated,
         report,
     };
-    if distda_sim::env::explain().is_some() {
-        if let Some(x) = &explanation {
-            auto_export_explain(x, &result);
-        }
+    let run = Run {
+        result,
+        memory: machine.into_memimg(),
+        scalars: eval_scalars,
+        explanation,
+    };
+    export_artifacts(spec, &run);
+    if spec.skip.is_none() && distda_sim::env::check_skip() {
+        // The tick-by-tick twin carries no instruments: it exists only to
+        // compare simulated results, and must not emit into the caller's
+        // tracer or overwrite the returned run's artifacts.
+        let slow = RunSpec {
+            skip: Some(false),
+            reference: Some(reference),
+            policy: spec.policy,
+            ..RunSpec::default()
+        };
+        skip_cross_check(&run.result, &try_simulate(prog, init, cfg, &slow)?.result)?;
     }
-    *explain_out = explanation;
-    let final_mem = machine.into_memimg();
-    Ok((result, final_mem, eval_scalars))
+    Ok(run)
 }
 
-/// Writes the causal tree of an env-enabled (`DISTDA_EXPLAIN`) run to
-/// `results/explain_<kernel>_<config>.txt`.
-fn auto_export_explain(x: &distda_explain::Explanation, r: &RunResult) {
-    let slug = |s: &str| -> String {
-        s.chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect()
+/// [`try_simulate`] with the [`RunSpec`] fields as loose arguments and the
+/// run flattened to `(result, memory, scalars)`. The benchmark sweep
+/// (`benchmark/src/sweep.rs`) pins this signature.
+///
+/// # Errors
+///
+/// Returns [`SimError`] as [`try_simulate`].
+#[allow(clippy::too_many_arguments)]
+pub fn try_simulate_instrumented(
+    prog: &Program,
+    init: &dyn Fn(&mut Memory),
+    cfg: &RunConfig,
+    skip: Option<bool>,
+    reference: Option<&(Memory, Vec<Value>)>,
+    tracer: &Tracer,
+    policy: CheckPolicy,
+    profiler: &Profiler,
+    sampler: &Sampler,
+) -> Result<(RunResult, Memory, Vec<Value>), SimError> {
+    let spec = RunSpec {
+        skip,
+        reference,
+        tracer: tracer.clone(),
+        policy,
+        profiler: profiler.clone(),
+        sampler: sampler.clone(),
     };
+    try_simulate(prog, init, cfg, &spec).map(|run| (run.result, run.memory, run.scalars))
+}
+
+/// Writes each artifact the environment asks for of a finished run: the
+/// Chrome trace (`DISTDA_TRACE`), the self-profile table (`DISTDA_OBS`)
+/// and the causal tree (`DISTDA_EXPLAIN`), each only when the run's own
+/// instrument is enabled too.
+fn export_artifacts(spec: &RunSpec, run: &Run) {
+    let r = &run.result;
+    if spec.tracer.is_enabled() && distda_sim::env::tracer().is_enabled() {
+        let doc = distda_trace::chrome::export(&spec.tracer);
+        write_artifact("trace", "json", r, &doc);
+    }
+    if distda_sim::env::obs() {
+        if let Some(snap) = spec.profiler.snapshot_at(r.ticks) {
+            let table = distda_sim::profile::render_table(&snap);
+            write_artifact("profile", "txt", r, &table);
+        }
+    }
+    if distda_sim::env::explain().is_some() {
+        if let Some(x) = &run.explanation {
+            write_artifact("explain", "txt", r, &distda_explain::render_text(x));
+        }
+    }
+}
+
+/// Writes `results/<kind>_<kernel>_<config>.<ext>`, warning on failure.
+fn write_artifact(kind: &str, ext: &str, r: &RunResult, body: &str) {
     let dir = std::path::Path::new("results");
     let path = dir.join(format!(
-        "explain_{}_{}.txt",
+        "{kind}_{}_{}.{ext}",
         slug(&r.kernel),
         slug(&r.config)
     ));
-    let tree = distda_explain::render_text(x);
     if std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&path, tree))
+        .and_then(|()| std::fs::write(&path, body))
         .is_err()
     {
-        eprintln!(
-            "warning: could not write explain tree to {}",
-            path.display()
-        );
+        eprintln!("warning: could not write {kind} to {}", path.display());
     }
+}
+
+/// Compares a run against its tick-by-tick twin: every simulated quantity
+/// (ticks, counters, energy, bytes, `validated`) must agree. A divergence
+/// is a [`SimError::InvariantViolation`] with phase `skip-cross-check`
+/// carrying both keys, so one failing cell never aborts a sweep or a
+/// server worker.
+fn skip_cross_check(fast: &RunResult, slow: &RunResult) -> Result<(), SimError> {
+    let key = |r: &RunResult| {
+        format!(
+            "{:?} {:?}",
+            (r.ticks, &r.counters, &r.energy, r.cache_accesses),
+            (
+                r.mem_ops,
+                r.total_ops,
+                r.host_ops,
+                r.intra_bytes,
+                r.da_bytes,
+                r.aa_bytes,
+                r.noc_bytes,
+                r.data_moved_bytes,
+                r.validated,
+            )
+        )
+    };
+    let (a, b) = (key(fast), key(slow));
+    if a == b {
+        return Ok(());
+    }
+    Err(SimError::InvariantViolation {
+        phase: "skip-cross-check",
+        now: fast.ticks,
+        count: 1,
+        report: format!(
+            "skip-ahead diverged from tick-by-tick on {} / {}\n  skip:         {a}\n  tick-by-tick: {b}",
+            fast.kernel, fast.config
+        ),
+    })
 }
 
 /// Describes the first disagreement between the simulated machine's final
@@ -858,27 +637,20 @@ pub fn mem_config_for(topo: &Topology) -> MemConfig {
 
 /// Attaches the run's instrumentation (skip override, tracer, sanitizer,
 /// self-profiler, explain sampler) to a freshly built machine.
-fn instrument(
-    machine: &mut Machine,
-    skip: Option<bool>,
-    tracer: &Tracer,
-    san: &Sanitizer,
-    profiler: &distda_sim::Profiler,
-    sampler: &distda_sim::Sampler,
-) {
-    if let Some(on) = skip {
+fn instrument(machine: &mut Machine, spec: &RunSpec, san: &Sanitizer) {
+    if let Some(on) = spec.skip {
         machine.set_skip(on);
     }
-    if tracer.is_enabled() {
-        machine.set_tracer(tracer.clone());
+    if spec.tracer.is_enabled() {
+        machine.set_tracer(spec.tracer.clone());
     }
     if san.on() {
         machine.set_sanitizer(san.clone());
     }
-    if profiler.on() {
-        machine.set_profiler(profiler.clone());
+    if spec.profiler.on() {
+        machine.set_profiler(spec.profiler.clone());
     }
-    machine.set_sampler(sampler.clone());
+    machine.set_sampler(spec.sampler.clone());
 }
 
 /// What an execution strategy hands back to the shared metrics/validation
@@ -893,18 +665,14 @@ struct Execution {
 /// The single-tenant execution strategy: the program walker interleaves
 /// host segments with offload invocations exactly as before topology
 /// parametrization.
-#[allow(clippy::too_many_arguments)]
 fn run_single(
     prog: &Program,
     init: &dyn Fn(&mut Memory),
     cfg: &RunConfig,
     plans: &[OffloadPlan],
     compiled: Option<CompiledKernel>,
-    skip: Option<bool>,
-    tracer: &Tracer,
+    spec: &RunSpec,
     san: &Sanitizer,
-    profiler: &distda_sim::Profiler,
-    sampler: &distda_sim::Sampler,
 ) -> Result<Execution, SimError> {
     let topo = &cfg.topology;
     let uncore = ClockDomain::from_ghz(2.0);
@@ -919,7 +687,7 @@ fn run_single(
     let mut img = Memory::for_program(prog);
     init(&mut img);
     let mut machine = Machine::new(mem, img, alloc.layout.clone(), 5, 224, topo);
-    instrument(&mut machine, skip, tracer, san, profiler, sampler);
+    instrument(&mut machine, spec, san);
 
     let mut walker = Walker {
         prog,
@@ -1004,18 +772,14 @@ fn jain_index(xs: &[f64]) -> f64 {
 /// kernel must be shaped as `prologue* offloadable-loop epilogue*` with no
 /// loops outside the offload — anything else is rejected rather than
 /// silently serialized.
-#[allow(clippy::too_many_arguments)]
 fn run_tenants(
     prog: &Program,
     init: &dyn Fn(&mut Memory),
     cfg: &RunConfig,
     plans: &[OffloadPlan],
     compiled: &CompiledKernel,
-    skip: Option<bool>,
-    tracer: &Tracer,
+    spec: &RunSpec,
     san: &Sanitizer,
-    profiler: &distda_sim::Profiler,
-    sampler: &distda_sim::Sampler,
 ) -> Result<Execution, SimError> {
     let topo = &cfg.topology;
     let n = topo.tenants;
@@ -1100,7 +864,7 @@ fn run_tenants(
     for (i, img) in imgs.enumerate() {
         machine.add_tenant(img, allocs[i + 1].layout.clone());
     }
-    instrument(&mut machine, skip, tracer, san, profiler, sampler);
+    instrument(&mut machine, spec, san);
     let mut evals: Vec<HostEval> = allocs
         .iter()
         .map(|a| HostEval::new(prog, a.layout.clone()))
@@ -1482,6 +1246,13 @@ mod tests {
     use super::*;
     use distda_ir::prelude::*;
 
+    /// The environment's run of `p`, panicking on any [`SimError`].
+    fn run(p: &Program, init: &dyn Fn(&mut Memory), cfg: &RunConfig) -> RunResult {
+        try_simulate(p, init, cfg, &RunSpec::from_env())
+            .unwrap()
+            .result
+    }
+
     fn axpy(n: usize) -> (Program, impl Fn(&mut Memory)) {
         let mut b = ProgramBuilder::new("axpy");
         let x = b.array_f64("x", n);
@@ -1504,7 +1275,7 @@ mod tests {
         let (p, init) = axpy(256);
         for kind in ConfigKind::ALL {
             let cfg = RunConfig::named(kind);
-            let r = simulate(&p, &init, &cfg);
+            let r = run(&p, &init, &cfg);
             assert!(r.validated, "{} failed validation", cfg.label());
             assert!(r.ticks > 0);
         }
@@ -1513,8 +1284,8 @@ mod tests {
     #[test]
     fn accelerated_configs_reduce_host_work() {
         let (p, init) = axpy(512);
-        let ooo = simulate(&p, &init, &RunConfig::named(ConfigKind::OoO));
-        let dist = simulate(&p, &init, &RunConfig::named(ConfigKind::DistDAIO));
+        let ooo = run(&p, &init, &RunConfig::named(ConfigKind::OoO));
+        let dist = run(&p, &init, &RunConfig::named(ConfigKind::DistDAIO));
         assert!(
             dist.host_ops < ooo.host_ops / 4,
             "offload should strip host instructions: {} vs {}",
@@ -1527,8 +1298,8 @@ mod tests {
     #[test]
     fn dist_da_reduces_cache_accesses_vs_ooo() {
         let (p, init) = axpy(2048);
-        let ooo = simulate(&p, &init, &RunConfig::named(ConfigKind::OoO));
-        let dist = simulate(&p, &init, &RunConfig::named(ConfigKind::DistDAF));
+        let ooo = run(&p, &init, &RunConfig::named(ConfigKind::OoO));
+        let dist = run(&p, &init, &RunConfig::named(ConfigKind::DistDAF));
         assert!(
             dist.cache_accesses < ooo.cache_accesses,
             "near-data buffers should cut cache accesses: {} vs {}",
@@ -1555,7 +1326,7 @@ mod tests {
             }
         };
         for kind in [ConfigKind::OoO, ConfigKind::MonoDAIO, ConfigKind::DistDAIO] {
-            let r = simulate(&p, &init, &RunConfig::named(kind));
+            let r = run(&p, &init, &RunConfig::named(kind));
             assert!(r.validated, "{:?} failed", kind);
         }
     }
@@ -1565,7 +1336,7 @@ mod tests {
         let (p, init) = axpy(256);
         for (c, r_) in [(4usize, 4usize), (8, 4)] {
             let cfg = RunConfig::named(ConfigKind::DistDAF).with_topology(Topology::mesh(c, r_));
-            let r = simulate(&p, &init, &cfg);
+            let r = run(&p, &init, &cfg);
             assert!(r.validated, "{} failed validation", r.config);
             assert!(r.config.ends_with(&format!(":{c}x{r_}")));
         }
@@ -1574,13 +1345,13 @@ mod tests {
     #[test]
     fn far_memory_pool_adds_latency() {
         let (p, init) = axpy(512);
-        let near = simulate(&p, &init, &RunConfig::named(ConfigKind::OoO));
+        let near = run(&p, &init, &RunConfig::named(ConfigKind::OoO));
         let mut topo = Topology::paper();
         topo.far_memory = Some(crate::config::FarMemory {
             extra_latency: 200,
             bytes_per_cycle: 2,
         });
-        let far = simulate(
+        let far = run(
             &p,
             &init,
             &RunConfig::named(ConfigKind::OoO).with_topology(topo),
@@ -1600,7 +1371,7 @@ mod tests {
         let mut topo = Topology::mesh(4, 2);
         topo.tenants = 2;
         let cfg = RunConfig::named(ConfigKind::DistDAIO).with_topology(topo);
-        let r = simulate(&p, &init, &cfg);
+        let r = run(&p, &init, &cfg);
         assert!(r.validated, "{} failed validation", r.config);
         assert!(r.config.ends_with(":t2"));
         assert_eq!(r.report.get("tenancy.tenants"), Some(2.0));
@@ -1638,7 +1409,7 @@ mod tests {
         let mut topo = Topology::paper();
         topo.tenants = 2;
         let cfg = RunConfig::named(ConfigKind::DistDAIO).with_topology(topo);
-        let err = try_simulate(&p, &|_| {}, &cfg).unwrap_err();
+        let err = try_simulate(&p, &|_| {}, &cfg, &RunSpec::from_env()).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
     }
 
@@ -1665,8 +1436,25 @@ mod tests {
             }
         };
         for kind in ConfigKind::ALL {
-            let r = simulate(&p, &init, &RunConfig::named(kind));
+            let r = run(&p, &init, &RunConfig::named(kind));
             assert!(r.validated, "{:?} failed validation", kind);
+        }
+    }
+
+    #[test]
+    fn skip_cross_check_reports_a_one_tick_divergence() {
+        let (p, init) = axpy(64);
+        let fast = run(&p, &init, &RunConfig::named(ConfigKind::DistDAF));
+        assert!(skip_cross_check(&fast, &fast.clone()).is_ok());
+        let mut slow = fast.clone();
+        slow.ticks += 1;
+        match skip_cross_check(&fast, &slow) {
+            Err(SimError::InvariantViolation { phase, report, .. }) => {
+                assert_eq!(phase, "skip-cross-check");
+                assert!(report.contains(&format!("({},", fast.ticks)), "{report}");
+                assert!(report.contains(&format!("({},", slow.ticks)), "{report}");
+            }
+            other => panic!("expected a skip-cross-check violation, got {other:?}"),
         }
     }
 }

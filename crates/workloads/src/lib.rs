@@ -15,7 +15,7 @@
 //! use distda_system::{ConfigKind, RunConfig};
 //!
 //! let w = pointer_chase(&Scale::tiny());
-//! let r = w.simulate(&RunConfig::named(ConfigKind::OoO));
+//! let r = w.try_simulate(&RunConfig::named(ConfigKind::OoO)).unwrap();
 //! assert!(r.validated);
 //! ```
 
@@ -31,10 +31,7 @@ pub mod vision;
 use distda_ir::interp::{self, Memory};
 use distda_ir::program::Program;
 use distda_ir::value::Value;
-use distda_system::{
-    simulate_capture_with_ref, try_simulate_capture_with_ref, try_simulate_with_policy,
-    CheckPolicy, RunConfig, RunResult, SimError,
-};
+use distda_system::{try_simulate, CheckPolicy, Run, RunConfig, RunResult, RunSpec, SimError};
 use std::sync::{Arc, OnceLock};
 
 pub use dp::{nw, nw_blocked, pathfinder};
@@ -160,53 +157,25 @@ impl std::fmt::Debug for Workload {
 }
 
 impl Workload {
-    /// Simulates this workload under a configuration, validating against
-    /// the (cached) reference execution.
-    pub fn simulate(&self, cfg: &RunConfig) -> RunResult {
-        simulate_capture_with_ref(&self.program, &*self.init, cfg, Some(self.reference_exec())).0
-    }
-
-    /// Fallible [`Workload::simulate`]: deadlocks, invariant violations and
-    /// invalid configurations come back as [`SimError`] so a sweep can
-    /// report one failing cell and keep going.
+    /// Simulates this workload under a configuration with the
+    /// environment's instruments and [`CheckPolicy`]
+    /// ([`RunSpec::from_env`]), validating against the cached reference
+    /// execution. Failures come back as [`SimError`] so a sweep can report
+    /// one failing cell and keep going. The benchmark sweep pins this
+    /// signature.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] on any simulation failure.
     pub fn try_simulate(&self, cfg: &RunConfig) -> Result<RunResult, SimError> {
-        try_simulate_capture_with_ref(&self.program, &*self.init, cfg, Some(self.reference_exec()))
-            .map(|out| out.0)
+        self.try_simulate_with(cfg, RunSpec::from_env())
+            .map(|run| run.result)
     }
 
-    /// [`Workload::try_simulate`] with an explicit skip-ahead override and
-    /// [`CheckPolicy`] — the differential-validation entry point: under
-    /// [`CheckPolicy::full`] a golden-model mismatch or conservation
-    /// violation is a typed error, not a flag.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on any simulation failure, including (under
-    /// `policy.strict_validate`) golden-model mismatches.
-    pub fn try_simulate_checked(
-        &self,
-        cfg: &RunConfig,
-        skip: Option<bool>,
-        policy: CheckPolicy,
-    ) -> Result<RunResult, SimError> {
-        try_simulate_with_policy(
-            &self.program,
-            &*self.init,
-            cfg,
-            skip,
-            Some(self.reference_exec()),
-            policy,
-        )
-        .map(|out| out.0)
-    }
-
-    /// [`Workload::try_simulate`] with a scheduler self-profiler attached:
-    /// the observability entry point measuring where host time goes inside
-    /// the run. Profiling never perturbs the returned [`RunResult`].
+    /// [`Workload::try_simulate`] with an explicit scheduler self-profiler
+    /// and no other instrument, under [`CheckPolicy::from_env`]. Profiling
+    /// never perturbs the returned [`RunResult`]. The benchmark sweep pins
+    /// this signature.
     ///
     /// # Errors
     ///
@@ -216,40 +185,30 @@ impl Workload {
         cfg: &RunConfig,
         profiler: &distda_sim::Profiler,
     ) -> Result<RunResult, SimError> {
-        distda_system::try_simulate_profiled(
-            &self.program,
-            &*self.init,
-            cfg,
-            Some(self.reference_exec()),
-            profiler,
-        )
+        let spec = RunSpec {
+            profiler: profiler.clone(),
+            policy: CheckPolicy::from_env(),
+            ..RunSpec::default()
+        };
+        self.try_simulate_with(cfg, spec).map(|run| run.result)
     }
 
-    /// [`Workload::try_simulate`] with an explicit explain
-    /// [`Sampler`](distda_sim::Sampler) attached: the causal-attribution
-    /// entry point. The returned report carries the `explain.*` keys
-    /// (ranked causal tree, exact tick accounting) and the `skip`
-    /// override lets determinism tests demand byte-identical trees with
-    /// skip-ahead on and off.
+    /// [`distda_system::try_simulate`] on this workload, with the cached
+    /// reference execution installed into `spec`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on any simulation failure, including
-    /// explain accounting violations under a sanitizing policy.
-    pub fn try_simulate_explained(
-        &self,
+    /// Returns [`SimError`] on any simulation failure.
+    pub fn try_simulate_with<'a>(
+        &'a self,
         cfg: &RunConfig,
-        skip: Option<bool>,
-        sampler: &distda_sim::Sampler,
-    ) -> Result<(RunResult, Option<distda_explain::Explanation>), SimError> {
-        distda_system::try_simulate_explained(
-            &self.program,
-            &*self.init,
-            cfg,
-            skip,
-            Some(self.reference_exec()),
-            sampler,
-        )
+        spec: RunSpec<'a>,
+    ) -> Result<Run, SimError> {
+        let spec = RunSpec {
+            reference: Some(self.reference_exec()),
+            ..spec
+        };
+        try_simulate(&self.program, &*self.init, cfg, &spec)
     }
 
     /// The cached reference execution: final memory image + scalar values

@@ -8,7 +8,7 @@
 
 use distda::compiler::{compile, AccessPattern, PartitionMode};
 use distda::ir::prelude::*;
-use distda::system::{ConfigKind, RunConfig};
+use distda::system::{try_simulate, ConfigKind, RunConfig, RunSpec};
 
 fn main() {
     // A gather-scale-scatter kernel: out[i] = table[idx[i]] * w[i].
@@ -83,8 +83,13 @@ fn main() {
             mem.array_mut(table)[i] = Value::F(i as f64);
         }
     };
-    let ooo = distda::system::simulate(&prog, &init, &RunConfig::named(ConfigKind::OoO));
-    let dist = distda::system::simulate(&prog, &init, &RunConfig::named(ConfigKind::DistDAF));
+    let run = |kind| {
+        try_simulate(&prog, &init, &RunConfig::named(kind), &RunSpec::from_env())
+            .unwrap()
+            .result
+    };
+    let ooo = run(ConfigKind::OoO);
+    let dist = run(ConfigKind::DistDAF);
     assert!(ooo.validated && dist.validated);
     println!(
         "\nOoO {} ticks vs Dist-DA-F {} ticks -> {:.2}x speedup, {:.2}x energy efficiency",

@@ -26,7 +26,7 @@ fn main() {
             ConfigKind::DistDAIO,
             ConfigKind::DistDAF,
         ] {
-            let r = w.simulate(&RunConfig::named(kind));
+            let r = w.try_simulate(&RunConfig::named(kind)).unwrap();
             assert!(r.validated);
             let e = &r.energy;
             let pct = |x: f64| 100.0 * x / r.energy_pj();

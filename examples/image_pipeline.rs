@@ -25,7 +25,7 @@ fn main() {
         "config", "ticks", "energy(nJ)", "intra%", "D-A%", "A-A%"
     );
     for kind in ConfigKind::ALL {
-        let r = w.simulate(&RunConfig::named(kind));
+        let r = w.try_simulate(&RunConfig::named(kind)).unwrap();
         assert!(r.validated, "wrong pixels under {}", r.config);
         let total = (r.intra_bytes + r.da_bytes + r.aa_bytes).max(1) as f64;
         println!(

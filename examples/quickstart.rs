@@ -5,7 +5,7 @@
 //! ```
 
 use distda::ir::prelude::*;
-use distda::system::{ConfigKind, RunConfig};
+use distda::system::{try_simulate, ConfigKind, RunConfig, RunSpec};
 
 fn main() {
     // 1. Write a kernel in the IR: y[i] = sqrt(x[i]^2 + y[i]^2).
@@ -30,6 +30,8 @@ fn main() {
     };
 
     // 3. Simulate under the OoO baseline and the full Dist-DA-F system.
+    // `from_env` honours the `DISTDA_*` knobs (tracing, checking, ...).
+    let run = |cfg: &RunConfig| try_simulate(&prog, &init, cfg, &RunSpec::from_env()).unwrap();
     println!(
         "{:<18} {:>12} {:>14} {:>12} {:>10}",
         "config", "ticks", "energy (nJ)", "NoC bytes", "valid"
@@ -42,7 +44,7 @@ fn main() {
         ConfigKind::DistDAF,
     ] {
         let cfg = RunConfig::named(kind);
-        let r = distda::system::simulate(&prog, &init, &cfg);
+        let r = run(&cfg).result;
         println!(
             "{:<18} {:>12} {:>14.1} {:>12} {:>10}",
             r.config,
@@ -56,7 +58,7 @@ fn main() {
         }
     }
     let base = baseline.expect("baseline ran");
-    let dist = distda::system::simulate(&prog, &init, &RunConfig::named(ConfigKind::DistDAF));
+    let dist = run(&RunConfig::named(ConfigKind::DistDAF)).result;
     println!(
         "\nDist-DA-F vs OoO: {:.2}x speedup, {:.2}x energy efficiency",
         base.ticks as f64 / dist.ticks as f64,

@@ -23,7 +23,7 @@
 //!   the analyzer reported no violations; exit nonzero otherwise.
 
 use distda::explain::{render_json, render_text, top_bottleneck};
-use distda::system::{ConfigKind, RunConfig};
+use distda::system::{slug, CheckPolicy, ConfigKind, RunConfig, RunSpec};
 use distda::workloads::{suite, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -72,12 +72,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn slug(s: &str) -> String {
-    s.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect()
-}
-
 fn run() -> Result<u32, String> {
     let args = parse_args()?;
     let scale = match args.scale.as_str() {
@@ -120,10 +114,16 @@ fn run() -> Result<u32, String> {
 
     let mut failures = 0u32;
     for w in selected {
-        let sampler =
-            distda::sim::Sampler::enabled(args.window, distda::sim::sample::DEFAULT_WINDOW_CAP);
-        let (r, x) = match w.try_simulate_explained(&cfg, None, &sampler) {
-            Ok(out) => out,
+        let spec = RunSpec {
+            sampler: distda::sim::Sampler::enabled(
+                args.window,
+                distda::sim::sample::DEFAULT_WINDOW_CAP,
+            ),
+            policy: CheckPolicy::from_env(),
+            ..RunSpec::default()
+        };
+        let (r, x) = match w.try_simulate_with(&cfg, spec) {
+            Ok(run) => (run.result, run.explanation),
             Err(e) => {
                 eprintln!("{} / {}: {e}", w.name, cfg.kind.label());
                 failures += 1;

@@ -5,7 +5,7 @@
 
 use distda::explain::{render_text, Explanation};
 use distda::sim::{port_names, sample::DEFAULT_WINDOW_CAP, Sampler};
-use distda::system::RunResult;
+use distda::system::{CheckPolicy, RunResult, RunSpec};
 use distda::workloads::{nw, pathfinder, pointer_chase, Scale};
 
 const WINDOW: u64 = 1024;
@@ -15,11 +15,17 @@ fn explained(
     cfg: &distda::system::RunConfig,
     skip: Option<bool>,
 ) -> (RunResult, Explanation) {
-    let sampler = Sampler::enabled(WINDOW, DEFAULT_WINDOW_CAP);
-    let (r, x) = w
-        .try_simulate_explained(cfg, skip, &sampler)
+    let spec = RunSpec {
+        skip,
+        sampler: Sampler::enabled(WINDOW, DEFAULT_WINDOW_CAP),
+        policy: CheckPolicy::from_env(),
+        ..RunSpec::default()
+    };
+    let run = w
+        .try_simulate_with(cfg, spec)
         .expect("explained run succeeds");
-    (r, x.expect("sampler on -> explanation present"))
+    let x = run.explanation.expect("sampler on -> explanation present");
+    (run.result, x)
 }
 
 /// Every port name exported by a real machine — report keys, sampled

@@ -11,7 +11,7 @@ use distda::mem::params::CacheParams;
 use distda::noc::{Mesh, NocConfig, Packet, TrafficClass};
 use distda::sim::time::ClockDomain;
 use distda::sim::{Channel, CreditLoop, Fifo, SplitMix64};
-use distda::system::{ConfigKind, RunConfig};
+use distda::system::{try_simulate, ConfigKind, RunConfig, RunSpec};
 use std::collections::HashSet;
 
 /// FIFO preserves order and never exceeds capacity.
@@ -290,8 +290,12 @@ fn simulation_is_correct_and_deterministic() {
             }
         };
         let cfg = RunConfig::named(ConfigKind::DistDAIO);
-        let r1 = distda::system::simulate(&p, &init, &cfg);
-        let r2 = distda::system::simulate(&p, &init, &cfg);
+        let r1 = try_simulate(&p, &init, &cfg, &RunSpec::from_env())
+            .unwrap()
+            .result;
+        let r2 = try_simulate(&p, &init, &cfg, &RunSpec::from_env())
+            .unwrap()
+            .result;
         assert!(r1.validated);
         assert_eq!(r1.ticks, r2.ticks, "nondeterministic timing");
         assert_eq!(r1.counters.noc_hop_bytes, r2.counters.noc_hop_bytes);

@@ -8,7 +8,7 @@ use distda::workloads::{suite, Scale};
 fn check(kind: ConfigKind) {
     let scale = Scale::tiny();
     for w in suite(&scale) {
-        let r = w.simulate(&RunConfig::named(kind));
+        let r = w.try_simulate(&RunConfig::named(kind)).unwrap();
         assert!(
             r.validated,
             "{} failed validation under {}",
@@ -56,7 +56,7 @@ fn sensitivity_variants_validate_on_representative_kernels() {
         distda::workloads::pagerank(&scale),
     ] {
         for cfg in [RunConfig::dist_da_io_sw(), RunConfig::dist_da_f_alloc()] {
-            let r = w.simulate(&cfg);
+            let r = w.try_simulate(&cfg).unwrap();
             assert!(r.validated, "{} failed under {}", w.name, r.config);
         }
     }
@@ -71,7 +71,7 @@ fn case_study_kernels_validate() {
         distda::workloads::nw_blocked(&scale, 4),
     ] {
         for kind in [ConfigKind::OoO, ConfigKind::DistDAIO] {
-            let r = w.simulate(&RunConfig::named(kind));
+            let r = w.try_simulate(&RunConfig::named(kind)).unwrap();
             assert!(r.validated, "{} failed under {:?}", w.name, kind);
         }
     }
@@ -85,7 +85,7 @@ fn case_study_kernels_validate() {
 /// drain tick).
 #[test]
 fn strict_checked_runs_hold_every_invariant_across_configs() {
-    use distda::system::CheckPolicy;
+    use distda::system::{CheckPolicy, RunSpec};
     let scale = Scale::tiny();
     // pointer-chase serializes DRAM misses, fdtd-2d streams through the
     // prefetcher (the path that stranded a DRAM request in an inbox), and
@@ -97,10 +97,15 @@ fn strict_checked_runs_hold_every_invariant_across_configs() {
     ] {
         for kind in ConfigKind::ALL {
             for skip in [true, false] {
-                let r = w
-                    .try_simulate_checked(&RunConfig::named(kind), Some(skip), CheckPolicy::full())
+                let spec = RunSpec {
+                    skip: Some(skip),
+                    policy: CheckPolicy::full(),
+                    ..RunSpec::default()
+                };
+                let run = w
+                    .try_simulate_with(&RunConfig::named(kind), spec)
                     .unwrap_or_else(|e| panic!("{} under {:?} (skip={skip}): {e}", w.name, kind));
-                assert!(r.validated);
+                assert!(run.result.validated);
             }
         }
     }
