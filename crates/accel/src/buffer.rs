@@ -5,7 +5,38 @@
 //! before going to the cache interface, and hits in it are the
 //! energy-cheap *intra* accesses of Figure 9.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for maps keyed by line number. Line numbers are dense, trusted
+/// simulator state, so one multiply replaces SipHash on the lookups every
+/// processed engine edge makes. The order it gives these maps is never
+/// observable: eviction picks the minimum over unique LRU stamps,
+/// [`ObjectBuffer::drain_dirty`] sorts its output, and nothing iterates
+/// the engine's set of pending fills.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits; the product's best-mixed
+        // bits are the high ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A set of line numbers hashed with [`LineHasher`].
+pub(crate) type LineSet = HashSet<u64, BuildHasherDefault<LineHasher>>;
 
 /// Line-granularity buffer with LRU replacement.
 ///
@@ -21,7 +52,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct ObjectBuffer {
     capacity_lines: usize,
-    lines: HashMap<u64, Slot>,
+    lines: HashMap<u64, Slot, BuildHasherDefault<LineHasher>>,
     tick: u64,
     /// Element reads satisfied by the buffer (intra accesses).
     pub hits: u64,
@@ -49,7 +80,7 @@ impl ObjectBuffer {
         assert!(capacity_lines > 0, "buffer capacity must be nonzero");
         Self {
             capacity_lines,
-            lines: HashMap::with_capacity(capacity_lines),
+            lines: HashMap::with_capacity_and_hasher(capacity_lines, Default::default()),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -221,6 +252,39 @@ mod tests {
         let mut b = ObjectBuffer::new(2);
         b.write(9);
         assert!(b.present(9));
+    }
+
+    #[test]
+    fn victims_and_drains_ignore_insertion_order() {
+        // Line numbers chosen to collide under a naive low-bits hash.
+        let lines = [64, 1 << 28, 7, 1 << 40, 64 << 10, 3, 1 << 63, 128];
+        let run = |order: &[u64]| {
+            let mut b = ObjectBuffer::new(lines.len());
+            for &l in order {
+                b.write(l);
+            }
+            // One recency order, whatever the insertion order was.
+            for &l in &lines {
+                b.access(l);
+            }
+            let victims: Vec<Option<u64>> = (1000..1004).map(|l| b.install(l)).collect();
+            (victims, b.drain_dirty())
+        };
+        let mut reversed = lines;
+        reversed.reverse();
+        let mut interleaved = lines;
+        interleaved.sort_by_key(|&l| l.rotate_left(17));
+        let want = run(&lines);
+        assert_eq!(
+            want.0,
+            lines[..4].iter().map(|&l| Some(l)).collect::<Vec<_>>(),
+            "least recently accessed lines are evicted first"
+        );
+        let mut rest = lines[4..].to_vec();
+        rest.sort_unstable();
+        assert_eq!(want.1, rest, "drain order is sorted");
+        assert_eq!(run(&reversed), want);
+        assert_eq!(run(&interleaved), want);
     }
 
     #[test]

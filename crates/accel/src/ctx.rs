@@ -73,6 +73,10 @@ pub struct MockCtx {
     pub reads: u64,
     /// Writes issued.
     pub writes: u64,
+    /// Channel stall cycles noted through [`EngineCtx::note_chan_stall`].
+    pub chan_stall_notes: u64,
+    /// Memory stall cycles noted through [`EngineCtx::note_mem_stall`].
+    pub mem_stall_notes: u64,
 }
 
 impl MockCtx {
@@ -141,6 +145,14 @@ impl EngineCtx for MockCtx {
 
     fn addr_of(&self, array: ArrayId, idx: i64) -> u64 {
         (array.0 as u64) << 32 | ((idx.max(0) as u64) * 8)
+    }
+
+    fn note_chan_stall(&mut self, _chan: u16, n: u64) {
+        self.chan_stall_notes += n;
+    }
+
+    fn note_mem_stall(&mut self, n: u64) {
+        self.mem_stall_notes += n;
     }
 }
 

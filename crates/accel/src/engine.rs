@@ -8,7 +8,7 @@
 //! FSM (Figure 2c); channel operands block on credit back-pressure, which
 //! is what lets partitions run ahead of each other (Section IV-B).
 
-use crate::buffer::ObjectBuffer;
+use crate::buffer::{LineSet, ObjectBuffer};
 use crate::ctx::EngineCtx;
 use distda_compiler::affine::Sym;
 use distda_compiler::plan::{AccessPattern, PNode, PartitionDef};
@@ -16,7 +16,6 @@ use distda_ir::value::Value;
 use distda_sim::arena::{Arena, Handle};
 use distda_sim::time::{ClockDomain, Tick};
 use distda_trace::{EventKind, StallCause, TraceSink};
-use std::collections::HashSet;
 
 /// Bytes per cache line (matches the memory hierarchy).
 const LINE_BYTES: u64 = 64;
@@ -93,16 +92,17 @@ enum State {
 
 #[derive(Debug, Clone, Copy)]
 enum Pending {
-    Fill { line_addr: u64 },
+    Fill { line: u64 },
     WriteAck,
 }
 
 /// The engine's next internally-scheduled wake-up, reported after every
 /// processed clock edge. This is the engine's half of the system-wide
 /// `next_event` protocol: the machine may skip every base tick on which no
-/// component has scheduled work, so `Wake` must name the earliest edge at
-/// which this engine could act — erring early is safe, erring late breaks
-/// bit-exactness with the tick-by-tick simulation.
+/// component has scheduled work, and skips this engine's own edges until it
+/// is due, so `Wake` must name the earliest edge at which this engine could
+/// act — erring early is safe, erring late breaks bit-exactness with the
+/// tick-by-tick simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wake {
     /// The engine can make progress on its very next clock edge.
@@ -152,7 +152,8 @@ pub struct PartitionEngine {
     /// outstanding-request windows, so the slab never grows past the
     /// high-water mark and issue/complete stops touching the allocator.
     pending: Arena<Pending>,
-    pending_lines: HashSet<u64>,
+    /// Lines with a fill in flight.
+    pending_lines: LineSet,
     pf_ahead: u64,
     max_reads: u32,
     max_writes: u32,
@@ -219,7 +220,7 @@ impl PartitionEngine {
             busy_until: 0,
             iter_start: 0,
             pending: Arena::with_capacity((MAX_READS + MAX_WRITES) as usize),
-            pending_lines: HashSet::new(),
+            pending_lines: LineSet::default(),
             pf_ahead: PF_AHEAD_LINES,
             max_reads: MAX_READS,
             max_writes: MAX_WRITES,
@@ -409,15 +410,15 @@ impl PartitionEngine {
         self.access_base[access] + inner_val * self.stride_of(access)
     }
 
-    fn issue_read(&mut self, ctx: &mut dyn EngineCtx, line_addr: u64) -> bool {
-        if self.outstanding_reads >= self.max_reads || self.pending_lines.contains(&line_addr) {
-            return self.pending_lines.contains(&line_addr);
+    fn issue_read(&mut self, ctx: &mut dyn EngineCtx, line: u64) -> bool {
+        if self.outstanding_reads >= self.max_reads || self.pending_lines.contains(&line) {
+            return self.pending_lines.contains(&line);
         }
-        let h = self.pending.alloc(Pending::Fill { line_addr });
-        if ctx.mem_read(h.to_bits(), line_addr) {
+        let h = self.pending.alloc(Pending::Fill { line });
+        if ctx.mem_read(h.to_bits(), line * LINE_BYTES) {
             self.next_req += 1;
             self.outstanding_reads += 1;
-            self.pending_lines.insert(line_addr);
+            self.pending_lines.insert(line);
             true
         } else {
             self.pending.take(h);
@@ -446,11 +447,11 @@ impl PartitionEngine {
     fn handle_completions(&mut self, ctx: &mut dyn EngineCtx) {
         while let Some(id) = ctx.poll_mem() {
             match self.pending.take(Handle::from_bits(id)) {
-                Some(Pending::Fill { line_addr }) => {
+                Some(Pending::Fill { line }) => {
                     self.outstanding_reads -= 1;
-                    self.pending_lines.remove(&line_addr);
+                    self.pending_lines.remove(&line);
                     self.stats.da_bytes += LINE_BYTES;
-                    if let Some(victim) = self.buffer.install(line_addr / LINE_BYTES) {
+                    if let Some(victim) = self.buffer.install(line) {
                         self.issue_write(ctx, victim * LINE_BYTES);
                     }
                 }
@@ -483,9 +484,8 @@ impl PartitionEngine {
                 // Loop-invariant element: fetch its line once.
                 let elem = self.elem_of_stream(a, self.inner);
                 let line = ctx.addr_of(def.array, elem) / LINE_BYTES;
-                if !self.buffer.present(line) && !self.pending_lines.contains(&(line * LINE_BYTES))
-                {
-                    let _ = self.issue_read(ctx, line * LINE_BYTES);
+                if !self.buffer.present(line) && !self.pending_lines.contains(&line) {
+                    let _ = self.issue_read(ctx, line);
                 }
                 continue;
             }
@@ -505,7 +505,7 @@ impl PartitionEngine {
                 if line.abs_diff(cur_line) > self.pf_ahead {
                     break;
                 }
-                if !self.buffer.present(line) && !self.issue_read(ctx, line * LINE_BYTES) {
+                if !self.buffer.present(line) && !self.issue_read(ctx, line) {
                     break;
                 }
                 self.stream_pf[a] = v + self.step;
@@ -549,10 +549,12 @@ impl PartitionEngine {
     }
 
     /// Charges the stall counters for edges the machine skipped while this
-    /// engine sat in a wait. On every skipped edge the tick-by-tick
-    /// simulation would have re-tried the blocked node and charged exactly
-    /// one stall cycle; everything else on those edges is provably a no-op,
-    /// so bulk accounting keeps the statistics bit-identical.
+    /// engine sat in a wait — whole ticks skipped by the scheduler, or
+    /// single edges of this engine gated because it was not due. On every
+    /// skipped edge the tick-by-tick simulation would have re-tried the
+    /// blocked node and charged exactly one stall cycle; everything else
+    /// on those edges is provably a no-op, so bulk accounting keeps the
+    /// statistics bit-identical.
     fn account_skipped_edges(&mut self, now: Tick, ctx: &mut dyn EngineCtx) {
         let Some(last) = self.last_edge else { return };
         if !matches!(self.state, State::Running) {
@@ -580,6 +582,21 @@ impl PartitionEngine {
                 }
             }
         }
+    }
+
+    /// Charges the stall edges skipped up to the last clock edge at or
+    /// before `now`, exactly as if each had been processed, and moves the
+    /// accounting point there. Skipped edges are otherwise charged on the
+    /// engine's next processed edge, so a reader of the stall counters
+    /// between two processed edges (an explain window boundary) settles
+    /// every engine first to see the tick-by-tick values.
+    pub fn settle(&mut self, now: Tick, ctx: &mut dyn EngineCtx) {
+        let edge = now - now % self.clock.period_ticks();
+        if self.last_edge.is_none_or(|last| last >= edge) {
+            return;
+        }
+        self.account_skipped_edges(edge + self.clock.period_ticks(), ctx);
+        self.last_edge = Some(edge);
     }
 
     /// The channel the node at `pc` blocks on, as `(chan, is_send)`.
@@ -802,8 +819,9 @@ impl PartitionEngine {
                     // The fill may have been installed and evicted by a
                     // competing stream before we resumed: re-issue the
                     // demand fetch or we wait forever.
-                    if !self.pending_lines.contains(&line_addr) {
-                        let _ = self.issue_read(ctx, line_addr);
+                    let line = line_addr / LINE_BYTES;
+                    if !self.pending_lines.contains(&line) {
+                        let _ = self.issue_read(ctx, line);
                     }
                     return Err(Wait::Line {
                         line_addr,
@@ -843,7 +861,7 @@ impl PartitionEngine {
                         let line = addr / LINE_BYTES;
                         if !self.buffer.access(line) {
                             // Demand fetch (prefetcher may be behind).
-                            let _ = self.issue_read(ctx, line * LINE_BYTES);
+                            let _ = self.issue_read(ctx, line);
                             return Err(Wait::Line {
                                 line_addr: line * LINE_BYTES,
                                 pc,
@@ -870,7 +888,7 @@ impl PartitionEngine {
                         let byte = ctx.addr_of(array, elem);
                         let line = byte / LINE_BYTES;
                         if !self.buffer.access(line) {
-                            let _ = self.issue_read(ctx, line * LINE_BYTES);
+                            let _ = self.issue_read(ctx, line);
                             return Err(Wait::Line {
                                 line_addr: line * LINE_BYTES,
                                 pc,
@@ -1124,6 +1142,93 @@ mod tests {
         }
         let total_aa: u64 = e0.stats().aa_bytes + e1.stats().aa_bytes;
         assert_eq!(total_aa, 8 * 8, "one 8-byte operand per iteration");
+    }
+
+    /// Whether `e` can act at `now`: the machine's gate, over a mock
+    /// whose channels hold `cap` operands and whose memory answers on the
+    /// next poll.
+    fn due(e: &PartitionEngine, ctx: &MockCtx, cap: usize, now: Tick) -> bool {
+        let clock = e.clock();
+        let len = |c: u16| ctx.channels.get(&c).map_or(0, |q| q.len());
+        let wake = if !ctx.inflight.is_empty() {
+            Some(clock.next_edge(now))
+        } else {
+            match e.wake() {
+                Wake::Never | Wake::External(None) => None,
+                Wake::NextEdge => Some(clock.next_edge(now)),
+                Wake::At(t) => Some(clock.next_edge(t.max(now))),
+                Wake::External(Some((c, is_send))) => {
+                    let ready = if is_send { len(c) < cap } else { len(c) > 0 };
+                    ready.then(|| clock.next_edge(now))
+                }
+            }
+        };
+        wake == Some(now)
+    }
+
+    #[test]
+    fn settling_equals_ticking_every_edge() {
+        // The producer half of a two-partition pipeline, sending into a
+        // two-slot channel that a scripted consumer drains slowly: the
+        // engine spends most of its run blocked on channel credit.
+        let mut b = ProgramBuilder::new("pipe");
+        let x = b.array_f64("x", 32);
+        let y = b.array_f64("y", 32);
+        b.for_(0, 32, 1, |b, i| {
+            b.store(y, i.clone(), Expr::load(x, i) * Expr::cf(3.0));
+        });
+        let plan = compile(&b.build(), PartitionMode::Distributed).offloads[0].clone();
+        let ch = &plan.channels[0];
+        let (producer, chan) = (ch.producer as usize, 0u16);
+        const CAP: usize = 2;
+        // A mid-wait tick that is not an edge (the 2 GHz period is 3).
+        const MID: Tick = 151;
+        let drive = |gated: bool| {
+            let mut e = PartitionEngine::new(
+                plan.partitions[producer].clone(),
+                plan.params.clone(),
+                IssueModel::InOrder { width: 1 },
+                ClockDomain::from_ghz(2.0),
+                16,
+            );
+            let mut ctx = MockCtx::new(0);
+            ctx.chan_cap = Some(CAP);
+            e.run(0, &[], &[], 0, 32, 1);
+            let (mut edges, mut mid) = (0, None);
+            let mut t = 0;
+            while !e.is_done() {
+                if t > 200 && t % 40 == 0 {
+                    ctx.channels.entry(chan).or_default().pop_front();
+                }
+                if !gated || due(&e, &ctx, CAP, t) {
+                    edges += u64::from(e.clock().fires_at(t));
+                    e.tick(t, &mut ctx);
+                }
+                if t == MID {
+                    if gated {
+                        assert!(
+                            matches!(e.wake(), Wake::External(Some(_))),
+                            "mid-wait: {}",
+                            e.stall_debug()
+                        );
+                        e.settle(t, &mut ctx);
+                    }
+                    mid = Some((e.stats(), ctx.chan_stall_notes, ctx.mem_stall_notes));
+                }
+                t += 1;
+                assert!(t < 1_000_000, "pipeline hung");
+            }
+            let end = (e.stats(), ctx.chan_stall_notes, ctx.mem_stall_notes);
+            (mid.expect("run outlives MID"), end, t, edges)
+        };
+        let (mid_all, end_all, t_all, edges_all) = drive(false);
+        let (mid_due, end_due, t_due, edges_due) = drive(true);
+        assert!(end_all.0.stall_chan > 0, "the engine must block on credit");
+        assert_eq!(end_all.1, end_all.0.stall_chan, "notes follow the counter");
+        assert!(edges_due < edges_all, "the gate skipped no edge");
+        assert_eq!(mid_due, mid_all, "settled mid-wait counters");
+        assert_eq!(end_due, end_all, "final counters");
+        assert_eq!(t_due, t_all, "completion tick");
     }
 
     #[test]

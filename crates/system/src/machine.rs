@@ -40,7 +40,6 @@ use distda_sim::port_names;
 use distda_sim::time::{ClockDomain, Tick};
 use distda_sim::Sampler;
 use distda_trace::{EventKind, TraceSink, Tracer};
-use std::collections::BTreeMap;
 
 /// Operand slots per channel buffer.
 pub const CHAN_CAPACITY: usize = 64;
@@ -105,11 +104,13 @@ struct EngineSlot {
     /// engine's `stall_mem` so per-port stall series sum to machine
     /// totals).
     mem_stalls: u64,
-    /// Engine cycles stalled per global operand channel, charged at the
-    /// same retry sites as the engine's `stall_chan` counter — the
-    /// per-waiter attribution the explain blame edges carry (a channel
-    /// port's raw counter mixes producer, consumer and delivery stalls).
-    chan_stalls: BTreeMap<usize, u64>,
+    /// Engine cycles stalled per operand channel of this engine's plan
+    /// (indexed by local channel, global channel `chan_base + i`),
+    /// charged at the same retry sites as the engine's `stall_chan`
+    /// counter — the per-waiter attribution the explain blame edges carry
+    /// (a channel port's raw counter mixes producer, consumer and
+    /// delivery stalls).
+    chan_stalls: Vec<u64>,
 }
 
 #[derive(Debug)]
@@ -159,6 +160,10 @@ pub struct MachineState {
     host_sink: TraceSink,
     /// Channel track: per-channel occupancy series.
     chan_sink: TraceSink,
+    /// Mirror of the scheduler's skip-ahead flag. With it on, engine
+    /// edges on which the engine is not due are gated off; with it off
+    /// every edge runs, as the tick-by-tick reference requires.
+    skip: bool,
 }
 
 impl MachineState {
@@ -379,9 +384,87 @@ impl Component<MachineState> for ChannelsComp {
     }
 }
 
+/// The earliest edge at or after `now` on which the engine in `slot` can
+/// act: its next edge if a memory response is waiting at its port or its
+/// blocking channel became ready, its reported internal wake otherwise.
+/// The engine is due at `now` iff this is `Some(now)`.
+fn engine_wake(slot: &EngineSlot, chans: &[ChanState], now: Tick) -> Option<Tick> {
+    let clock = slot.eng.clock();
+    if !slot.resp.is_empty() {
+        // A response is waiting at the engine's port; it must be
+        // handed over on the engine's next edge.
+        return Some(clock.next_edge(now));
+    }
+    match slot.eng.wake() {
+        Wake::Never => None,
+        Wake::NextEdge => Some(clock.next_edge(now)),
+        Wake::At(t) => Some(clock.next_edge(t.max(now))),
+        Wake::External(chan) => {
+            let ready = match chan {
+                Some((c, is_send)) => {
+                    let ch = &chans[slot.chan_base + c as usize];
+                    if is_send {
+                        ch.flow.credits() > 0
+                    } else {
+                        !ch.queue.is_empty()
+                    }
+                }
+                None => false,
+            };
+            ready.then(|| clock.next_edge(now))
+        }
+    }
+}
+
+/// Runs `f` on engine `index` against its [`EngineCtx`] view of the
+/// world at tick `now`.
+fn drive_engine(
+    st: &mut MachineState,
+    index: usize,
+    now: Tick,
+    f: impl FnOnce(&mut PartitionEngine, &mut Ctx<'_>),
+) {
+    let MachineState {
+        engines,
+        mem,
+        chans,
+        net_out,
+        memimg,
+        layout,
+        tenant_views,
+        chan_sink,
+        ..
+    } = st;
+    let slot = &mut engines[index];
+    // The engine reads and writes its tenant's functional view.
+    let (memimg, layout) = match slot.tenant {
+        0 => (memimg, &*layout),
+        t => {
+            let (img, lay) = &mut tenant_views[t as usize - 1];
+            (img, &*lay)
+        }
+    };
+    let mut ctx = Ctx {
+        now,
+        port: slot.port,
+        chan_base: slot.chan_base,
+        tenant: slot.tenant,
+        mem,
+        chans,
+        net_out,
+        memimg,
+        layout,
+        resp: &mut slot.resp,
+        chan_sink,
+        mem_stalls: &mut slot.mem_stalls,
+        chan_stalls: &mut slot.chan_stalls,
+    };
+    f(&mut slot.eng, &mut ctx);
+}
+
 /// Stage [`stage::ENGINE`], one per configured engine: collects the
-/// engine's port responses and executes one tick against its
-/// [`EngineCtx`] view of the world.
+/// engine's port responses and, when the engine is due, executes one
+/// edge against its [`EngineCtx`] view of the world.
 struct EngineComp {
     index: usize,
     name: String,
@@ -399,83 +482,30 @@ impl Component<MachineState> for EngineComp {
     }
 
     fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) {
-        let MachineState {
-            engines,
-            mem,
-            chans,
-            net_out,
-            memimg,
-            layout,
-            tenant_views,
-            chan_sink,
-            ..
-        } = st;
-        let slot = &mut engines[self.index];
+        let slot = &mut st.engines[self.index];
         {
-            let mut rx = mem.responses(slot.port).rx();
+            let mut rx = st.mem.responses(slot.port).rx();
             while let Some(r) = rx.accept() {
                 slot.resp.push(r.id);
             }
         }
-        // Off the engine's clock edge `eng.tick` is a guaranteed no-op (it
-        // gates on `fires_at` before touching anything), so the context
-        // setup below would be built and thrown away — skip it.
-        if !slot.eng.clock().fires_at(now) {
-            return;
+        // An engine that is not due here would only re-try its blocked
+        // node — the skip-ahead argument applied to one engine: the edge
+        // is skipped and its stall cycle charged in bulk on the engine's
+        // next processed edge (or by `PartitionEngine::settle`). Off the
+        // engine's clock edge `eng.tick` is a no-op anyway.
+        let due = if st.skip {
+            engine_wake(slot, &st.chans, now) == Some(now)
+        } else {
+            slot.eng.clock().fires_at(now)
+        };
+        if due {
+            drive_engine(st, self.index, now, |eng, ctx| eng.tick(now, ctx));
         }
-        // The engine reads and writes its tenant's functional view.
-        let (memimg, layout) = match slot.tenant {
-            0 => (memimg, &*layout),
-            t => {
-                let (img, lay) = &mut tenant_views[t as usize - 1];
-                (img, &*lay)
-            }
-        };
-        let mut ctx = Ctx {
-            now,
-            port: slot.port,
-            chan_base: slot.chan_base,
-            tenant: slot.tenant,
-            mem,
-            chans,
-            net_out,
-            memimg,
-            layout,
-            resp: &mut slot.resp,
-            chan_sink,
-            mem_stalls: &mut slot.mem_stalls,
-            chan_stalls: &mut slot.chan_stalls,
-        };
-        slot.eng.tick(now, &mut ctx);
     }
 
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
-        let slot = &st.engines[self.index];
-        let clock = slot.eng.clock();
-        if !slot.resp.is_empty() {
-            // A response is waiting at the engine's port; it must be
-            // handed over on the engine's next edge.
-            return Some(clock.next_edge(now));
-        }
-        match slot.eng.wake() {
-            Wake::Never => None,
-            Wake::NextEdge => Some(clock.next_edge(now)),
-            Wake::At(t) => Some(clock.next_edge(t.max(now))),
-            Wake::External(chan) => {
-                let ready = match chan {
-                    Some((c, is_send)) => {
-                        let ch = &st.chans[slot.chan_base + c as usize];
-                        if is_send {
-                            ch.flow.credits() > 0
-                        } else {
-                            !ch.queue.is_empty()
-                        }
-                    }
-                    None => false,
-                };
-                ready.then(|| clock.next_edge(now))
-            }
-        }
+        engine_wake(&st.engines[self.index], &st.chans, now)
     }
 
     fn is_quiescent(&self, _now: Tick, st: &MachineState) -> bool {
@@ -682,6 +712,11 @@ impl Component<MachineState> for SamplerComp {
         if now < self.boundary {
             return;
         }
+        // Gated engine edges are charged lazily; bring every engine's
+        // stall counters (and the port stalls they feed) up to `now`.
+        for i in 0..st.engines.len() {
+            drive_engine(st, i, now, |eng, ctx| eng.settle(now, ctx));
+        }
         let ports = st.port_snapshots();
         let mut counters = Vec::with_capacity(st.engines.len() * 3);
         for (i, s) in st.engines.iter().enumerate() {
@@ -767,8 +802,9 @@ impl Machine {
             sink: TraceSink::default(),
             host_sink: TraceSink::default(),
             chan_sink: TraceSink::default(),
+            skip: distda_sim::env::skip(),
         };
-        let mut sched = Scheduler::new(TICK_BUDGET, distda_sim::env::skip());
+        let mut sched = Scheduler::new(TICK_BUDGET, st.skip);
         // Registration order is also instrument-attach order (stable trace
         // track IDs); stages give the intra-tick phase order.
         sched.register(stage::DELIVERY, Box::new(DeliveryComp), &mut st);
@@ -878,11 +914,8 @@ impl Machine {
     pub fn port_topology(&self) -> Vec<distda_explain::Edge> {
         use distda_explain::Edge;
         let attributed = |ei: usize, g: usize| -> u64 {
-            self.st.engines[ei]
-                .chan_stalls
-                .get(&g)
-                .copied()
-                .unwrap_or(0)
+            let slot = &self.st.engines[ei];
+            slot.chan_stalls[g - slot.chan_base]
         };
         let mut edges = Vec::new();
         for (g, &(p, c)) in self.st.chan_engines.iter().enumerate() {
@@ -1025,6 +1058,7 @@ impl Machine {
     /// during which no component can do observable work.
     pub fn set_skip(&mut self, on: bool) {
         self.sched.set_skip(on);
+        self.st.skip = on;
     }
 
     /// The scheduler (clock, registered components, instruments).
@@ -1215,7 +1249,7 @@ impl Machine {
                 is_cgra: matches!(sub.model, IssueModel::Cgra { .. }),
                 tenant,
                 mem_stalls: 0,
-                chan_stalls: BTreeMap::new(),
+                chan_stalls: vec![0; plan.channels.len()],
             });
             // Registration wires the engine into the tick loop, wake
             // probe, drain predicate and drain audit — and attaches the
@@ -1588,7 +1622,7 @@ struct Ctx<'a> {
     resp: &'a mut Vec<u64>,
     chan_sink: &'a TraceSink,
     mem_stalls: &'a mut u64,
-    chan_stalls: &'a mut BTreeMap<usize, u64>,
+    chan_stalls: &'a mut [u64],
 }
 
 impl EngineCtx for Ctx<'_> {
@@ -1668,7 +1702,7 @@ impl EngineCtx for Ctx<'_> {
     fn note_chan_stall(&mut self, chan: u16, n: u64) {
         let g = self.chan_base + chan as usize;
         self.chans[g].queue.note_stalls(n);
-        *self.chan_stalls.entry(g).or_insert(0) += n;
+        self.chan_stalls[chan as usize] += n;
     }
 
     fn note_mem_stall(&mut self, n: u64) {

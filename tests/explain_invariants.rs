@@ -6,7 +6,7 @@
 use distda::explain::{render_text, Explanation};
 use distda::sim::{port_names, sample::DEFAULT_WINDOW_CAP, Sampler};
 use distda::system::{CheckPolicy, RunResult, RunSpec};
-use distda::workloads::{nw, pathfinder, pointer_chase, Scale};
+use distda::workloads::{bfs, nw, pathfinder, pointer_chase, Scale};
 
 const WINDOW: u64 = 1024;
 
@@ -135,18 +135,32 @@ fn real_runs_account_every_tick() {
 /// The causal tree is part of the deterministic surface: skip-ahead on
 /// and off must produce byte-identical rendered trees (skip-ahead is an
 /// optimization, not a semantic change), and repeated runs must be
-/// stable.
+/// stable. bfs blocks engines across window boundaries, where the
+/// sampler must see stall cycles charged exactly as tick-by-tick
+/// execution charges them.
 #[test]
 fn causal_tree_is_byte_identical_across_skip_modes() {
-    let w = pathfinder(&Scale::tiny());
-    let cfg = distda::system::RunConfig::named(distda::system::ConfigKind::DistDAF);
-    let (_, skip_on) = explained(&w, &cfg, Some(true));
-    let (_, skip_off) = explained(&w, &cfg, Some(false));
-    let (_, again) = explained(&w, &cfg, Some(true));
-    assert_eq!(
-        render_text(&skip_on),
-        render_text(&skip_off),
-        "skip-ahead must not change the causal tree"
-    );
-    assert_eq!(render_text(&skip_on), render_text(&again), "stable reruns");
+    use distda::system::ConfigKind::{DistDAF, DistDAIO};
+    let cases = [
+        (pathfinder(&Scale::tiny()), DistDAF),
+        (bfs(&Scale::tiny()), DistDAIO),
+        (bfs(&Scale::tiny()), DistDAF),
+    ];
+    for (w, kind) in cases {
+        let cfg = distda::system::RunConfig::named(kind);
+        let (_, skip_on) = explained(&w, &cfg, Some(true));
+        let (_, skip_off) = explained(&w, &cfg, Some(false));
+        let (_, again) = explained(&w, &cfg, Some(true));
+        let ctx = format!("{} / {}", w.name, cfg.label());
+        assert_eq!(
+            render_text(&skip_on),
+            render_text(&skip_off),
+            "{ctx}: skip-ahead must not change the causal tree"
+        );
+        assert_eq!(
+            render_text(&skip_on),
+            render_text(&again),
+            "{ctx}: stable reruns"
+        );
+    }
 }
