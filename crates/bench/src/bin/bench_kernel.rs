@@ -1,6 +1,7 @@
 //! Scheduler-loop micro-bench: times the dispatch kernel on a synthetic
 //! 100%-busy machine and a 99%-idle machine separately, so busy-path
-//! (calendar probe) and skip-ahead wins are visible as distinct numbers.
+//! (dispatch and early-exit probe) and skip-ahead wins are visible as
+//! distinct numbers.
 //! The same measurement runs at the end of `reproduce`, which embeds the
 //! results in `BENCH_simspeed.json`; this binary is the quick standalone
 //! form.

@@ -4,16 +4,16 @@
 //! Two extremes bracket the tick loop's behavior:
 //!
 //! - **busy**: every component reports an event on every tick, so
-//!   skip-ahead never fires. This times raw dispatch plus the
-//!   calendar-fed wake probe's `== now` early exit — the path a
-//!   saturated machine lives on.
+//!   skip-ahead never fires. This times raw dispatch plus the stage-order
+//!   wake probe's `== now` early exit — the path a saturated machine
+//!   lives on.
 //! - **idle**: components wake once per ~100 ticks, so ~99% of simulated
 //!   time is jumped over. This times the skip-ahead path, whose cost is
 //!   dominated by how fast the wake fold finds the next event.
 //!
 //! The two numbers land in `BENCH_simspeed.json` separately so a
-//! calendar-queue win on the busy path and a skip-ahead win on the idle
-//! path cannot mask each other in one blended figure.
+//! dispatch win on the busy path and a skip-ahead win on the idle path
+//! cannot mask each other in one blended figure.
 
 use distda_sim::component::{Component, Instruments, Scheduler};
 use distda_sim::time::Tick;

@@ -10,8 +10,9 @@
 //! forgetting one produced exactly the stranded-packet class of bug the
 //! sanitizer exists to catch. Here the enumeration happens once:
 //! components implement [`Component`] and are registered with a
-//! [`Scheduler`], which owns the clock, the busy-path-O(1) wake probe,
-//! idle skip-ahead, the tick budget, the drain loop and the drain audit.
+//! [`Scheduler`], which owns the clock, the stage-order wake probe (with
+//! its `== now` early exit), idle skip-ahead, the tick budget, the drain
+//! loop and the drain audit.
 //!
 //! ## The world parameter
 //!
@@ -43,9 +44,8 @@
 //! - [`Component::audit_drained`] asserts conservation invariants of the
 //!   drained state against the [`Sanitizer`].
 
-use crate::calendar::CalendarQueue;
 use crate::profile::Profiler;
-use crate::time::{earliest, Tick};
+use crate::time::Tick;
 use distda_check::Sanitizer;
 use distda_trace::Tracer;
 use std::time::Instant;
@@ -182,46 +182,6 @@ pub struct Scheduler<W> {
     prof_slots: Vec<usize>,
     /// Reused `(slot, host_ns)` buffer for profiled ticks.
     prof_scratch: Vec<(usize, u64)>,
-    /// Calendar of each component's last *complete-probe* wake tick:
-    /// orders the next probe so the earliest-wake component is asked
-    /// first and the `== now` early exit triggers immediately on the
-    /// busy path. Purely an ordering heuristic — staleness can cost a
-    /// longer fold, never a wrong result (the fold minimum is
-    /// order-independent).
-    wake_calendar: CalendarQueue,
-    /// Components whose last complete probe reported `None` (probed
-    /// after the calendar's entries).
-    wake_none: Vec<u32>,
-    /// Whether `wake_calendar`/`wake_none` cover every component (false
-    /// after registration or instrument changes: fall back to the
-    /// stage-order scan until the next complete probe).
-    wake_known: bool,
-    /// The component the most recent fold settled on (argmin). While the
-    /// machine is busy the same component usually reports `now` again on
-    /// the next probe, and contractually every candidate is `>= now`, so
-    /// one confirming call proves the whole fold — the busy-path probe is
-    /// a single `next_event` when the hint hits. Purely a heuristic: a
-    /// miss falls through to the ordered scan.
-    wake_hint: Option<u32>,
-    /// The fold result of the most recent probe.
-    wake_cache: Option<Tick>,
-    /// Whether `wake_cache` is still provably current: no tick has
-    /// executed and no external world mutation is possible since the
-    /// probe that filled it (run-loop entries conservatively clear it).
-    /// See `next_wake` for the identity argument.
-    cache_valid: bool,
-    /// Whether the most recent *fresh* probe found nothing due at `now`
-    /// (the machine is coasting between scheduled wakes). While set,
-    /// probes use the plain stage-order scan and skip calendar
-    /// maintenance entirely: on the idle path every probe is complete,
-    /// so rebuilding the calendar each time costs more than the ordering
-    /// heuristic can ever repay. Any fresh `== now` result (hint hit or
-    /// fold early-exit) clears it, restoring calendar-ordered visits for
-    /// busy phases. Cached probe hits never touch it — a scheduled wake
-    /// executing is not a busy phase.
-    idle_streak: bool,
-    /// Reused `(component, candidate)` scratch for calendar rebuilds.
-    cand_scratch: Vec<(u32, Option<Tick>)>,
 }
 
 impl<W> std::fmt::Debug for Scheduler<W> {
@@ -256,16 +216,6 @@ impl<W> Scheduler<W> {
             active_order: Vec::new(),
             prof_slots: Vec::new(),
             prof_scratch: Vec::new(),
-            // 64-tick buckets x 64 buckets: one rotation covers ~683 ns
-            // of simulated time, past which wakes overflow-park.
-            wake_calendar: CalendarQueue::new(6, 64),
-            wake_none: Vec::new(),
-            wake_known: false,
-            wake_hint: None,
-            wake_cache: None,
-            cache_valid: false,
-            idle_streak: false,
-            cand_scratch: Vec::new(),
         }
     }
 
@@ -300,8 +250,6 @@ impl<W> Scheduler<W> {
             self.prof_slots
                 .push(self.instr.prof.register(slot.comp.name()));
         }
-        // `attach` takes `&mut W`: treat the swap as a world mutation.
-        self.invalidate_wakes();
     }
 
     /// Registers a component at tick-phase `stage` and attaches the
@@ -323,20 +271,6 @@ impl<W> Scheduler<W> {
             .copied()
             .filter(|&i| !self.comps[i].comp.passive())
             .collect();
-        // Structural change: the calendar no longer covers every
-        // component, so the next probe falls back to the stage-order scan.
-        self.invalidate_wakes();
-    }
-
-    /// Drops every cached wake: the next probe scans all components in
-    /// stage order and rebuilds the calendar.
-    fn invalidate_wakes(&mut self) {
-        self.wake_calendar.clear();
-        self.wake_none.clear();
-        self.wake_known = false;
-        self.wake_hint = None;
-        self.cache_valid = false;
-        self.idle_streak = false;
     }
 
     /// Registered components in tick (stage) order.
@@ -368,163 +302,43 @@ impl<W> Scheduler<W> {
             }
         }
         self.now += 1;
-        // An executed tick mutates the world: every cached wake is stale.
-        self.cache_valid = false;
     }
 
     /// Earliest base tick `>= now` at which any component would do
     /// observable work, `None` if no component will ever act again
     /// without new input.
     ///
-    /// Every candidate is contractually `>= now` (the sanitizer flags
-    /// violations), so a component reporting `now` is already the global
-    /// minimum and the fold stops early — the probe is O(1) while the
-    /// machine is busy, where skipping cannot pay for itself.
-    ///
-    /// With neither the sanitizer nor the profiler attached, the probe
-    /// runs through a [`CalendarQueue`] of each component's last reported
-    /// wake: components are asked in ascending cached-wake order (so the
-    /// early exit triggers on the first call while the machine is busy),
-    /// and consecutive probes with no executed tick in between reuse the
-    /// previous fold outright. Both are behaviour-identical by the
-    /// protocol contract: `next_event(now, world)` is the minimum `>=
-    /// now` of a fixed event set determined by the (unchanged) world and
-    /// component state, so the fold minimum is independent of probe
-    /// order, and for any `now' ∈ (now, w]` with the world untouched the
-    /// fold still yields `w`. With the sanitizer or profiler attached the
-    /// full stage-order scan runs instead, preserving exact wake-in-past
-    /// check coverage and probe accounting.
-    pub fn next_wake(&mut self, world: &W) -> Option<Tick> {
-        if self.instr.san.on() || self.instr.prof.on() {
-            return self.next_wake_scan(world);
-        }
-        self.next_wake_fast(world)
-    }
-
-    /// The calendar-ordered, cache-reusing probe (instrumentation off).
-    fn next_wake_fast(&mut self, world: &W) -> Option<Tick> {
-        if self.cache_valid {
-            return self.wake_cache;
-        }
+    /// The fold visits components in stage order. Every candidate is
+    /// contractually `>= now`, so a component reporting `now` is already
+    /// the global minimum and the fold stops there: while the machine is
+    /// busy, where skipping cannot pay for itself, the probe asks only the
+    /// components up to the first one due. Bare, sanitized and profiled
+    /// runs all execute this same fold; the sanitizer additionally checks
+    /// each candidate for a wake in the past, and the profiler times the
+    /// probe and attributes it to the component the fold settles on.
+    pub fn next_wake(&self, world: &W) -> Option<Tick> {
+        let t0 = self.instr.prof.on().then(Instant::now);
         let now = self.now;
-        // Busy-path shortcut: if the component the last fold settled on
-        // reports `now` again, it is already the global minimum (every
-        // candidate is contractually `>= now`) — no other component needs
-        // to be asked.
-        if let Some(id) = self.wake_hint {
-            if self.comps[id as usize].comp.next_event(now, world) == Some(now) {
-                self.wake_cache = Some(now);
-                self.cache_valid = true;
-                self.idle_streak = false;
-                return Some(now);
-            }
-        }
-        let mut cands = std::mem::take(&mut self.cand_scratch);
-        cands.clear();
         let mut w: Option<Tick> = None;
-        let mut argmin: Option<u32> = None;
-        let mut complete = true;
-        // While coasting through an idle streak every probe is complete
-        // anyway, so calendar-ordered visits buy nothing: scan in stage
-        // order and skip the rebuild below.
-        let coasting = self.idle_streak;
-        {
-            let comps = &self.comps;
-            // Probes one component; after the `now` early-exit fires the
-            // remaining visits degrade to a flag check.
-            let mut probe = |id: u32| {
-                if !complete {
-                    return;
-                }
-                let cand = comps[id as usize].comp.next_event(now, world);
-                cands.push((id, cand));
-                if let Some(c) = cand {
-                    if w.is_none_or(|cur| c < cur) {
-                        argmin = Some(id);
-                    }
-                }
-                w = earliest(w, cand);
-                if w == Some(now) {
-                    complete = false;
-                }
-            };
-            if self.wake_known && !coasting {
-                self.wake_calendar.visit_ascending(|_, id| probe(id));
-                for &id in &self.wake_none {
-                    probe(id);
-                }
-            } else {
-                // Structural fallback and idle streak: plain stage-order
-                // scan.
-                for &i in &self.tick_order {
-                    probe(i as u32);
-                }
-            }
-        }
-        self.wake_hint = argmin;
-        if complete {
-            // Nothing is due at `now`: the machine is idle at a known
-            // horizon. Subsequent probes coast on the stage-order scan.
-            self.idle_streak = true;
-            if !coasting {
-                // First complete probe after a busy phase (or a structural
-                // change): rebuild the calendar from this probe so that
-                // once the machine goes busy again, probes ask in
-                // ascending-wake order. Consecutive complete probes skip
-                // this — on a long idle stretch the rebuild is pure
-                // overhead. An early-exited probe likewise leaves the
-                // previous order in place (the stale order is only a
-                // heuristic).
-                self.wake_calendar.clear_to(now);
-                self.wake_none.clear();
-                for &(id, cand) in &cands {
-                    match cand {
-                        Some(t) => self.wake_calendar.insert(t, id),
-                        None => self.wake_none.push(id),
-                    }
-                }
-                self.wake_known = true;
-            }
-        } else {
-            // A fresh probe found work due at `now`: busy phase.
-            self.idle_streak = false;
-        }
-        self.cand_scratch = cands;
-        self.wake_cache = w;
-        self.cache_valid = true;
-        w
-    }
-
-    /// The instrumented stage-order probe: sanitizer wake-in-past checks
-    /// on every candidate, profiler probe/argmin accounting.
-    fn next_wake_scan(&self, world: &W) -> Option<Tick> {
-        let profiling = self.instr.prof.on();
-        let t0 = profiling.then(Instant::now);
-        let now = self.now;
-        let mut w = None;
-        // With the profiler on: the component whose event the fold settles
-        // on (the wake target, first wins on ties).
+        // The component whose event the fold settles on (the wake target,
+        // first wins on ties); the profiler attributes the probe to it.
         let mut argmin: Option<usize> = None;
-        for k in &self.tick_order {
-            let slot = &self.comps[*k];
-            let cand = slot.comp.next_event(now, world);
+        for &k in &self.tick_order {
+            let slot = &self.comps[k];
+            let Some(c) = slot.comp.next_event(now, world) else {
+                continue;
+            };
             if self.instr.san.on() {
-                if let Some(c) = cand {
-                    self.instr
-                        .san
-                        .check(c >= now, slot.comp.name(), "wake-in-past", now, || {
-                            format!("next_event reported {c} < now {now}")
-                        });
-                }
+                self.instr
+                    .san
+                    .check(c >= now, slot.comp.name(), "wake-in-past", now, || {
+                        format!("next_event reported {c} < now {now}")
+                    });
             }
-            if profiling {
-                if let Some(c) = cand {
-                    if w.is_none_or(|cur| c < cur) {
-                        argmin = Some(*k);
-                    }
-                }
+            if w.is_none_or(|cur| c < cur) {
+                w = Some(c);
+                argmin = Some(k);
             }
-            w = earliest(w, cand);
             if w == Some(now) {
                 break;
             }
@@ -600,9 +414,6 @@ impl<W> Scheduler<W> {
         world: &mut W,
         mut done: impl FnMut(Tick, &W) -> bool,
     ) -> Result<(), Stop> {
-        // The caller may have mutated the world since the last run loop
-        // (MMIO writes, queued launches): any cached wake is suspect.
-        self.cache_valid = false;
         loop {
             self.check_invariants()?;
             if done(self.now, world) {
@@ -666,7 +477,6 @@ impl<W> Scheduler<W> {
     /// does not poll the sanitizer or the budget: it is the primitive for
     /// charging fixed-latency work (e.g. MMIO transfers).
     pub fn advance_ticks(&mut self, world: &mut W, n: u64) {
-        self.cache_valid = false;
         let target = self.now + n;
         while self.now < target {
             if self.skip {
@@ -679,12 +489,16 @@ impl<W> Scheduler<W> {
                         return;
                     }
                     Some(w) if w > self.now => {
+                        // Jump, then tick at the wake tick without
+                        // re-probing, as `run_until` does.
                         let to = w.min(target);
                         if self.instr.prof.on() {
                             self.instr.prof.record_skip(to - self.now);
                         }
                         self.now = to;
-                        continue;
+                        if to == target {
+                            return;
+                        }
                     }
                     _ => {}
                 }
@@ -702,7 +516,6 @@ impl<W> Scheduler<W> {
     /// As [`Scheduler::run_until`]; additionally [`Stop::Invariant`] if
     /// the drain audit flags violations.
     pub fn drain(&mut self, world: &mut W) -> Result<(), Stop> {
-        self.cache_valid = false;
         loop {
             self.check_invariants()?;
             if self.quiescent(world) {
@@ -751,7 +564,7 @@ impl<W> Scheduler<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::ClockDomain;
+    use crate::time::{earliest, ClockDomain};
 
     /// Toy world: a shared work queue and a completion counter.
     #[derive(Default)]
@@ -1030,30 +843,75 @@ mod tests {
         assert!(sched.components().any(|c| c.name() == "auditor"));
     }
 
+    /// The three instrument bundles a run can carry: bare, sanitized and
+    /// profiled.
+    fn every_instrument() -> [Instruments; 3] {
+        let mut san = Instruments::disabled();
+        san.san = Sanitizer::enabled();
+        let mut prof = Instruments::disabled();
+        prof.prof = crate::profile::Profiler::enabled();
+        [Instruments::disabled(), san, prof]
+    }
+
     #[test]
-    fn fast_probe_matches_stage_order_fold() {
+    fn probe_matches_full_fold_under_every_instrument() {
         // Step a machine tick by tick and check, at every step, that the
-        // calendar-ordered/cached probe returns exactly the stage-order
-        // fold minimum the old scan would have.
-        let (mut sched, mut world) = make(10_000, true, 6);
-        for _ in 0..40 {
-            let now = sched.now();
-            let expect = sched
-                .components()
-                .fold(None, |acc, c| earliest(acc, c.next_event(now, &world)));
-            assert_eq!(sched.next_wake(&world), expect, "at tick {now}");
-            // A second probe with nothing executed in between must hit the
-            // cache and agree.
-            assert_eq!(sched.next_wake(&world), expect, "cached, at tick {now}");
-            sched.tick(&mut world);
+        // early-exiting probe returns exactly the minimum of the full fold
+        // over every component, whichever instruments are attached.
+        for instr in every_instrument() {
+            let (mut sched, mut world) = make(10_000, true, 6);
+            sched.set_instruments(&mut world, instr);
+            for _ in 0..40 {
+                let now = sched.now();
+                let expect = sched
+                    .components()
+                    .fold(None, |acc, c| earliest(acc, c.next_event(now, &world)));
+                assert_eq!(sched.next_wake(&world), expect, "at tick {now}");
+                sched.tick(&mut world);
+            }
+            assert_eq!(sched.instruments().san.count(), 0);
         }
+    }
+
+    #[test]
+    fn advance_ticks_across_wakes_matches_tick_by_tick() {
+        // Chunk ends (4, 11, 16, 25, 38, 40, 60, 61) mostly fall between
+        // the producer's 6-tick edges, so skip-on chunks both jump to a
+        // wake inside the chunk and stop short of the next one; 60 lands
+        // on an edge, which the following chunk must tick.
+        const CHUNKS: [u64; 8] = [4, 7, 5, 9, 13, 2, 20, 1];
+        let (mut refr, mut wr) = make(10_000, false, 20);
+        let mut runs: Vec<_> = [false, true]
+            .into_iter()
+            .flat_map(|skip| {
+                every_instrument().into_iter().map(move |instr| {
+                    let (mut sched, mut world) = make(10_000, skip, 20);
+                    sched.set_instruments(&mut world, instr);
+                    (sched, world)
+                })
+            })
+            .collect();
+        for n in CHUNKS {
+            refr.advance_ticks(&mut wr, n);
+            for (sched, world) in &mut runs {
+                sched.advance_ticks(world, n);
+                assert_eq!(sched.now(), refr.now());
+                assert_eq!(world.finished, wr.finished, "at tick {}", refr.now());
+                assert_eq!(world.queue, wr.queue, "at tick {}", refr.now());
+                if let Some(snap) = sched.instruments().prof.snapshot() {
+                    assert_eq!(snap.ticks_executed + snap.ticks_skipped, sched.now());
+                }
+            }
+        }
+        // Edges 0, 6, ..., 60 fired; the producer is still mid-stream.
+        assert_eq!(wr.finished, 11);
     }
 
     #[test]
     fn stale_wake_is_still_caught_with_sanitizer_on() {
         // A component that promises a wake and then moves it: the
-        // sanitized run loop (which takes the stage-order scan path, not
-        // the calendar) must still flag the broken promise after a jump.
+        // sanitized run loop re-probes after every jump and must flag the
+        // broken promise.
         struct Flake;
         impl Component<()> for Flake {
             fn name(&self) -> &str {

@@ -298,8 +298,9 @@ mod tests {
     }
 
     /// Clock bug on purpose: reports its wake one tick in the past once
-    /// time has started moving — the classic off-by-one a calendar-queue
-    /// scheduler would silently mask by rotating past the bucket.
+    /// time has started moving — the classic off-by-one a skip-ahead
+    /// scheduler would silently mask by treating the stale wake as due
+    /// now.
     struct Tardy;
 
     impl Component<()> for Tardy {

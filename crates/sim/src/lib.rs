@@ -20,7 +20,6 @@
 //! ```
 
 pub mod arena;
-pub mod calendar;
 pub mod component;
 pub mod conformance;
 pub mod env;
@@ -41,7 +40,6 @@ pub mod time;
 pub use distda_trace::stats;
 
 pub use arena::{Arena, Handle};
-pub use calendar::CalendarQueue;
 pub use component::{Component, Instruments, Scheduler, Stop};
 pub use fifo::Fifo;
 pub use port::{Channel, CreditLoop, PortSnapshot, RxPort, TxPort};
