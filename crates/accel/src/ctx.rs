@@ -11,6 +11,11 @@ use distda_ir::expr::ArrayId;
 use distda_ir::value::Value;
 
 /// Services provided to an engine each tick.
+///
+/// Stall accounting is not among them: the engine owns its per-port stall
+/// ledger, and every reader goes through
+/// [`PartitionEngine::stats_at`](crate::engine::PartitionEngine::stats_at)
+/// and [`PartitionEngine::chan_stalls_at`](crate::engine::PartitionEngine::chan_stalls_at).
 pub trait EngineCtx {
     /// Attempts to produce a value onto a channel (fails when the consumer
     /// has no credits — back-pressure).
@@ -36,21 +41,6 @@ pub trait EngineCtx {
 
     /// Byte address of `array[idx]` under the current allocation.
     fn addr_of(&self, array: ArrayId, idx: i64) -> u64;
-
-    /// Per-port stall attribution: the engine charges `n` stall cycles
-    /// against the port backing channel `chan` — called at exactly the
-    /// sites that charge the engine's own `stall_chan` counter, so
-    /// per-port series sum to engine totals. Default: no attribution.
-    fn note_chan_stall(&mut self, chan: u16, n: u64) {
-        let _ = (chan, n);
-    }
-
-    /// Per-port stall attribution for memory (ACP) waits — called at
-    /// exactly the sites that charge `stall_mem`. Default: no
-    /// attribution.
-    fn note_mem_stall(&mut self, n: u64) {
-        let _ = n;
-    }
 }
 
 /// A self-contained context for unit tests: channels are unbounded unless
@@ -73,10 +63,6 @@ pub struct MockCtx {
     pub reads: u64,
     /// Writes issued.
     pub writes: u64,
-    /// Channel stall cycles noted through [`EngineCtx::note_chan_stall`].
-    pub chan_stall_notes: u64,
-    /// Memory stall cycles noted through [`EngineCtx::note_mem_stall`].
-    pub mem_stall_notes: u64,
 }
 
 impl MockCtx {
@@ -145,14 +131,6 @@ impl EngineCtx for MockCtx {
 
     fn addr_of(&self, array: ArrayId, idx: i64) -> u64 {
         (array.0 as u64) << 32 | ((idx.max(0) as u64) * 8)
-    }
-
-    fn note_chan_stall(&mut self, _chan: u16, n: u64) {
-        self.chan_stall_notes += n;
-    }
-
-    fn note_mem_stall(&mut self, n: u64) {
-        self.mem_stall_notes += n;
     }
 }
 

@@ -51,7 +51,8 @@ pub struct EngineStats {
     pub busy_cycles: u64,
     /// Cycles stalled on memory (buffer miss in flight).
     pub stall_mem: u64,
-    /// Cycles stalled on channel credit/emptiness.
+    /// Cycles stalled on channel credit/emptiness (the sum over the
+    /// engine's operand channels).
     pub stall_chan: u64,
     /// ALU ops executed.
     pub alu_ops: u64,
@@ -68,6 +69,30 @@ pub struct EngineStats {
     pub mmio_words: u64,
 }
 
+impl std::ops::AddAssign for EngineStats {
+    fn add_assign(&mut self, o: Self) {
+        self.iterations += o.iterations;
+        self.busy_cycles += o.busy_cycles;
+        self.stall_mem += o.stall_mem;
+        self.stall_chan += o.stall_chan;
+        self.alu_ops += o.alu_ops;
+        self.mem_ops += o.mem_ops;
+        self.intra_bytes += o.intra_bytes;
+        self.da_bytes += o.da_bytes;
+        self.aa_bytes += o.aa_bytes;
+        self.mmio_words += o.mmio_words;
+    }
+}
+
+impl std::iter::Sum for EngineStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |mut t, s| {
+            t += s;
+            t
+        })
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Wait {
     /// Waiting for a line fill; resume the node at `pc` with element `elem`.
@@ -76,8 +101,8 @@ enum Wait {
         pc: usize,
         elem: i64,
     },
-    /// Waiting for channel space/data.
-    Chan { pc: usize },
+    /// Waiting for channel space (`send`) or data on local channel `chan`.
+    Chan { chan: u16, send: bool },
     /// Waiting for outstanding writes to drop below the cap.
     WriteCap { pc: usize },
 }
@@ -170,7 +195,12 @@ pub struct PartitionEngine {
     /// failure is time-dependent, so the next edge must be simulated.
     attempted: bool,
 
+    /// Charged counters. `stall_chan` is not kept here: channel stalls
+    /// live per channel in `chan_stalls`, and [`Self::stats_at`] sums
+    /// them.
     stats: EngineStats,
+    /// Stall cycles per local operand channel (indexed by channel id).
+    chan_stalls: Vec<u64>,
 
     sink: TraceSink,
     /// Open stall span: when the current wait began and why. Transitions
@@ -197,6 +227,15 @@ impl PartitionEngine {
         let n_access = def.accesses.len();
         let n_carry = def.carry_scalars.len();
         let n_nodes = def.nodes.len();
+        let n_chans = def
+            .nodes
+            .iter()
+            .filter_map(|n| match *n {
+                PNode::Recv { chan } | PNode::Send { chan, .. } => Some(chan as usize + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
         Self {
             def,
             param_syms,
@@ -232,6 +271,7 @@ impl PartitionEngine {
             last_edge: None,
             attempted: false,
             stats: EngineStats::default(),
+            chan_stalls: vec![0; n_chans],
             sink: TraceSink::default(),
             wait_since: None,
             run_since: None,
@@ -389,9 +429,32 @@ impl PartitionEngine {
         self.carry[reg as usize]
     }
 
-    /// Statistics so far (cumulative across invocations).
-    pub fn stats(&self) -> EngineStats {
-        self.stats
+    /// Statistics as of tick `now`, cumulative across invocations. The
+    /// stall counters include the edges skipped since the last processed
+    /// edge, up to and including `now`, exactly as ticking every edge
+    /// would have charged them. A pure read: nothing is charged.
+    pub fn stats_at(&self, now: Tick) -> EngineStats {
+        let mut s = self.stats;
+        s.stall_chan = self.chan_stalls.iter().sum();
+        match self.skipped_stall_edges(now + 1) {
+            Some((Wait::Chan { .. }, n)) => s.stall_chan += n,
+            Some((_, n)) => s.stall_mem += n,
+            None => {}
+        }
+        s
+    }
+
+    /// Stall cycles spent blocked on local operand channel `chan` as of
+    /// tick `now` (see [`Self::stats_at`]); zero for a channel this
+    /// engine never touches.
+    pub fn chan_stalls_at(&self, now: Tick, chan: u16) -> u64 {
+        let skipped = match self.skipped_stall_edges(now + 1) {
+            Some((Wait::Chan { chan: c, .. }, n)) if c == chan => n,
+            _ => 0,
+        };
+        self.chan_stalls
+            .get(chan as usize)
+            .map_or(0, |&n| n + skipped)
     }
 
     /// Buffer statistics.
@@ -548,64 +611,34 @@ impl PartitionEngine {
         )
     }
 
-    /// Charges the stall counters for edges the machine skipped while this
-    /// engine sat in a wait — whole ticks skipped by the scheduler, or
-    /// single edges of this engine gated because it was not due. On every
-    /// skipped edge the tick-by-tick simulation would have re-tried the
-    /// blocked node and charged exactly one stall cycle; everything else
-    /// on those edges is provably a no-op, so bulk accounting keeps the
-    /// statistics bit-identical.
-    fn account_skipped_edges(&mut self, now: Tick, ctx: &mut dyn EngineCtx) {
-        let Some(last) = self.last_edge else { return };
+    /// Charges `n` stall cycles of `wait` to the ledger entry of the port
+    /// it blocks on: the ACP for memory waits, the operand channel for
+    /// channel waits.
+    fn charge_stalls(&mut self, wait: Wait, n: u64) {
+        match wait {
+            Wait::Line { .. } | Wait::WriteCap { .. } => self.stats.stall_mem += n,
+            Wait::Chan { chan, .. } => self.chan_stalls[chan as usize] += n,
+        }
+    }
+
+    /// The stall edges skipped after the last processed edge and before
+    /// `end`, with the wait they are charged to — whole ticks skipped by
+    /// the scheduler, or single edges of this engine gated because it was
+    /// not due. On every skipped edge the tick-by-tick simulation would
+    /// have re-tried the blocked node and charged exactly one stall cycle;
+    /// everything else on those edges is provably a no-op, so charging
+    /// them in bulk keeps the statistics bit-identical.
+    fn skipped_stall_edges(&self, end: Tick) -> Option<(Wait, u64)> {
+        let last = self.last_edge?;
         if !matches!(self.state, State::Running) {
-            return;
+            return None;
         }
-        let Some(w) = self.wait else { return };
+        let w = self.wait?;
         let period = self.clock.period_ticks();
-        // Skipped edges lie strictly between `last` and `now`; the blocked
-        // node is only re-tried (charging a stall) on edges where `execute`
-        // runs, i.e. at or past `busy_until`.
+        // The blocked node is only re-tried (charging a stall) on edges
+        // where `execute` runs, i.e. at or past `busy_until`.
         let first = (last + period).max(self.clock.next_edge(self.busy_until));
-        if now < first + period {
-            return;
-        }
-        let missed = (now - period - first) / period + 1;
-        match w {
-            Wait::Line { .. } | Wait::WriteCap { .. } => {
-                self.stats.stall_mem += missed;
-                ctx.note_mem_stall(missed);
-            }
-            Wait::Chan { pc } => {
-                self.stats.stall_chan += missed;
-                if let Some((c, _)) = self.chan_of(pc) {
-                    ctx.note_chan_stall(c, missed);
-                }
-            }
-        }
-    }
-
-    /// Charges the stall edges skipped up to the last clock edge at or
-    /// before `now`, exactly as if each had been processed, and moves the
-    /// accounting point there. Skipped edges are otherwise charged on the
-    /// engine's next processed edge, so a reader of the stall counters
-    /// between two processed edges (an explain window boundary) settles
-    /// every engine first to see the tick-by-tick values.
-    pub fn settle(&mut self, now: Tick, ctx: &mut dyn EngineCtx) {
-        let edge = now - now % self.clock.period_ticks();
-        if self.last_edge.is_none_or(|last| last >= edge) {
-            return;
-        }
-        self.account_skipped_edges(edge + self.clock.period_ticks(), ctx);
-        self.last_edge = Some(edge);
-    }
-
-    /// The channel the node at `pc` blocks on, as `(chan, is_send)`.
-    fn chan_of(&self, pc: usize) -> Option<(u16, bool)> {
-        match self.def.nodes[pc] {
-            PNode::Recv { chan } => Some((chan, false)),
-            PNode::Send { chan, .. } => Some((chan, true)),
-            _ => None,
-        }
+        (end > first).then(|| (w, (end - 1 - first) / period + 1))
     }
 
     fn compute_wake(&self, now: Tick, progress: bool) -> Wake {
@@ -627,7 +660,7 @@ impl PartitionEngine {
                 if let Some(w) = self.wait {
                     return match w {
                         Wait::Line { .. } | Wait::WriteCap { .. } => Wake::External(None),
-                        Wait::Chan { pc } => Wake::External(self.chan_of(pc)),
+                        Wait::Chan { chan, send } => Wake::External(Some((chan, send))),
                     };
                 }
                 if self.busy_until > now {
@@ -644,7 +677,9 @@ impl PartitionEngine {
         if !self.clock.fires_at(now) {
             return;
         }
-        self.account_skipped_edges(now, ctx);
+        if let Some((w, n)) = self.skipped_stall_edges(now) {
+            self.charge_stalls(w, n);
+        }
         let before = self.snapshot();
         self.attempted = false;
         self.handle_completions(ctx);
@@ -733,18 +768,7 @@ impl PartitionEngine {
                     self.pc += 1;
                 }
                 Err(wait) => {
-                    match wait {
-                        Wait::Line { .. } | Wait::WriteCap { .. } => {
-                            self.stats.stall_mem += 1;
-                            ctx.note_mem_stall(1);
-                        }
-                        Wait::Chan { pc } => {
-                            self.stats.stall_chan += 1;
-                            if let Some((c, _)) = self.chan_of(pc) {
-                                ctx.note_chan_stall(c, 1);
-                            }
-                        }
-                    }
+                    self.charge_stalls(wait, 1);
                     self.wait = Some(wait);
                     if issued > 0 {
                         self.stats.busy_cycles += 1;
@@ -927,12 +951,12 @@ impl PartitionEngine {
             }
             PNode::Recv { chan } => match ctx.try_recv(chan) {
                 Some(v) => v,
-                None => return Err(Wait::Chan { pc }),
+                None => return Err(Wait::Chan { chan, send: false }),
             },
             PNode::Send { chan, src } => {
                 let v = self.vals[src as usize];
                 if !ctx.try_send(chan, v) {
-                    return Err(Wait::Chan { pc });
+                    return Err(Wait::Chan { chan, send: true });
                 }
                 self.stats.aa_bytes += 8;
                 v
@@ -1047,13 +1071,13 @@ mod tests {
             ctx.set(y, i, Value::F(1.0));
         }
         eng.run(0, &[], &[], 0, 32, 1);
-        run_to_done(&mut eng, &mut ctx, 1_000_000);
+        let t = run_to_done(&mut eng, &mut ctx, 1_000_000);
         for i in 0..32 {
             assert_eq!(ctx.func_load(y, i), Value::F(2.0 * i as f64 + 1.0));
         }
-        assert_eq!(eng.stats().iterations, 32);
+        assert_eq!(eng.stats_at(t).iterations, 32);
         assert!(
-            eng.stats().intra_bytes > 0,
+            eng.stats_at(t).intra_bytes > 0,
             "no buffer reuse on unit stride"
         );
     }
@@ -1097,8 +1121,8 @@ mod tests {
         );
         let mut ctx = MockCtx::new(1);
         eng.run(0, &[], &[], 5, 5, 1);
-        run_to_done(&mut eng, &mut ctx, 100);
-        assert_eq!(eng.stats().iterations, 0);
+        let t = run_to_done(&mut eng, &mut ctx, 100);
+        assert_eq!(eng.stats_at(t).iterations, 0);
     }
 
     #[test]
@@ -1140,7 +1164,7 @@ mod tests {
         for i in 0..8 {
             assert_eq!(ctx.func_load(ArrayId(1), i), Value::F(3.0 * i as f64));
         }
-        let total_aa: u64 = e0.stats().aa_bytes + e1.stats().aa_bytes;
+        let total_aa: u64 = e0.stats_at(t).aa_bytes + e1.stats_at(t).aa_bytes;
         assert_eq!(total_aa, 8 * 8, "one 8-byte operand per iteration");
     }
 
@@ -1167,7 +1191,7 @@ mod tests {
     }
 
     #[test]
-    fn settling_equals_ticking_every_edge() {
+    fn stall_view_equals_ticking_every_edge() {
         // The producer half of a two-partition pipeline, sending into a
         // two-slot channel that a scripted consumer drains slowly: the
         // engine spends most of its run blocked on channel credit.
@@ -1194,6 +1218,7 @@ mod tests {
             let mut ctx = MockCtx::new(0);
             ctx.chan_cap = Some(CAP);
             e.run(0, &[], &[], 0, 32, 1);
+            let view = |e: &PartitionEngine, t| (e.stats_at(t), e.chan_stalls_at(t, chan));
             let (mut edges, mut mid) = (0, None);
             let mut t = 0;
             while !e.is_done() {
@@ -1211,23 +1236,26 @@ mod tests {
                             "mid-wait: {}",
                             e.stall_debug()
                         );
-                        e.settle(t, &mut ctx);
                     }
-                    mid = Some((e.stats(), ctx.chan_stall_notes, ctx.mem_stall_notes));
+                    let first = view(&e, t);
+                    assert_eq!(view(&e, t), first, "reading the view twice");
+                    mid = Some(first);
                 }
                 t += 1;
                 assert!(t < 1_000_000, "pipeline hung");
             }
-            let end = (e.stats(), ctx.chan_stall_notes, ctx.mem_stall_notes);
-            (mid.expect("run outlives MID"), end, t, edges)
+            (mid.expect("run outlives MID"), view(&e, t), t, edges)
         };
         let (mid_all, end_all, t_all, edges_all) = drive(false);
         let (mid_due, end_due, t_due, edges_due) = drive(true);
         assert!(end_all.0.stall_chan > 0, "the engine must block on credit");
-        assert_eq!(end_all.1, end_all.0.stall_chan, "notes follow the counter");
+        assert_eq!(
+            end_all.1, end_all.0.stall_chan,
+            "one channel, one ledger entry"
+        );
         assert!(edges_due < edges_all, "the gate skipped no edge");
-        assert_eq!(mid_due, mid_all, "settled mid-wait counters");
-        assert_eq!(end_due, end_all, "final counters");
+        assert_eq!(mid_due, mid_all, "mid-wait view");
+        assert_eq!(end_due, end_all, "final counters after the mid-run reads");
         assert_eq!(t_due, t_all, "completion tick");
     }
 
@@ -1320,9 +1348,10 @@ mod tests {
         );
         let mut ctx = MockCtx::new(1);
         eng.run(0, &[], &[], 0, 32, 1);
-        run_to_done(&mut eng, &mut ctx, 1_000_000);
-        assert_eq!(eng.stats().mem_ops, 32 * 3);
-        assert_eq!(eng.stats().alu_ops, 32 * 2);
-        assert!(eng.stats().da_bytes > 0);
+        let t = run_to_done(&mut eng, &mut ctx, 1_000_000);
+        let stats = eng.stats_at(t);
+        assert_eq!(stats.mem_ops, 32 * 3);
+        assert_eq!(stats.alu_ops, 32 * 2);
+        assert!(stats.da_bytes > 0);
     }
 }

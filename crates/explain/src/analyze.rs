@@ -9,19 +9,16 @@
 //! blamed(e) + self_busy(e) + idle(e) == T
 //! ```
 //!
-//! where `blamed(e) = stall_mem_ticks + stall_chan_ticks` (every engine
-//! edge that missed because a port refused the handshake) and
-//! `self_busy(e)` is busy engine cycles converted to base ticks. `idle`
-//! is the remainder, so the *checkable* content of the invariant is
-//! over-accounting: `blamed + self_busy <= T`, plus two cross-layer
-//! equalities: the per-port stall cycles the machine attributed to an
-//! engine's blame edges must sum exactly to that engine's own stall
-//! counters, and no port may carry fewer raw stall cycles than its
-//! waiters attribute to it (the port counter additionally absorbs
-//! delivery-side rejections, so it bounds the attribution from above —
-//! the same family of equalities DESIGN.md §15 pins for the metrics
-//! series). Violations are reported in [`Explanation::violations`] and
-//! escalated to the sanitizer by the runner.
+//! where `blamed(e)` is the sum of the engine's blame-edge waits (every
+//! engine edge that missed because a port refused the handshake,
+//! converted to base ticks) and `self_busy(e)` is busy engine cycles
+//! converted to base ticks. `idle` is the remainder, so the *checkable*
+//! content of the invariant is over-accounting: `blamed + self_busy <=
+//! T`. The edges, the port series and the engine totals are all views
+//! of one stall ledger that each engine owns, so there is no second
+//! copy to cross-check them against. Violations are reported in
+//! [`Explanation::violations`] and escalated to the sanitizer by the
+//! runner.
 //!
 //! ## Blame walk
 //!
@@ -140,30 +137,9 @@ fn waits_of(obs: &Observation, comp: &str) -> Vec<Wait> {
     waits
 }
 
-/// A port cannot carry fewer raw stall cycles than its waiters
-/// attribute to it: the port counter is the attribution plus whatever
-/// infrastructure (delivery retries) charged on top.
-fn check_port_bounds(obs: &Observation, violations: &mut Vec<String>) {
-    for snap in &obs.ports {
-        let attributed: u64 = obs
-            .edges
-            .iter()
-            .filter(|e| e.port == snap.name)
-            .map(|e| e.stalls)
-            .sum();
-        if attributed > snap.stalls {
-            violations.push(format!(
-                "port {}: waiters attribute {attributed} stall cycles but the port \
-                 counter carries only {}",
-                snap.name, snap.stalls
-            ));
-        }
-    }
-}
-
 fn account_engine(obs: &Observation, eng: &EngineObs, violations: &mut Vec<String>) -> Accounting {
     let waits = waits_of(obs, &eng.name);
-    let blamed = eng.stall_mem_ticks + eng.stall_chan_ticks;
+    let blamed = waits.iter().map(|w| w.ticks).sum();
     let busy = eng.busy_ticks;
     let idle = obs.ticks.saturating_sub(blamed + busy);
     if blamed + busy > obs.ticks {
@@ -171,17 +147,6 @@ fn account_engine(obs: &Observation, eng: &EngineObs, violations: &mut Vec<Strin
             "{}: blamed {blamed} + busy {busy} ticks exceed run total {} — \
              blamed + self_busy + idle == ticks cannot hold",
             eng.name, obs.ticks
-        ));
-    }
-    // Cross-layer equality: the stall cycles the machine attributed to
-    // this engine's blame edges must sum exactly to the engine's own
-    // counters — both sides are charged at the same retry sites, so any
-    // difference is a lost or double-counted attribution.
-    let port_sum: u64 = waits.iter().map(|w| w.ticks).sum();
-    if port_sum != blamed {
-        violations.push(format!(
-            "{}: per-port stalls sum to {port_sum} ticks but engine counters say {blamed}",
-            eng.name
         ));
     }
     Accounting {
@@ -268,7 +233,6 @@ pub fn phases(obs: &Observation) -> Vec<Phase> {
 /// Runs the full analysis over one observation.
 pub fn analyze(obs: &Observation) -> Explanation {
     let mut violations = Vec::new();
-    check_port_bounds(obs, &mut violations);
     let mut engines: Vec<Accounting> = obs
         .engines
         .iter()

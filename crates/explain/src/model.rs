@@ -1,12 +1,11 @@
 //! Input model: what a run must hand the analyzer.
 //!
 //! The analyzer is deliberately decoupled from the machine: it consumes
-//! plain data — final port snapshots, a blame topology, per-engine
-//! totals already converted to base ticks, and (optionally) the
-//! windowed [`SampleDump`] — so it can be unit-tested against synthetic
+//! plain data — a blame topology, per-engine busy totals already
+//! converted to base ticks, and (optionally) the windowed
+//! [`SampleDump`] — so it can be unit-tested against synthetic
 //! machines whose critical path is known in closed form.
 
-use distda_sim::port::PortSnapshot;
 use distda_sim::sample::SampleDump;
 use distda_sim::time::Tick;
 
@@ -17,9 +16,10 @@ use distda_sim::time::Tick;
 ///
 /// Stalls are per-*waiter*, not per-port: a channel port's raw counter
 /// aggregates producer send-stalls, consumer recv-stalls and
-/// delivery-side rejections, so the machine attributes each waiter's
-/// share on its own edge (in that waiter's clock cycles — engine
-/// cycles for engines, base ticks for structural components).
+/// delivery-side rejections, so each waiter's share sits on its own
+/// edge (in that waiter's clock cycles — engine cycles for engines,
+/// base ticks for structural components). An engine's edges are its
+/// whole stall ledger: their sum is the engine's blamed time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Edge {
     /// Canonical port name (see `distda_sim::port_names`).
@@ -49,17 +49,14 @@ impl Edge {
     }
 }
 
-/// One engine's end-of-run totals, converted to base ticks.
+/// One engine's end-of-run busy time, converted to base ticks (its
+/// stall time is the sum of its blame [`Edge`]s).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineObs {
     /// Component name (`engine.N`, matching scheduler registration).
     pub name: String,
     /// Base ticks spent executing (busy engine cycles x clock period).
     pub busy_ticks: u64,
-    /// Base ticks stalled on memory responses.
-    pub stall_mem_ticks: u64,
-    /// Base ticks stalled on operand channels.
-    pub stall_chan_ticks: u64,
     /// Engine-clock period in base ticks — converts the engine-cycle
     /// stall counts on this engine's ports into base ticks.
     pub period_ticks: u64,
@@ -70,11 +67,9 @@ pub struct EngineObs {
 pub struct Observation {
     /// Total simulated base ticks of the run.
     pub ticks: Tick,
-    /// Final statistics of every handshaked port.
-    pub ports: Vec<PortSnapshot>,
     /// The blame topology (one edge per port).
     pub edges: Vec<Edge>,
-    /// Per-engine totals in base ticks.
+    /// Per-engine busy totals in base ticks.
     pub engines: Vec<EngineObs>,
     /// Windowed time series, when sampling ran.
     pub samples: Option<SampleDump>,
@@ -85,8 +80,6 @@ impl Default for EngineObs {
         Self {
             name: String::new(),
             busy_ticks: 0,
-            stall_mem_ticks: 0,
-            stall_chan_ticks: 0,
             period_ticks: 1,
         }
     }

@@ -141,10 +141,9 @@ impl<T> Channel<T> {
         self.stalls
     }
 
-    /// Charges `n` producer stall cycles to this port. Producers that
-    /// learn about back-pressure out of band (a refused offer they
-    /// account per-cycle, or a skip-ahead bulk charge) use this to keep
-    /// per-port stall series summing to machine totals.
+    /// Charges `n` producer stall cycles to this port, for producers
+    /// that learn about back-pressure out of band (a refused mesh
+    /// injection, charged once per refused cycle).
     pub fn note_stalls(&mut self, n: u64) {
         self.stalls += n;
     }

@@ -100,17 +100,6 @@ struct EngineSlot {
     /// Tenant this engine executes for (0 on single-tenant machines).
     /// Selects the functional image/layout view and tags outbound traffic.
     tenant: u16,
-    /// Engine cycles stalled waiting on this slot's ACP port (mirrors the
-    /// engine's `stall_mem` so per-port stall series sum to machine
-    /// totals).
-    mem_stalls: u64,
-    /// Engine cycles stalled per operand channel of this engine's plan
-    /// (indexed by local channel, global channel `chan_base + i`),
-    /// charged at the same retry sites as the engine's `stall_chan`
-    /// counter — the per-waiter attribution the explain blame edges carry
-    /// (a channel port's raw counter mixes producer, consumer and
-    /// delivery stalls).
-    chan_stalls: Vec<u64>,
 }
 
 #[derive(Debug)]
@@ -151,8 +140,9 @@ pub struct MachineState {
     /// machine's primary `memimg`/`layout`). Index = tenant - 1.
     tenant_views: Vec<(Memory, Layout)>,
     /// Producer/consumer engine slot per global operand channel
-    /// (parallel to `chans`) — the blame topology of the `chan{g}`
-    /// ports, recorded at plan-configuration time.
+    /// (parallel to `chans` once a plan's configuration completes) — the
+    /// blame topology of the `chan{g}` ports, and where their engine
+    /// stalls are read from.
     chan_engines: Vec<(usize, usize)>,
     /// Machine track: kernel phases, MMIO transfers, offload dispatches.
     sink: TraceSink,
@@ -185,23 +175,41 @@ impl MachineState {
         self.host.segment_drained(now)
     }
 
-    /// Freezes the statistics of every handshaked port in the machine —
-    /// operand channels, the machine injection port, the memory system's
-    /// mesh port and per-requester response ports, and the mesh inboxes.
-    /// Engine-side ACP stall cycles are folded onto the matching
-    /// response port so per-port stall series sum to the machine's
-    /// `stall_mem`/`stall_chan` totals.
-    pub fn port_snapshots(&self) -> Vec<PortSnapshot> {
+    /// Cycles engine `ei` spent blocked on global operand channel `g` as
+    /// of `now`: the engine's own ledger entry for that channel.
+    fn chan_stalls_at(&self, now: Tick, ei: usize, g: usize) -> u64 {
+        let slot = &self.engines[ei];
+        slot.eng.chan_stalls_at(now, (g - slot.chan_base) as u16)
+    }
+
+    /// Freezes the statistics of every handshaked port in the machine at
+    /// `now` — operand channels, the machine injection port, the memory
+    /// system's mesh port and per-requester response ports, and the mesh
+    /// inboxes. Engine stall cycles come from the engines' ledgers: a
+    /// channel port adds its producer's and consumer's entries to its
+    /// own refused offers, and an engine's ACP response port carries the
+    /// engine's `stall_mem`, so per-port stall series sum to the
+    /// machine's `stall_mem`/`stall_chan` totals.
+    pub fn port_snapshots(&self, now: Tick) -> Vec<PortSnapshot> {
         let mut out = Vec::new();
         for (g, ch) in self.chans.iter().enumerate() {
-            out.push(ch.queue.snapshot(port_names::chan(g)));
+            let mut s = ch.queue.snapshot(port_names::chan(g));
+            // A channel of a plan still being configured has no engines
+            // yet, and so no stalls beyond its own.
+            if let Some(&(p, c)) = self.chan_engines.get(g) {
+                s.stalls += self.chan_stalls_at(now, p, g);
+                if c != p {
+                    s.stalls += self.chan_stalls_at(now, c, g);
+                }
+            }
+            out.push(s);
         }
         out.push(self.net_out.snapshot(port_names::NET_OUT));
         out.push(self.mem.out_snapshot());
         for p in self.mem.ports() {
             let mut s = self.mem.resp_snapshot(p);
             if let Some(slot) = self.engines.iter().find(|s| s.port == p) {
-                s.stalls = slot.mem_stalls;
+                s.stalls = slot.eng.stats_at(now).stall_mem;
             }
             out.push(s);
         }
@@ -378,7 +386,7 @@ impl Component<MachineState> for ChannelsComp {
         // The generic handshake audit over every machine port: no value
         // lost outside the TxPort/RxPort handshake, no occupancy beyond
         // the configured bound, nothing stranded after a drain.
-        for v in distda_sim::conformance::check_ports(&st.port_snapshots(), now, true) {
+        for v in distda_sim::conformance::check_ports(&st.port_snapshots(now), now, true) {
             san.flag(&v.comp, v.rule, v.now, v.detail);
         }
     }
@@ -416,52 +424,6 @@ fn engine_wake(slot: &EngineSlot, chans: &[ChanState], now: Tick) -> Option<Tick
     }
 }
 
-/// Runs `f` on engine `index` against its [`EngineCtx`] view of the
-/// world at tick `now`.
-fn drive_engine(
-    st: &mut MachineState,
-    index: usize,
-    now: Tick,
-    f: impl FnOnce(&mut PartitionEngine, &mut Ctx<'_>),
-) {
-    let MachineState {
-        engines,
-        mem,
-        chans,
-        net_out,
-        memimg,
-        layout,
-        tenant_views,
-        chan_sink,
-        ..
-    } = st;
-    let slot = &mut engines[index];
-    // The engine reads and writes its tenant's functional view.
-    let (memimg, layout) = match slot.tenant {
-        0 => (memimg, &*layout),
-        t => {
-            let (img, lay) = &mut tenant_views[t as usize - 1];
-            (img, &*lay)
-        }
-    };
-    let mut ctx = Ctx {
-        now,
-        port: slot.port,
-        chan_base: slot.chan_base,
-        tenant: slot.tenant,
-        mem,
-        chans,
-        net_out,
-        memimg,
-        layout,
-        resp: &mut slot.resp,
-        chan_sink,
-        mem_stalls: &mut slot.mem_stalls,
-        chan_stalls: &mut slot.chan_stalls,
-    };
-    f(&mut slot.eng, &mut ctx);
-}
-
 /// Stage [`stage::ENGINE`], one per configured engine: collects the
 /// engine's port responses and, when the engine is due, executes one
 /// edge against its [`EngineCtx`] view of the world.
@@ -482,26 +444,61 @@ impl Component<MachineState> for EngineComp {
     }
 
     fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) {
-        let slot = &mut st.engines[self.index];
+        let MachineState {
+            engines,
+            mem,
+            chans,
+            net_out,
+            memimg,
+            layout,
+            tenant_views,
+            chan_sink,
+            skip,
+            ..
+        } = st;
+        let slot = &mut engines[self.index];
         {
-            let mut rx = st.mem.responses(slot.port).rx();
+            let mut rx = mem.responses(slot.port).rx();
             while let Some(r) = rx.accept() {
                 slot.resp.push(r.id);
             }
         }
         // An engine that is not due here would only re-try its blocked
         // node — the skip-ahead argument applied to one engine: the edge
-        // is skipped and its stall cycle charged in bulk on the engine's
-        // next processed edge (or by `PartitionEngine::settle`). Off the
-        // engine's clock edge `eng.tick` is a no-op anyway.
-        let due = if st.skip {
-            engine_wake(slot, &st.chans, now) == Some(now)
+        // is skipped, and its stall cycle is charged in bulk on the
+        // engine's next processed edge (readers in between see it through
+        // `PartitionEngine::stats_at`). Off the engine's clock edge
+        // `eng.tick` is a no-op anyway.
+        let due = if *skip {
+            engine_wake(slot, chans, now) == Some(now)
         } else {
             slot.eng.clock().fires_at(now)
         };
-        if due {
-            drive_engine(st, self.index, now, |eng, ctx| eng.tick(now, ctx));
+        if !due {
+            return;
         }
+        // The engine reads and writes its tenant's functional view.
+        let (memimg, layout) = match slot.tenant {
+            0 => (memimg, &*layout),
+            t => {
+                let (img, lay) = &mut tenant_views[t as usize - 1];
+                (img, &*lay)
+            }
+        };
+        let mut ctx = Ctx {
+            now,
+            port: slot.port,
+            chan_base: slot.chan_base,
+            tenant: slot.tenant,
+            mem,
+            chans,
+            net_out,
+            memimg,
+            layout,
+            resp: &mut slot.resp,
+            chan_sink,
+        };
+        slot.eng.tick(now, &mut ctx);
     }
 
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
@@ -712,15 +709,10 @@ impl Component<MachineState> for SamplerComp {
         if now < self.boundary {
             return;
         }
-        // Gated engine edges are charged lazily; bring every engine's
-        // stall counters (and the port stalls they feed) up to `now`.
-        for i in 0..st.engines.len() {
-            drive_engine(st, i, now, |eng, ctx| eng.settle(now, ctx));
-        }
-        let ports = st.port_snapshots();
+        let ports = st.port_snapshots(now);
         let mut counters = Vec::with_capacity(st.engines.len() * 3);
         for (i, s) in st.engines.iter().enumerate() {
-            let es = s.eng.stats();
+            let es = s.eng.stats_at(now);
             let period = s.eng.clock().period_ticks();
             let name = port_names::engine(i);
             counters.push((format!("{name}.busy_ticks"), es.busy_cycles * period));
@@ -825,43 +817,28 @@ impl Machine {
         self.sched.now()
     }
 
-    /// Attaches a tracer to every component. Call before
-    /// [`Machine::configure_plan`] so engine sinks are created too; a
-    /// disabled tracer (the default) costs nothing.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
+    /// Attaches the run's instruments to every component. Call before
+    /// [`Machine::configure_plan`] so engine sinks are created too.
+    ///
+    /// - The tracer records events and metrics.
+    /// - With the sanitizer on, the run loops stop with
+    ///   [`SimError::InvariantViolation`] as soon as a conservation law
+    ///   breaks, and [`Machine::drain`] audits the drained state.
+    /// - The self-profiler times every registered component's `tick()`
+    ///   against the host monotonic clock and counts wake targets and skip
+    ///   spans; it never perturbs simulated results.
+    ///
+    /// Disabled instruments (the default) cost nothing beyond a branch.
+    pub fn set_instruments(&mut self, instr: Instruments) {
         // The machine's own track registers first so track IDs are stable.
-        self.st.sink = tracer.sink("machine");
-        let san = self.sched.instruments().san.clone();
-        let prof = self.sched.instruments().prof.clone();
-        self.sched
-            .set_instruments(&mut self.st, Instruments { tracer, san, prof });
+        self.st.sink = instr.tracer.sink("machine");
+        self.sched.set_instruments(&mut self.st, instr);
     }
 
-    /// The attached tracer (disabled unless [`Machine::set_tracer`] ran).
+    /// The attached tracer (disabled unless [`Machine::set_instruments`]
+    /// attached an enabled one).
     pub fn tracer(&self) -> &Tracer {
         &self.sched.instruments().tracer
-    }
-
-    /// Attaches an invariant sanitizer to every component. With it on, the
-    /// run loops stop with [`SimError::InvariantViolation`] as soon as a
-    /// conservation law breaks, and [`Machine::drain`] audits the drained
-    /// state. A disabled sanitizer (the default) costs nothing.
-    pub fn set_sanitizer(&mut self, san: Sanitizer) {
-        let tracer = self.sched.instruments().tracer.clone();
-        let prof = self.sched.instruments().prof.clone();
-        self.sched
-            .set_instruments(&mut self.st, Instruments { tracer, san, prof });
-    }
-
-    /// Attaches a scheduler self-profiler: every registered component's
-    /// `tick()` is timed against the host monotonic clock, wake targets and
-    /// skip spans are counted. A disabled profiler (the default) costs one
-    /// branch per tick. Profiling never perturbs simulated results.
-    pub fn set_profiler(&mut self, prof: distda_sim::Profiler) {
-        let tracer = self.sched.instruments().tracer.clone();
-        let san = self.sched.instruments().san.clone();
-        self.sched
-            .set_instruments(&mut self.st, Instruments { tracer, san, prof });
     }
 
     /// Snapshot of the attached self-profiler (`None` when disabled),
@@ -913,10 +890,8 @@ impl Machine {
     /// ticks).
     pub fn port_topology(&self) -> Vec<distda_explain::Edge> {
         use distda_explain::Edge;
-        let attributed = |ei: usize, g: usize| -> u64 {
-            let slot = &self.st.engines[ei];
-            slot.chan_stalls[g - slot.chan_base]
-        };
+        let now = self.now();
+        let attributed = |ei: usize, g: usize| self.st.chan_stalls_at(now, ei, g);
         let mut edges = Vec::new();
         for (g, &(p, c)) in self.st.chan_engines.iter().enumerate() {
             edges.push(Edge::new(
@@ -948,7 +923,10 @@ impl Machine {
         ));
         for p in self.st.mem.ports() {
             let (waiter, stalls) = match self.st.engines.iter().position(|s| s.port == p) {
-                Some(i) => (port_names::engine(i), self.st.engines[i].mem_stalls),
+                Some(i) => (
+                    port_names::engine(i),
+                    self.st.engines[i].eng.stats_at(now).stall_mem,
+                ),
                 None => (
                     port_names::HOST.to_string(),
                     self.st.mem.resp_snapshot(p).stalls,
@@ -973,34 +951,32 @@ impl Machine {
         edges
     }
 
-    /// Per-engine totals converted to base ticks, the engine half of an
-    /// explain [`Observation`](distda_explain::Observation).
+    /// Per-engine busy time converted to base ticks, the engine half of
+    /// an explain [`Observation`](distda_explain::Observation). Stall time
+    /// is not repeated here: it is the sum of the engine's blame edges.
     pub fn engine_observations(&self) -> Vec<distda_explain::EngineObs> {
+        let now = self.now();
         self.st
             .engines
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let es = s.eng.stats();
                 let period = s.eng.clock().period_ticks();
                 distda_explain::EngineObs {
                     name: port_names::engine(i),
-                    busy_ticks: es.busy_cycles * period,
-                    stall_mem_ticks: es.stall_mem * period,
-                    stall_chan_ticks: es.stall_chan * period,
+                    busy_ticks: s.eng.stats_at(now).busy_cycles * period,
                     period_ticks: period,
                 }
             })
             .collect()
     }
 
-    /// The full explain observation of this machine's run so far:
-    /// ports, blame topology, engine accounting and (when a sampler was
-    /// attached) the windowed time series.
+    /// The full explain observation of this machine's run so far: blame
+    /// topology, engine accounting and (when a sampler was attached) the
+    /// windowed time series.
     pub fn observation(&self) -> distda_explain::Observation {
         distda_explain::Observation {
             ticks: self.now(),
-            ports: self.port_snapshots(),
             edges: self.port_topology(),
             engines: self.engine_observations(),
             samples: self.sampler.dump(),
@@ -1160,21 +1136,13 @@ impl Machine {
 
     /// Per-engine statistics summed over the engines owned by `tenant`.
     pub fn tenant_engine_totals(&self, tenant: u16) -> distda_accel::EngineStats {
-        let mut t = distda_accel::EngineStats::default();
-        for s in self.st.engines.iter().filter(|s| s.tenant == tenant) {
-            let es = s.eng.stats();
-            t.iterations += es.iterations;
-            t.busy_cycles += es.busy_cycles;
-            t.stall_mem += es.stall_mem;
-            t.stall_chan += es.stall_chan;
-            t.alu_ops += es.alu_ops;
-            t.mem_ops += es.mem_ops;
-            t.intra_bytes += es.intra_bytes;
-            t.da_bytes += es.da_bytes;
-            t.aa_bytes += es.aa_bytes;
-            t.mmio_words += es.mmio_words;
-        }
-        t
+        let now = self.now();
+        self.st
+            .engines
+            .iter()
+            .filter(|s| s.tenant == tenant)
+            .map(|s| s.eng.stats_at(now))
+            .sum()
     }
 
     /// [`Machine::configure_plan`] on behalf of `tenant`: the plan's
@@ -1248,8 +1216,6 @@ impl Machine {
                 is_access_node: sub.is_access_node,
                 is_cgra: matches!(sub.model, IssueModel::Cgra { .. }),
                 tenant,
-                mem_stalls: 0,
-                chan_stalls: vec![0; plan.channels.len()],
             });
             // Registration wires the engine into the tick loop, wake
             // probe, drain predicate and drain audit — and attaches the
@@ -1534,7 +1500,7 @@ impl Machine {
         c.flushed_lines = self.st.mem.sys_stats().flushed_lines;
         c.mmio_words = self.st.mmio_words;
         for s in &self.st.engines {
-            let es = s.eng.stats();
+            let es = s.eng.stats_at(self.now());
             // Element accesses and line moves are access-unit work in every
             // configuration (the FSM performs them, Figure 2c) — stream
             // loads/stores are therefore charged as buffer energy, not as
@@ -1557,7 +1523,7 @@ impl Machine {
     pub fn access_distribution(&self) -> (u64, u64, u64) {
         let mut t = (0, 0, 0);
         for s in &self.st.engines {
-            let es = s.eng.stats();
+            let es = s.eng.stats_at(self.now());
             t.0 += es.intra_bytes;
             t.1 += es.da_bytes;
             t.2 += es.aa_bytes;
@@ -1568,7 +1534,7 @@ impl Machine {
     /// Statistics of every handshaked port in the machine (see
     /// [`MachineState::port_snapshots`]).
     pub fn port_snapshots(&self) -> Vec<PortSnapshot> {
-        self.st.port_snapshots()
+        self.st.port_snapshots(self.now())
     }
 
     /// Per-port occupancy/stall statistics as a report (`<port>.pushed`,
@@ -1591,21 +1557,8 @@ impl Machine {
 
     /// Sums accelerator-side statistics.
     pub fn engine_totals(&self) -> distda_accel::EngineStats {
-        let mut t = distda_accel::EngineStats::default();
-        for s in &self.st.engines {
-            let es = s.eng.stats();
-            t.iterations += es.iterations;
-            t.busy_cycles += es.busy_cycles;
-            t.stall_mem += es.stall_mem;
-            t.stall_chan += es.stall_chan;
-            t.alu_ops += es.alu_ops;
-            t.mem_ops += es.mem_ops;
-            t.intra_bytes += es.intra_bytes;
-            t.da_bytes += es.da_bytes;
-            t.aa_bytes += es.aa_bytes;
-            t.mmio_words += es.mmio_words;
-        }
-        t
+        let now = self.now();
+        self.st.engines.iter().map(|s| s.eng.stats_at(now)).sum()
     }
 }
 
@@ -1621,8 +1574,6 @@ struct Ctx<'a> {
     layout: &'a Layout,
     resp: &'a mut Vec<u64>,
     chan_sink: &'a TraceSink,
-    mem_stalls: &'a mut u64,
-    chan_stalls: &'a mut [u64],
 }
 
 impl EngineCtx for Ctx<'_> {
@@ -1697,16 +1648,6 @@ impl EngineCtx for Ctx<'_> {
             );
         }
         Some(v)
-    }
-
-    fn note_chan_stall(&mut self, chan: u16, n: u64) {
-        let g = self.chan_base + chan as usize;
-        self.chans[g].queue.note_stalls(n);
-        self.chan_stalls[chan as usize] += n;
-    }
-
-    fn note_mem_stall(&mut self, n: u64) {
-        *self.mem_stalls += n;
     }
 
     fn mem_read(&mut self, req_id: u64, addr: u64) -> bool {

@@ -21,6 +21,7 @@ use distda_ir::program::{LoopId, Program, Stmt};
 use distda_ir::value::Value;
 use distda_mem::{MemConfig, MemSystem};
 use distda_noc::TrafficClass;
+use distda_sim::component::Instruments;
 use distda_sim::time::{ticks_to_ns, ClockDomain, Tick};
 use distda_sim::{Profiler, Report, Sampler};
 use distda_trace::Tracer;
@@ -390,10 +391,9 @@ pub fn try_simulate(
     }
     // Causal attribution (`explain.*`): with an attached sampler the
     // drained machine's port topology, engine counters and windowed
-    // samples become a ranked causal tree. Accounting violations
-    // (blamed + busy exceeding the run, or port stalls disagreeing with
-    // the engines' own counters) escalate through the sanitizer like
-    // every other conservation law.
+    // samples become a ranked causal tree. An accounting violation
+    // (blamed + busy exceeding the run) escalates through the sanitizer
+    // like every other conservation law.
     let explanation = if machine.sampler().on() {
         let obs = machine.observation();
         let x = distda_explain::analyze(&obs);
@@ -641,15 +641,11 @@ fn instrument(machine: &mut Machine, spec: &RunSpec, san: &Sanitizer) {
     if let Some(on) = spec.skip {
         machine.set_skip(on);
     }
-    if spec.tracer.is_enabled() {
-        machine.set_tracer(spec.tracer.clone());
-    }
-    if san.on() {
-        machine.set_sanitizer(san.clone());
-    }
-    if spec.profiler.on() {
-        machine.set_profiler(spec.profiler.clone());
-    }
+    machine.set_instruments(Instruments {
+        tracer: spec.tracer.clone(),
+        san: san.clone(),
+        prof: spec.profiler.clone(),
+    });
     machine.set_sampler(spec.sampler.clone());
 }
 

@@ -4,7 +4,8 @@
 //! execution strategies that must not be observable.
 
 use distda::explain::{render_text, Explanation};
-use distda::sim::{port_names, sample::DEFAULT_WINDOW_CAP, Sampler};
+use distda::sim::sample::{SampleDump, DEFAULT_WINDOW_CAP};
+use distda::sim::{port_names, Sampler};
 use distda::system::{CheckPolicy, RunResult, RunSpec};
 use distda::workloads::{bfs, nw, pathfinder, pointer_chase, Scale};
 
@@ -14,10 +15,11 @@ fn explained(
     w: &distda::workloads::Workload,
     cfg: &distda::system::RunConfig,
     skip: Option<bool>,
-) -> (RunResult, Explanation) {
+) -> (RunResult, Explanation, SampleDump) {
+    let sampler = Sampler::enabled(WINDOW, DEFAULT_WINDOW_CAP);
     let spec = RunSpec {
         skip,
-        sampler: Sampler::enabled(WINDOW, DEFAULT_WINDOW_CAP),
+        sampler: sampler.clone(),
         policy: CheckPolicy::from_env(),
         ..RunSpec::default()
     };
@@ -25,7 +27,8 @@ fn explained(
         .try_simulate_with(cfg, spec)
         .expect("explained run succeeds");
     let x = run.explanation.expect("sampler on -> explanation present");
-    (run.result, x)
+    let dump = sampler.dump().expect("enabled sampler dumps");
+    (run.result, x, dump)
 }
 
 /// Every port name exported by a real machine — report keys, sampled
@@ -36,7 +39,7 @@ fn explained(
 fn every_exported_port_name_is_canonical() {
     let w = pathfinder(&Scale::tiny());
     let cfg = distda::system::RunConfig::named(distda::system::ConfigKind::DistDAF);
-    let (r, x) = explained(&w, &cfg, None);
+    let (r, x, _) = explained(&w, &cfg, None);
 
     let mut port_keys = 0;
     for (key, _) in r.report.iter() {
@@ -105,7 +108,7 @@ fn real_runs_account_every_tick() {
             distda::system::ConfigKind::DistDAF,
         ] {
             let cfg = distda::system::RunConfig::named(kind);
-            let (r, x) = explained(&w, &cfg, None);
+            let (r, x, _) = explained(&w, &cfg, None);
             assert!(
                 x.violations.is_empty(),
                 "{} / {}: {:?}",
@@ -135,9 +138,10 @@ fn real_runs_account_every_tick() {
 /// The causal tree is part of the deterministic surface: skip-ahead on
 /// and off must produce byte-identical rendered trees (skip-ahead is an
 /// optimization, not a semantic change), and repeated runs must be
-/// stable. bfs blocks engines across window boundaries, where the
-/// sampler must see stall cycles charged exactly as tick-by-tick
-/// execution charges them.
+/// stable. The raw sample dump must match too: every window's port
+/// points and engine counters, not just the phases the tree shows. bfs
+/// blocks engines across window boundaries, where the sampler must see
+/// stall cycles charged exactly as tick-by-tick execution charges them.
 #[test]
 fn causal_tree_is_byte_identical_across_skip_modes() {
     use distda::system::ConfigKind::{DistDAF, DistDAIO};
@@ -148,10 +152,18 @@ fn causal_tree_is_byte_identical_across_skip_modes() {
     ];
     for (w, kind) in cases {
         let cfg = distda::system::RunConfig::named(kind);
-        let (_, skip_on) = explained(&w, &cfg, Some(true));
-        let (_, skip_off) = explained(&w, &cfg, Some(false));
-        let (_, again) = explained(&w, &cfg, Some(true));
+        let (_, skip_on, dump_on) = explained(&w, &cfg, Some(true));
+        let (_, skip_off, dump_off) = explained(&w, &cfg, Some(false));
+        let (_, again, _) = explained(&w, &cfg, Some(true));
         let ctx = format!("{} / {}", w.name, cfg.label());
+        assert!(
+            dump_on.windows.len() > 1,
+            "{ctx}: the run must span several windows"
+        );
+        assert_eq!(
+            dump_on, dump_off,
+            "{ctx}: skip-ahead must not change any sampled window"
+        );
         assert_eq!(
             render_text(&skip_on),
             render_text(&skip_off),
