@@ -101,15 +101,23 @@ impl Sanitizer {
 
     /// Records a violation unconditionally (when enabled).
     pub fn flag(&self, component: &str, invariant: &'static str, tick: Tick, detail: String) {
-        let Some(i) = &self.inner else { return };
-        let n = i.count.fetch_add(1, Ordering::Relaxed);
-        if n < KEEP {
-            i.violations.lock().unwrap().push(Violation {
+        if self.inner.is_some() {
+            self.record(Violation {
                 component: component.to_string(),
                 invariant,
                 tick,
                 detail,
             });
+        }
+    }
+
+    /// Records an already-built violation (when enabled), e.g. one from a
+    /// posthoc audit that returns its findings.
+    pub fn record(&self, v: Violation) {
+        let Some(i) = &self.inner else { return };
+        let n = i.count.fetch_add(1, Ordering::Relaxed);
+        if n < KEEP {
+            i.violations.lock().unwrap().push(v);
         }
     }
 

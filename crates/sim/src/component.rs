@@ -168,7 +168,9 @@ struct Slot<W> {
 /// of stage assignments.
 pub struct Scheduler<W> {
     now: Tick,
-    tick_budget: u64,
+    /// Absolute tick at which bounded runs stop with [`Stop::Budget`]
+    /// (the conformance harness narrows it for one run).
+    pub(crate) tick_budget: u64,
     skip: bool,
     instr: Instruments,
     /// Registration order (stable track/audit order).
@@ -310,25 +312,37 @@ impl<W> Scheduler<W> {
     ///
     /// The fold visits components in stage order. Every candidate is
     /// contractually `>= now`, so a component reporting `now` is already
-    /// the global minimum and the fold stops there: while the machine is
-    /// busy, where skipping cannot pay for itself, the probe asks only the
-    /// components up to the first one due. Bare, sanitized and profiled
-    /// runs all execute this same fold; the sanitizer additionally checks
-    /// each candidate for a wake in the past, and the profiler times the
-    /// probe and attributes it to the component the fold settles on.
+    /// the global minimum and the bare fold stops there: while the machine
+    /// is busy, where skipping cannot pay for itself, the probe asks only
+    /// the components up to the first one due. With the sanitizer on the
+    /// fold visits every component and checks each candidate for a wake
+    /// in the past; the minimum is the same. The profiler times the probe
+    /// and attributes it to the component the fold settles on.
     pub fn next_wake(&self, world: &W) -> Option<Tick> {
         let t0 = self.instr.prof.on().then(Instant::now);
+        let (w, argmin) = self.wake_fold(world);
+        if let Some(t0) = t0 {
+            self.instr.prof.record_probe(
+                t0.elapsed().as_nanos() as u64,
+                argmin.map(|i| self.prof_slots[i]),
+            );
+        }
+        w
+    }
+
+    /// [`Scheduler::next_wake`] without the profiler: the minimum and the
+    /// component it came from (first wins on ties).
+    fn wake_fold(&self, world: &W) -> (Option<Tick>, Option<usize>) {
+        let san = self.instr.san.on();
         let now = self.now;
         let mut w: Option<Tick> = None;
-        // The component whose event the fold settles on (the wake target,
-        // first wins on ties); the profiler attributes the probe to it.
         let mut argmin: Option<usize> = None;
         for &k in &self.tick_order {
             let slot = &self.comps[k];
             let Some(c) = slot.comp.next_event(now, world) else {
                 continue;
             };
-            if self.instr.san.on() {
+            if san {
                 self.instr
                     .san
                     .check(c >= now, slot.comp.name(), "wake-in-past", now, || {
@@ -339,17 +353,11 @@ impl<W> Scheduler<W> {
                 w = Some(c);
                 argmin = Some(k);
             }
-            if w == Some(now) {
+            if w == Some(now) && !san {
                 break;
             }
         }
-        if let Some(t0) = t0 {
-            self.instr.prof.record_probe(
-                t0.elapsed().as_nanos() as u64,
-                argmin.map(|i| self.prof_slots[i]),
-            );
-        }
-        w
+        (w, argmin)
     }
 
     /// Whether every registered component is quiescent.
@@ -388,12 +396,121 @@ impl<W> Scheduler<W> {
         Ok(())
     }
 
-    fn budget_stop<T>(&self, world: &W) -> Result<T, Stop> {
-        Err(Stop::Budget {
-            now: self.now,
-            budget: self.tick_budget,
-            stalled: self.stall_report(world),
+    /// The run loop's stop test, evaluated before every tick and again
+    /// right after every jump, exactly where tick-by-tick execution would
+    /// have evaluated it.
+    fn halt(
+        &self,
+        world: &W,
+        target: Option<Tick>,
+        done: &mut impl FnMut(&Self, &W) -> bool,
+    ) -> Option<Result<(), Stop>> {
+        if target == Some(self.now) || done(self, world) {
+            return Some(Ok(()));
+        }
+        (target.is_none() && self.now >= self.tick_budget).then(|| {
+            Err(Stop::Budget {
+                now: self.now,
+                budget: self.tick_budget,
+                stalled: self.stall_report(world),
+            })
         })
+    }
+
+    /// The one run loop behind [`Scheduler::run_until`],
+    /// [`Scheduler::advance_ticks`] and [`Scheduler::drain`].
+    ///
+    /// Each iteration stops on `done` or at `target`, then, with
+    /// skip-ahead on, probes the wake fold and jumps over the provably
+    /// idle stretch to the wake (clamped to `target`). The stop test runs
+    /// again at the new time; the tick at the wake itself follows without
+    /// re-probing. A `None` fold jumps straight to `target`, or without
+    /// one is a proven deadlock. A run with a `target` is a fixed-latency
+    /// charge: it neither polls the sanitizer nor checks the budget.
+    ///
+    /// With the sanitizer on, this loop is the only place the wake
+    /// protocol is checked (rules in [`crate::conformance`]). With
+    /// skip-ahead off the sanitizer still probes where a skipping run
+    /// would, unseen by the profiler, and ticks its way to the promised
+    /// wake instead of jumping, so both settings check the same ticks.
+    fn run(
+        &mut self,
+        world: &mut W,
+        target: Option<Tick>,
+        mut done: impl FnMut(&Self, &W) -> bool,
+    ) -> Result<(), Stop> {
+        let san = self.instr.san.on();
+        // Skip off: the wake a skipping run would have jumped to.
+        let mut promised: Option<Tick> = None;
+        loop {
+            if target.is_none() {
+                self.check_invariants()?;
+            }
+            if let Some(r) = self.halt(world, target, &mut done) {
+                return r;
+            }
+            if promised == Some(self.now) {
+                promised = None;
+                self.check_stale_wake(world);
+            } else if promised.is_none() && (self.skip || san) {
+                let wake = if self.skip {
+                    self.next_wake(world)
+                } else {
+                    self.wake_fold(world).0
+                };
+                if wake.is_none() && san {
+                    let now = self.now;
+                    for c in self.components() {
+                        self.instr.san.check(
+                            c.is_quiescent(now, world),
+                            c.name(),
+                            "eventless-active",
+                            now,
+                            || "no component has a scheduled event, yet this one is busy".into(),
+                        );
+                    }
+                }
+                let to = match (wake, target) {
+                    (Some(w), t) => t.map_or(w, |t| w.min(t)),
+                    (None, Some(t)) => t,
+                    (None, None) if self.skip => {
+                        return Err(Stop::Deadlock {
+                            now: self.now,
+                            stalled: self.stall_report(world),
+                        })
+                    }
+                    (None, None) => self.now,
+                };
+                if to > self.now && !self.skip {
+                    promised = Some(to);
+                } else if to > self.now {
+                    if self.instr.prof.on() {
+                        self.instr.prof.record_skip(to - self.now);
+                    }
+                    self.now = to;
+                    if let Some(r) = self.halt(world, target, &mut done) {
+                        return r;
+                    }
+                    if san {
+                        self.check_stale_wake(world);
+                    }
+                }
+            }
+            self.tick(world);
+        }
+    }
+
+    /// At a promised wake the run did not stop at, a re-probe must find
+    /// the promise kept (or the world quiescent).
+    fn check_stale_wake(&self, world: &W) {
+        let (now, re) = (self.now, self.wake_fold(world).0);
+        self.instr.san.check(
+            re == Some(now) || self.quiescent(world),
+            "scheduler",
+            "stale-wake",
+            now,
+            || format!("re-probe at the promised wake says {re:?}, world not quiescent"),
+        );
     }
 
     /// Runs until `done(now, world)` holds, checked before every tick.
@@ -414,62 +531,7 @@ impl<W> Scheduler<W> {
         world: &mut W,
         mut done: impl FnMut(Tick, &W) -> bool,
     ) -> Result<(), Stop> {
-        loop {
-            self.check_invariants()?;
-            if done(self.now, world) {
-                return Ok(());
-            }
-            if self.now >= self.tick_budget {
-                return self.budget_stop(world);
-            }
-            if self.skip {
-                match self.next_wake(world) {
-                    None => {
-                        return Err(Stop::Deadlock {
-                            now: self.now,
-                            stalled: self.stall_report(world),
-                        })
-                    }
-                    Some(w) if w > self.now => {
-                        // Jump, then tick at the wake tick without
-                        // re-probing (the probe would just report `w`
-                        // again). The done/budget checks must still run
-                        // at the new time first: tick-by-tick execution
-                        // would have evaluated them before reaching the
-                        // tick at `w`.
-                        if self.instr.prof.on() {
-                            self.instr.prof.record_skip(w - self.now);
-                        }
-                        self.now = w;
-                        if done(self.now, world) {
-                            return Ok(());
-                        }
-                        if self.now >= self.tick_budget {
-                            return self.budget_stop(world);
-                        }
-                        if self.instr.san.on() {
-                            // Conformance: the run is not done, so having
-                            // jumped to the promised wake tick, some
-                            // component must see observable work at
-                            // exactly this tick. (Checked only past the
-                            // `done` test: a jump to a completion time —
-                            // e.g. the host's segment finish — may leave
-                            // every component legitimately eventless.)
-                            let re = self.next_wake(world);
-                            self.instr.san.check(
-                                re == Some(self.now),
-                                "scheduler",
-                                "stale-wake",
-                                self.now,
-                                || format!("jumped to promised wake tick but re-probe says {re:?}"),
-                            );
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            self.tick(world);
-        }
+        self.run(world, None, |s, w| done(s.now, w))
     }
 
     /// Advances exactly `n` base ticks of simulated time (skipping over
@@ -477,34 +539,8 @@ impl<W> Scheduler<W> {
     /// does not poll the sanitizer or the budget: it is the primitive for
     /// charging fixed-latency work (e.g. MMIO transfers).
     pub fn advance_ticks(&mut self, world: &mut W, n: u64) {
-        let target = self.now + n;
-        while self.now < target {
-            if self.skip {
-                match self.next_wake(world) {
-                    None => {
-                        if self.instr.prof.on() {
-                            self.instr.prof.record_skip(target - self.now);
-                        }
-                        self.now = target;
-                        return;
-                    }
-                    Some(w) if w > self.now => {
-                        // Jump, then tick at the wake tick without
-                        // re-probing, as `run_until` does.
-                        let to = w.min(target);
-                        if self.instr.prof.on() {
-                            self.instr.prof.record_skip(to - self.now);
-                        }
-                        self.now = to;
-                        if to == target {
-                            return;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            self.tick(world);
-        }
+        // A run with a target never reports a stop.
+        let _ = self.run(world, Some(self.now + n), |_, _| false);
     }
 
     /// Runs until every component is quiescent, then audits the drained
@@ -516,45 +552,10 @@ impl<W> Scheduler<W> {
     /// As [`Scheduler::run_until`]; additionally [`Stop::Invariant`] if
     /// the drain audit flags violations.
     pub fn drain(&mut self, world: &mut W) -> Result<(), Stop> {
-        loop {
-            self.check_invariants()?;
-            if self.quiescent(world) {
-                break;
-            }
-            if self.now >= self.tick_budget {
-                return self.budget_stop(world);
-            }
-            if self.skip {
-                match self.next_wake(world) {
-                    None => {
-                        return Err(Stop::Deadlock {
-                            now: self.now,
-                            stalled: self.stall_report(world),
-                        })
-                    }
-                    Some(w) if w > self.now => {
-                        if self.instr.prof.on() {
-                            self.instr.prof.record_skip(w - self.now);
-                        }
-                        self.now = w;
-                        if self.quiescent(world) {
-                            break;
-                        }
-                        if self.now >= self.tick_budget {
-                            return self.budget_stop(world);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            self.tick(world);
-        }
+        self.run(world, None, |s, w| s.quiescent(w))?;
         if self.instr.san.on() {
-            let now = self.now;
-            for k in &self.tick_order {
-                self.comps[*k]
-                    .comp
-                    .audit_drained(now, world, &self.instr.san);
+            for c in self.components() {
+                c.audit_drained(self.now, world, &self.instr.san);
             }
         }
         self.check_invariants()
@@ -761,7 +762,7 @@ mod tests {
         instr.prof = crate::profile::Profiler::enabled();
         sched.set_instruments(&mut world, instr);
         sched.run_until(&mut world, |_, w| w.finished == 9).unwrap();
-        let snap = sched.instruments().prof.snapshot().unwrap();
+        let snap = sched.instruments().prof.snapshot_at(sched.now()).unwrap();
         assert_eq!(snap.comps.len(), 2);
         // Every simulated tick was either executed or skipped.
         assert_eq!(snap.ticks_executed + snap.ticks_skipped, sched.now());
@@ -898,7 +899,7 @@ mod tests {
                 assert_eq!(sched.now(), refr.now());
                 assert_eq!(world.finished, wr.finished, "at tick {}", refr.now());
                 assert_eq!(world.queue, wr.queue, "at tick {}", refr.now());
-                if let Some(snap) = sched.instruments().prof.snapshot() {
+                if let Some(snap) = sched.instruments().prof.snapshot_at(sched.now()) {
                     assert_eq!(snap.ticks_executed + snap.ticks_skipped, sched.now());
                 }
             }
@@ -907,11 +908,20 @@ mod tests {
         assert_eq!(wr.finished, 11);
     }
 
+    /// A one-component scheduler with skip-ahead and an enabled sanitizer.
+    fn sanitized(comp: Box<dyn Component<()>>) -> Scheduler<()> {
+        let mut sched: Scheduler<()> = Scheduler::new(1_000, true);
+        sched.register(0, comp, &mut ());
+        let mut instr = Instruments::disabled();
+        instr.san = Sanitizer::enabled();
+        sched.set_instruments(&mut (), instr);
+        sched
+    }
+
     #[test]
     fn stale_wake_is_still_caught_with_sanitizer_on() {
-        // A component that promises a wake and then moves it: the
-        // sanitized run loop re-probes after every jump and must flag the
-        // broken promise.
+        // A component that promises a wake and then moves it: every run
+        // mode re-probes after a jump and must flag the broken promise.
         struct Flake;
         impl Component<()> for Flake {
             fn name(&self) -> &str {
@@ -925,15 +935,94 @@ mod tests {
                 false
             }
         }
-        let mut sched: Scheduler<()> = Scheduler::new(1_000, true);
-        let mut world = ();
-        sched.register(0, Box::new(Flake), &mut world);
-        let mut instr = Instruments::disabled();
-        instr.san = Sanitizer::enabled();
-        sched.set_instruments(&mut world, instr);
-        let r = sched.run_until(&mut world, |_, _| false);
+        let mut sched = sanitized(Box::new(Flake));
+        let r = sched.run_until(&mut (), |_, _| false);
         assert!(matches!(r, Err(Stop::Invariant { .. })), "got {r:?}");
         assert!(sched.instruments().san.render().contains("stale-wake"));
+
+        let mut sched = sanitized(Box::new(Flake));
+        let r = sched.drain(&mut ());
+        assert!(matches!(r, Err(Stop::Invariant { .. })), "got {r:?}");
+        assert!(sched.instruments().san.render().contains("stale-wake"));
+
+        let mut sched = sanitized(Box::new(Flake));
+        sched.advance_ticks(&mut (), 100);
+        assert_eq!(sched.now(), 100);
+        assert!(sched.instruments().san.render().contains("stale-wake"));
+    }
+
+    #[test]
+    fn eventless_active_is_flagged_on_deadlock() {
+        // Claims work remains but never schedules an event for it.
+        struct Stuck;
+        impl Component<()> for Stuck {
+            fn name(&self) -> &str {
+                "stuck"
+            }
+            fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) {}
+            fn next_event(&self, _: Tick, _: &()) -> Option<Tick> {
+                None
+            }
+            fn is_quiescent(&self, _: Tick, _: &()) -> bool {
+                false
+            }
+        }
+        let mut sched = sanitized(Box::new(Stuck));
+        let r = sched.run_until(&mut (), |_, _| false);
+        assert!(matches!(r, Err(Stop::Deadlock { .. })), "got {r:?}");
+        let v = sched.instruments().san.take();
+        assert!(
+            v.iter()
+                .any(|v| v.invariant == "eventless-active" && v.component == "stuck"),
+            "got {v:?}"
+        );
+    }
+
+    #[test]
+    fn wake_rules_are_checked_with_skip_off() {
+        // Tick by tick, the sanitizer probes where a skipping run would
+        // and re-probes at the promised wake, so every run mode flags the
+        // same rules as with skip-ahead on.
+        type Wake = fn(Tick) -> Option<Tick>;
+        struct Rogue(Wake);
+        impl Component<()> for Rogue {
+            fn name(&self) -> &str {
+                "rogue"
+            }
+            fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) {}
+            fn next_event(&self, now: Tick, _: &()) -> Option<Tick> {
+                (self.0)(now)
+            }
+            fn is_quiescent(&self, _: Tick, _: &()) -> bool {
+                false
+            }
+        }
+        let cases: [(Wake, &str); 3] = [
+            (|now| Some(now + 3), "stale-wake"),
+            (|now| Some(now.saturating_sub(1)), "wake-in-past"),
+            (|_| None, "eventless-active"),
+        ];
+        for (wake, rule) in cases {
+            let skip_off = || {
+                let mut sched = sanitized(Box::new(Rogue(wake)));
+                sched.skip = false;
+                sched
+            };
+            let mut sched = skip_off();
+            let r = sched.run_until(&mut (), |_, _| false);
+            assert!(matches!(r, Err(Stop::Invariant { .. })), "{rule}: {r:?}");
+            assert!(sched.instruments().san.render().contains(rule), "{rule}");
+
+            let mut sched = skip_off();
+            let r = sched.drain(&mut ());
+            assert!(matches!(r, Err(Stop::Invariant { .. })), "{rule}: {r:?}");
+            assert!(sched.instruments().san.render().contains(rule), "{rule}");
+
+            let mut sched = skip_off();
+            sched.advance_ticks(&mut (), 100);
+            assert_eq!(sched.now(), 100);
+            assert!(sched.instruments().san.render().contains(rule), "{rule}");
+        }
     }
 
     #[test]

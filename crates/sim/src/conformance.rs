@@ -3,16 +3,18 @@
 //! The scheduler's skip-ahead is only sound if every component honours the
 //! [`Component`] protocol contract; a component that reports wake times in
 //! the past, or promises a wake it then fails to act on, silently breaks
-//! bit-identity between skipping and non-skipping runs. This module drives
-//! a [`Scheduler`] exactly as the run loops do while checking the contract
-//! at every decision point:
+//! bit-identity between skipping and non-skipping runs. The scheduler's
+//! one run loop checks that contract whenever its sanitizer is on, so this
+//! harness adds no loop of its own: it attaches a fresh enabled
+//! [`Sanitizer`], runs the scheduler's own [`Scheduler::advance_ticks`] or
+//! [`Scheduler::drain`], and returns what the sanitizer recorded:
 //!
 //! - **wake-in-past** — [`Component::next_event`] must report a tick
 //!   `>= now`.
 //! - **stale-wake** — after jumping to the promised global wake tick `w`,
 //!   a re-probe must report `Some(w)` again (some component really does
-//!   have observable work there), *unless* the jump landed on a completion
-//!   instant, in which case every component must be quiescent.
+//!   have observable work there), *unless* the jump stopped the run or
+//!   every component is quiescent.
 //! - **eventless-active** — when the global wake fold returns `None` (no
 //!   component will ever act again without input), every component must be
 //!   quiescent; a non-quiescent component with no scheduled event is a
@@ -21,180 +23,71 @@
 //!   quiescence within its budget; exhausting it means ticking at the
 //!   promised wake times is not making progress.
 //!
-//! The harness respects the scheduler's skip setting: with skip on it
-//! exercises the jump/re-probe path, with skip off the tick-by-tick path.
-//! Conformance suites should run both and compare final times — the
-//! protocol guarantees they agree.
+//! [`run_to_quiescence`] also runs every component's drain audit. The
+//! rules hold whatever the scheduler's skip setting: with it off the
+//! sanitizer probes where a skipping run would and re-probes when the
+//! clock reaches the promised wake. Conformance suites should run both
+//! and compare final times — the protocol guarantees they agree.
 
-use crate::component::Scheduler;
+use crate::component::{Scheduler, Stop};
 use crate::port::PortSnapshot;
-use crate::time::{earliest, Tick};
+use crate::time::Tick;
+use distda_check::Sanitizer;
+pub use distda_check::Violation;
 
 #[cfg(doc)]
 use crate::component::Component;
 #[cfg(doc)]
 use crate::port::{Channel, RxPort, TxPort};
 
-/// One observed violation of the component protocol.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// Name of the offending component (or `"scheduler"` for global
-    /// rules).
-    pub comp: String,
-    /// Which rule broke: `"wake-in-past"`, `"stale-wake"`,
-    /// `"eventless-active"`, `"no-quiescence"`, or one of the port
-    /// handshake rules from [`check_ports`] (`"port-no-loss"`,
-    /// `"port-capacity"`, `"port-drain"`).
-    pub rule: &'static str,
-    /// Tick at which the violation was observed.
-    pub now: Tick,
-    /// Human-readable detail.
-    pub detail: String,
+/// Runs `f` with a fresh enabled sanitizer attached (tracer and profiler
+/// kept), then restores the scheduler's instruments and returns `f`'s
+/// result with everything the sanitizer recorded.
+fn sanitized<W, T>(
+    sched: &mut Scheduler<W>,
+    world: &mut W,
+    f: impl FnOnce(&mut Scheduler<W>, &mut W) -> T,
+) -> (T, Sanitizer) {
+    let prev = sched.instruments().clone();
+    let san = Sanitizer::enabled();
+    let mut instr = prev.clone();
+    instr.san = san.clone();
+    sched.set_instruments(world, instr);
+    let out = f(sched, world);
+    sched.set_instruments(world, prev);
+    (out, san)
 }
 
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "[{}] {} at tick {}: {}",
-            self.rule, self.comp, self.now, self.detail
-        )
-    }
-}
-
-/// Checks the probe-time rules once at the scheduler's current tick:
-/// every component's wake is `>= now`, and if no component has any
-/// scheduled event, every component is quiescent.
-pub fn probe_violations<W>(sched: &Scheduler<W>, world: &W) -> Vec<Violation> {
-    let now = sched.now();
-    let mut out = Vec::new();
-    let mut fold: Option<Tick> = None;
-    for comp in sched.components() {
-        let cand = comp.next_event(now, world);
-        if let Some(c) = cand {
-            if c < now {
-                out.push(Violation {
-                    comp: comp.name().to_string(),
-                    rule: "wake-in-past",
-                    now,
-                    detail: format!("next_event reported {c} < now {now}"),
-                });
-            }
-        }
-        fold = earliest(fold, cand);
-    }
-    if fold.is_none() {
-        for comp in sched.components() {
-            if !comp.is_quiescent(now, world) {
-                out.push(Violation {
-                    comp: comp.name().to_string(),
-                    rule: "eventless-active",
-                    now,
-                    detail: "no component has a scheduled event, yet this one is not quiescent"
-                        .to_string(),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// The global wake fold, computed without the sanitizer side effects of
-/// [`Scheduler::next_wake`] and without its early exit (so `probe` and the
-/// run loops agree on the minimum).
-fn wake_fold<W>(sched: &Scheduler<W>, world: &W) -> Option<Tick> {
-    let now = sched.now();
-    sched
-        .components()
-        .fold(None, |acc, c| earliest(acc, c.next_event(now, world)))
-}
-
-/// After a jump to the promised wake tick, either the promise holds on
-/// re-probe or the machine has fully completed.
-fn check_jump<W>(sched: &Scheduler<W>, world: &W, out: &mut Vec<Violation>) {
-    let now = sched.now();
-    match wake_fold(sched, world) {
-        Some(w) if w == now => {}
-        None if sched.quiescent(world) => {}
-        other => out.push(Violation {
-            comp: "scheduler".to_string(),
-            rule: "stale-wake",
-            now,
-            detail: format!(
-                "jumped to promised wake tick but re-probe says {other:?} and the machine is not quiescent"
-            ),
-        }),
-    }
-}
-
-/// Drives the scheduler for exactly `ticks` simulated base ticks,
-/// checking the protocol at every decision point. Skip jumps follow the
-/// scheduler's own skip setting. Returns all observed violations.
+/// Drives the scheduler for exactly `ticks` simulated base ticks with the
+/// protocol checked. Skip jumps follow the scheduler's own skip setting.
+/// Returns all observed violations.
 pub fn run_for<W>(sched: &mut Scheduler<W>, world: &mut W, ticks: u64) -> Vec<Violation> {
-    let target = sched.now() + ticks;
-    let mut out = Vec::new();
-    while sched.now() < target {
-        out.extend(probe_violations(sched, world));
-        match wake_fold(sched, world) {
-            None => {
-                // Nothing will ever happen again (probe_violations has
-                // already flagged any non-quiescent component); jump to
-                // the target.
-                sched.advance_ticks(world, target - sched.now());
-                break;
-            }
-            Some(w) if w > sched.now() => {
-                // Jump without ticking: advance_ticks stops exactly at
-                // the wake tick, at which point the promise must hold.
-                let dist = w.min(target) - sched.now();
-                sched.advance_ticks(world, dist);
-                if sched.now() == w {
-                    check_jump(sched, world, &mut out);
-                }
-            }
-            _ => sched.tick(world),
-        }
-    }
-    out
+    let ((), san) = sanitized(sched, world, |s, w| s.advance_ticks(w, ticks));
+    san.take()
 }
 
-/// Drives the scheduler until every component is quiescent, checking the
-/// protocol at every decision point; flags `no-quiescence` if the machine
-/// fails to drain within `budget` base ticks of the starting time.
+/// Drives the scheduler until every component is quiescent with the
+/// protocol checked, then audits the drained state; flags
+/// `no-quiescence` if the machine fails to drain within `budget` base
+/// ticks of the starting time.
 pub fn run_to_quiescence<W>(
     sched: &mut Scheduler<W>,
     world: &mut W,
     budget: u64,
 ) -> Vec<Violation> {
     let deadline = sched.now() + budget;
-    let mut out = Vec::new();
-    loop {
-        if sched.quiescent(world) {
-            return out;
-        }
-        if sched.now() >= deadline {
-            out.push(Violation {
-                comp: "scheduler".to_string(),
-                rule: "no-quiescence",
-                now: sched.now(),
-                detail: format!("machine failed to drain within {budget} ticks"),
-            });
-            return out;
-        }
-        out.extend(probe_violations(sched, world));
-        match wake_fold(sched, world) {
-            None => {
-                // Eventless but not quiescent: probe_violations flagged
-                // the culprits; ticking further cannot help.
-                return out;
-            }
-            Some(w) if w > sched.now() => {
-                sched.advance_ticks(world, w - sched.now());
-                check_jump(sched, world, &mut out);
-            }
-            _ => sched.tick(world),
-        }
+    let saved = std::mem::replace(&mut sched.tick_budget, deadline);
+    let (r, san) = sanitized(sched, world, |s, w| s.drain(w));
+    sched.tick_budget = saved;
+    if let Err(Stop::Budget { now, .. }) = r {
+        san.flag(
+            "scheduler",
+            "no-quiescence",
+            now,
+            format!("machine failed to drain within {budget} ticks"),
+        );
     }
+    san.take()
 }
 
 /// The generic handshake-compliance audit over a machine's
@@ -219,9 +112,9 @@ pub fn check_ports(ports: &[PortSnapshot], now: Tick, drained: bool) -> Vec<Viol
     for p in ports {
         if p.pushed != p.popped + p.len as u64 {
             out.push(Violation {
-                comp: p.name.clone(),
-                rule: "port-no-loss",
-                now,
+                component: p.name.clone(),
+                invariant: "port-no-loss",
+                tick: now,
                 detail: format!(
                     "pushed {} != popped {} + occupancy {}",
                     p.pushed, p.popped, p.len
@@ -230,9 +123,9 @@ pub fn check_ports(ports: &[PortSnapshot], now: Tick, drained: bool) -> Vec<Viol
         }
         if p.len > p.capacity || p.high_water > p.capacity {
             out.push(Violation {
-                comp: p.name.clone(),
-                rule: "port-capacity",
-                now,
+                component: p.name.clone(),
+                invariant: "port-capacity",
+                tick: now,
                 detail: format!(
                     "occupancy {} / high-water {} exceed capacity {}",
                     p.len, p.high_water, p.capacity
@@ -241,9 +134,9 @@ pub fn check_ports(ports: &[PortSnapshot], now: Tick, drained: bool) -> Vec<Viol
         }
         if drained && p.len > 0 {
             out.push(Violation {
-                comp: p.name.clone(),
-                rule: "port-drain",
-                now,
+                component: p.name.clone(),
+                invariant: "port-drain",
+                tick: now,
                 detail: format!("{} elements still queued after drain", p.len),
             });
         }
@@ -360,7 +253,7 @@ mod tests {
         let v = run_to_quiescence(&mut sched, &mut (), 10_000);
         assert!(v
             .iter()
-            .any(|v| v.rule == "eventless-active" && v.comp == "stuck"));
+            .any(|v| v.invariant == "eventless-active" && v.component == "stuck"));
     }
 
     #[test]
@@ -380,7 +273,7 @@ mod tests {
         let v = run_for(&mut sched, &mut (), 16);
         assert!(
             v.iter()
-                .any(|v| v.rule == "wake-in-past" && v.comp == "tardy"),
+                .any(|v| v.invariant == "wake-in-past" && v.component == "tardy"),
             "got {v:?}"
         );
     }
@@ -396,7 +289,45 @@ mod tests {
             &mut (),
         );
         let v = run_for(&mut sched, &mut (), 64);
-        assert!(v.iter().any(|v| v.rule == "stale-wake"), "got {v:?}");
+        assert!(v.iter().any(|v| v.invariant == "stale-wake"), "got {v:?}");
+    }
+
+    #[test]
+    fn wake_rules_are_flagged_with_skip_off() {
+        let skip_off = |comp: Box<dyn Component<()>>| {
+            let mut s: Scheduler<()> = Scheduler::new(100_000, false);
+            s.register(0, comp, &mut ());
+            s
+        };
+        let mut s = skip_off(Box::new(Tardy));
+        s.register(
+            1,
+            Box::new(Counter {
+                clock: ClockDomain::from_ghz(2.0),
+                remaining: 4,
+            }),
+            &mut (),
+        );
+        let v = run_for(&mut s, &mut (), 16);
+        assert!(
+            v.iter()
+                .any(|v| v.invariant == "wake-in-past" && v.component == "tardy"),
+            "got {v:?}"
+        );
+
+        let mut s = skip_off(Box::new(Flake {
+            clock: ClockDomain::from_ghz(1.0),
+        }));
+        let v = run_for(&mut s, &mut (), 64);
+        assert!(v.iter().any(|v| v.invariant == "stale-wake"), "got {v:?}");
+
+        let mut s = skip_off(Box::new(Stuck));
+        let v = run_to_quiescence(&mut s, &mut (), 10_000);
+        assert!(
+            v.iter()
+                .any(|v| v.invariant == "eventless-active" && v.component == "stuck"),
+            "got {v:?}"
+        );
     }
 
     #[test]
@@ -433,10 +364,10 @@ mod tests {
         assert_eq!(v.len(), 2, "got {v:?}");
         assert!(v
             .iter()
-            .any(|v| v.rule == "port-no-loss" && v.comp == "lossy"));
+            .any(|v| v.invariant == "port-no-loss" && v.component == "lossy"));
         assert!(v
             .iter()
-            .any(|v| v.rule == "port-capacity" && v.comp == "overfull" && v.now == 7));
+            .any(|v| v.invariant == "port-capacity" && v.component == "overfull" && v.tick == 7));
         let stuck = PortSnapshot {
             name: "stuck".into(),
             pushed: 3,
@@ -448,7 +379,7 @@ mod tests {
         };
         let v = check_ports(&[healthy, stuck], 9, true);
         assert_eq!(v.len(), 1, "got {v:?}");
-        assert_eq!(v[0].rule, "port-drain");
+        assert_eq!(v[0].invariant, "port-drain");
     }
 
     #[test]

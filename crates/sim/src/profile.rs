@@ -241,17 +241,6 @@ impl Profiler {
             probe_ns: st.probe_ns,
         })
     }
-
-    /// [`Profiler::snapshot_at`] with the window closed at the last
-    /// executed-tick count (good enough when no better clock is at hand).
-    pub fn snapshot(&self) -> Option<ProfileSnapshot> {
-        let hint = self
-            .shared
-            .as_ref()
-            .map(|s| s.lock().unwrap().ticks_executed)
-            .unwrap_or(0);
-        self.snapshot_at(hint)
-    }
 }
 
 /// Renders a "perf top"-style table of a snapshot: components sorted by
@@ -314,7 +303,7 @@ mod tests {
         p.record_tick(&[(0, 5)], 0);
         p.record_skip(10);
         p.record_probe(3, Some(0));
-        assert!(p.snapshot().is_none());
+        assert!(p.snapshot_at(0).is_none());
     }
 
     #[test]
@@ -336,7 +325,7 @@ mod tests {
         p.record_tick(&[(a, 100), (b, 50)], 1);
         p.record_skip(40);
         p.record_probe(7, Some(b));
-        let s = p.snapshot().unwrap();
+        let s = p.snapshot_at(42).unwrap();
         assert_eq!(s.comps[a].host_ns, 200);
         assert_eq!(s.comps[a].active_ticks, 2);
         assert_eq!(s.comps[b].wakes, 1);
@@ -365,7 +354,7 @@ mod tests {
         let a = p.register("small");
         let b = p.register("big");
         p.record_tick(&[(a, 10), (b, 990)], 0);
-        let s = p.snapshot().unwrap();
+        let s = p.snapshot_at(1).unwrap();
         let t = render_table(&s);
         let big_at = t.find("big").unwrap();
         let small_at = t.find("small").unwrap();
@@ -380,7 +369,7 @@ mod tests {
         let a = p.register("a");
         p.record_tick(&[(a, 1)], 0);
         p.record_tick(&[], 1); // a registered but not ticked this round
-        let s = p.snapshot().unwrap();
+        let s = p.snapshot_at(2).unwrap();
         assert!(s.comps.iter().all(|c| c.active_ticks <= s.ticks_executed));
         let sum: u64 = s.comps.iter().map(|c| c.active_ticks).sum();
         assert!(sum <= s.ticks_executed * s.comps.len() as u64);

@@ -387,7 +387,7 @@ impl Component<MachineState> for ChannelsComp {
         // lost outside the TxPort/RxPort handshake, no occupancy beyond
         // the configured bound, nothing stranded after a drain.
         for v in distda_sim::conformance::check_ports(&st.port_snapshots(now), now, true) {
-            san.flag(&v.comp, v.rule, v.now, v.detail);
+            san.record(v);
         }
     }
 }
@@ -1477,10 +1477,10 @@ impl Machine {
 
     /// Drives the machine to quiescence under the component-conformance
     /// harness (see [`distda_sim::conformance`]), returning every
-    /// protocol violation observed: wake times in the past, broken wake
-    /// promises, components active with no scheduled event, or failure
-    /// to drain within `budget` ticks. Test-oriented; prefer
-    /// [`Machine::drain`] in simulation flows.
+    /// violation observed: wake times in the past, broken wake promises,
+    /// components active with no scheduled event, failure to drain
+    /// within `budget` ticks, or a failed drain audit. Test-oriented;
+    /// prefer [`Machine::drain`] in simulation flows.
     pub fn run_conformance(&mut self, budget: u64) -> Vec<distda_sim::conformance::Violation> {
         distda_sim::conformance::run_to_quiescence(&mut self.sched, &mut self.st, budget)
     }

@@ -887,35 +887,10 @@ fn run_tenants(
         machine.run_host_segment(eval.take_segment())?;
         let placement = place_partitions(&plan, &allocs[t], cfg.kind, topo.host_node);
         let substrates = substrates_for(&plan, cfg);
-        let ranges: Vec<(u64, u64)> = {
-            let mut arrays: Vec<_> = plan
-                .partitions
-                .iter()
-                .flat_map(|p| p.accesses.iter().map(|a| a.array))
-                .collect();
-            arrays.sort();
-            arrays.dedup();
-            arrays
-                .into_iter()
-                .map(|a| allocs[t].layout.range(prog, a))
-                .collect()
-        };
+        let ranges = plan_ranges(prog, &plan, &allocs[t]);
         let h =
             machine.configure_plan_for_tenant(&plan, &placement, &substrates, &ranges, t as u16);
-        let params: Vec<Value> = plan
-            .params
-            .iter()
-            .map(|sym| match sym {
-                Sym::Var(lv) => Value::I(evals[t].loop_vars[lv.0]),
-                Sym::Scalar(s) => evals[t].scalars[s.0],
-            })
-            .collect();
-        let carries: Vec<Vec<Value>> = machine
-            .plan_carry_scalars(h)
-            .iter()
-            .map(|ss| ss.iter().map(|s| evals[t].scalars[s.0]).collect())
-            .collect();
-        machine.launch(h, &params, &carries, sv.as_i64(), ev.as_i64(), l.step);
+        launch_plan(&mut machine, h, &plan, &evals[t], sv, ev, l.step);
         handles.push(h);
     }
 
@@ -1068,22 +1043,7 @@ impl Walker<'_> {
                 h
             }
         };
-        let params: Vec<Value> = plan
-            .params
-            .iter()
-            .map(|sym| match sym {
-                Sym::Var(lv) => Value::I(self.eval.loop_vars[lv.0]),
-                Sym::Scalar(s) => self.eval.scalars[s.0],
-            })
-            .collect();
-        let carries: Vec<Vec<Value>> = self
-            .machine
-            .plan_carry_scalars(handle)
-            .iter()
-            .map(|ss| ss.iter().map(|s| self.eval.scalars[s.0]).collect())
-            .collect();
-        self.machine
-            .launch(handle, &params, &carries, sv.as_i64(), ev.as_i64(), l.step);
+        launch_plan(&mut self.machine, handle, plan, &self.eval, sv, ev, l.step);
         self.machine.run_offload(handle)?;
         for (s, v) in self.machine.read_liveouts(handle) {
             self.eval.set_scalar_external(s, v);
@@ -1099,22 +1059,53 @@ impl Walker<'_> {
             self.cfg.topology.host_node,
         );
         let substrates = substrates_for(plan, self.cfg);
-        let ranges: Vec<(u64, u64)> = {
-            let mut arrays: Vec<_> = plan
-                .partitions
-                .iter()
-                .flat_map(|p| p.accesses.iter().map(|a| a.array))
-                .collect();
-            arrays.sort();
-            arrays.dedup();
-            arrays
-                .into_iter()
-                .map(|a| self.alloc.layout.range(self.prog, a))
-                .collect()
-        };
+        let ranges = plan_ranges(self.prog, plan, &self.alloc);
         self.machine
             .configure_plan(plan, &placement, &substrates, &ranges)
     }
+}
+
+/// The address ranges, in `alloc`'s layout, of every array `plan`
+/// accesses: one per array, in array order.
+fn plan_ranges(prog: &Program, plan: &OffloadPlan, alloc: &Allocation) -> Vec<(u64, u64)> {
+    let mut arrays: Vec<_> = plan
+        .partitions
+        .iter()
+        .flat_map(|p| p.accesses.iter().map(|a| a.array))
+        .collect();
+    arrays.sort();
+    arrays.dedup();
+    arrays
+        .into_iter()
+        .map(|a| alloc.layout.range(prog, a))
+        .collect()
+}
+
+/// Launches the configured plan `h` over `start..end` by `step`, with its
+/// parameters and carried scalars read from the host state `eval`.
+fn launch_plan(
+    machine: &mut Machine,
+    h: PlanHandle,
+    plan: &OffloadPlan,
+    eval: &HostEval,
+    start: Value,
+    end: Value,
+    step: i64,
+) {
+    let params: Vec<Value> = plan
+        .params
+        .iter()
+        .map(|sym| match sym {
+            Sym::Var(lv) => Value::I(eval.loop_vars[lv.0]),
+            Sym::Scalar(s) => eval.scalars[s.0],
+        })
+        .collect();
+    let carries: Vec<Vec<Value>> = machine
+        .plan_carry_scalars(h)
+        .iter()
+        .map(|ss| ss.iter().map(|s| eval.scalars[s.0]).collect())
+        .collect();
+    machine.launch(h, &params, &carries, start.as_i64(), end.as_i64(), step);
 }
 
 /// Horizontal placement (paper Section V-A step 4): anchored partitions go

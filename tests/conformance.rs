@@ -230,7 +230,7 @@ fn uncollected_memory_responses_are_flagged() {
     let v = run_to_quiescence(&mut sched, &mut (), 100_000);
     assert!(
         v.iter()
-            .any(|x| x.rule == "eventless-active" || x.rule == "no-quiescence"),
+            .any(|x| x.invariant == "eventless-active" || x.invariant == "no-quiescence"),
         "expected the stranded responses to be flagged, got {v:?}"
     );
 }
