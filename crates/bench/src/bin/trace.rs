@@ -27,7 +27,7 @@
 //!   registry and write `<stem>.om` in the OpenMetrics text format.
 
 use distda_obs::Registry;
-use distda_system::{slug, ConfigKind, RunConfig, RunSpec};
+use distda_system::{slug, RunConfig, RunSpec};
 use distda_trace::{chrome, csvout, json, summary, Tracer};
 use distda_workloads::{suite, Scale};
 use std::path::PathBuf;
@@ -82,13 +82,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn config_by_label(label: &str) -> Option<RunConfig> {
-    ConfigKind::ALL
-        .into_iter()
-        .find(|k| k.label().eq_ignore_ascii_case(label))
-        .map(RunConfig::named)
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -105,13 +98,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(cfg) = config_by_label(&args.config) else {
-        eprintln!(
-            "unknown config: {} (expected one of {})",
-            args.config,
-            ConfigKind::ALL.map(|k| k.label()).join(", ")
-        );
-        return ExitCode::FAILURE;
+    let cfg = match RunConfig::from_label(&args.config) {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
     let workloads = suite(&scale);
     if let Err(e) = std::fs::create_dir_all(&args.out) {

@@ -26,7 +26,7 @@
 //!
 //! Exit status is nonzero if any cell fails.
 
-use distda_system::{parse_label_extension, CheckPolicy, ConfigKind, RunConfig, RunSpec};
+use distda_system::{CheckPolicy, ConfigKind, RunConfig, RunSpec};
 use distda_workloads::{micro, suite, Scale, Workload};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -71,23 +71,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Resolves a `--config` label: the base name must match a [`ConfigKind`],
-/// and any `:`-separated topology segments (`4x4`, `b8`, `fm150x4`, `t2`)
-/// reshape the machine the configuration runs on.
-fn resolve_config(label: &str) -> Result<RunConfig, String> {
-    let (base, topo) = parse_label_extension(label)?;
-    let kind = ConfigKind::ALL
-        .into_iter()
-        .find(|k| k.label().eq_ignore_ascii_case(base))
-        .ok_or_else(|| {
-            format!(
-                "unknown config: {base} (expected one of {})",
-                ConfigKind::ALL.map(|k| k.label()).join(", ")
-            )
-        })?;
-    Ok(RunConfig::named(kind).with_topology(topo))
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -113,7 +96,7 @@ fn main() -> ExitCode {
             .collect();
     } else {
         for label in &args.configs {
-            match resolve_config(label) {
+            match RunConfig::from_label(label) {
                 Ok(cfg) => configs.push(cfg),
                 Err(e) => {
                     eprintln!("{e}");

@@ -514,11 +514,6 @@ pub fn headline(sweep: &Sweep) -> String {
     out
 }
 
-/// Convenience for tests: a tiny-scale suite sweep over all six configs.
-pub fn tiny_sweep() -> Sweep {
-    run_suite_matrix(&Scale::tiny(), &crate::paper_configs())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -126,6 +126,39 @@ fn result_key(r: &RunResult) -> String {
     )
 }
 
+/// The explain sampler adds no tick: on an offload cell and an OoO cell,
+/// a profiled run with the sampler executes, skips and probes exactly as
+/// a run that is only profiled.
+#[test]
+fn sampling_executes_the_bare_ticks() {
+    let scale = Scale::tiny();
+    for (w, kind) in [
+        (pathfinder(&scale), ConfigKind::DistDAIO),
+        (pointer_chase(&scale), ConfigKind::OoO),
+    ] {
+        let cfg = RunConfig::named(kind);
+        let counts = |sampler: Sampler| {
+            let profiler = Profiler::enabled();
+            let spec = RunSpec {
+                skip: Some(true),
+                profiler: profiler.clone(),
+                sampler,
+                ..RunSpec::default()
+            };
+            let r = try_simulate(&w.program, &*w.init, &cfg, &spec).unwrap();
+            let p = profiler.snapshot_at(r.result.ticks).unwrap();
+            (r.result.ticks, p.ticks_executed, p.skip_spans, p.probes)
+        };
+        assert_eq!(
+            counts(Sampler::enabled(256, DEFAULT_WINDOW_CAP)),
+            counts(Sampler::disabled()),
+            "{} / {}",
+            w.name,
+            cfg.label()
+        );
+    }
+}
+
 /// Instruments observe a run and never steer it: for two tiny kernels
 /// under OoO and Dist-DA-F, a bare run, a run with tracer, profiler and
 /// sampler all enabled under the full check policy, and the flattened

@@ -72,11 +72,6 @@ pub struct NocStats {
 }
 
 impl NocStats {
-    /// Total payload bytes across all classes.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
-    }
-
     /// Total hop-bytes across all classes.
     pub fn total_hop_bytes(&self) -> u64 {
         self.hop_bytes.iter().sum()
@@ -366,11 +361,6 @@ impl<P> Mesh<P> {
     /// Whether any packet is still queued or in flight.
     pub fn is_active(&self) -> bool {
         self.in_flight > 0
-    }
-
-    /// Free slots in the injection queue of `node`.
-    pub fn inject_credits(&self, node: NodeId) -> usize {
-        self.inj_q[node].credits()
     }
 
     /// Advances the mesh by one base tick. Only does work on this domain's

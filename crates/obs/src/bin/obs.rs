@@ -24,7 +24,7 @@
 
 use distda_obs::manifest::{self, config_hash};
 use distda_obs::{gate, Registry, Thresholds};
-use distda_system::{slug, ConfigKind, RunConfig};
+use distda_system::{slug, RunConfig};
 use distda_workloads::{suite, Scale};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -85,26 +85,13 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn config_by_label(label: &str) -> Option<RunConfig> {
-    ConfigKind::ALL
-        .into_iter()
-        .find(|k| k.label().eq_ignore_ascii_case(label))
-        .map(RunConfig::named)
-}
-
 fn cmd_profile(args: &Args) -> Result<u32, String> {
     let scale = match args.scale.as_str() {
         "tiny" => Scale::tiny(),
         "eval" => Scale::eval(),
         other => return Err(format!("unknown scale: {other} (expected tiny or eval)")),
     };
-    let cfg = config_by_label(&args.config).ok_or_else(|| {
-        format!(
-            "unknown config: {} (expected one of {})",
-            args.config,
-            ConfigKind::ALL.map(|k| k.label()).join(", ")
-        )
-    })?;
+    let cfg = RunConfig::from_label(&args.config)?;
     let workloads = suite(&scale);
     std::fs::create_dir_all(&args.out)
         .map_err(|e| format!("cannot create {}: {e}", args.out.display()))?;

@@ -43,17 +43,23 @@
 //!   work at all — the machine may stop when every component is quiescent.
 //! - [`Component::audit_drained`] asserts conservation invariants of the
 //!   drained state against the [`Sanitizer`].
+//! - [`Component::sample`] contributes the component's ports and counters
+//!   to an explain window record; the run loop calls it, never a wake.
 
+use crate::port::PortSnapshot;
 use crate::profile::Profiler;
+use crate::sample::Sampler;
 use crate::time::Tick;
 use distda_check::Sanitizer;
 use distda_trace::Tracer;
 use std::time::Instant;
 
 /// The instrumentation bundle handed to every component: the tracer, the
-/// invariant sanitizer and the scheduler self-profiler. All three are
-/// cheap cloneable handles that are free when disabled, so components
-/// hold copies rather than references.
+/// invariant sanitizer, the scheduler self-profiler and the explain
+/// sampler. All four are cheap cloneable handles that are free when
+/// disabled, so components hold copies rather than references. None of
+/// them steers the run: a run executes the same ticks with any of them
+/// attached.
 #[derive(Debug, Clone, Default)]
 pub struct Instruments {
     /// Event/metrics tracing (disabled by default).
@@ -64,10 +70,14 @@ pub struct Instruments {
     /// and sanitizer, components never emit into it themselves — the
     /// scheduler times their `tick()` calls structurally.
     pub prof: Profiler,
+    /// Windowed explain sampler (disabled by default). The run loop
+    /// records every window boundary the clock passes, executed or
+    /// skipped, from the components' [`Component::sample`] views.
+    pub sampler: Sampler,
 }
 
 impl Instruments {
-    /// Disabled tracer, sanitizer and profiler: zero-cost instrumentation.
+    /// Every instrument disabled: zero-cost instrumentation.
     pub fn disabled() -> Self {
         Self::default()
     }
@@ -114,6 +124,20 @@ pub trait Component<W> {
     /// reports, `None` if nothing is visibly stuck.
     fn stall(&self, _now: Tick, _world: &W) -> Option<String> {
         None
+    }
+
+    /// Appends this component's share of the explain record at window
+    /// boundary `at`: cumulative port statistics and named cumulative
+    /// counters, as of the end of tick `at`. Only called with a sampler
+    /// attached, once the clock has passed `at`; every tick since was a
+    /// no-op, so the view must be a pure function of the world and `at`.
+    fn sample(
+        &self,
+        _at: Tick,
+        _world: &W,
+        _ports: &mut Vec<PortSnapshot>,
+        _counters: &mut Vec<(String, u64)>,
+    ) {
     }
 }
 
@@ -173,6 +197,9 @@ pub struct Scheduler<W> {
     pub(crate) tick_budget: u64,
     skip: bool,
     instr: Instruments,
+    /// The next window boundary the sampler records ([`Tick::MAX`] with
+    /// the sampler off), cached so the per-tick test is a compare.
+    sample_at: Tick,
     /// Registration order (stable track/audit order).
     comps: Vec<Slot<W>>,
     /// Indices into `comps`, sorted by (stage, registration order).
@@ -213,6 +240,7 @@ impl<W> Scheduler<W> {
             tick_budget,
             skip,
             instr: Instruments::disabled(),
+            sample_at: Tick::MAX,
             comps: Vec::new(),
             tick_order: Vec::new(),
             active_order: Vec::new(),
@@ -245,6 +273,7 @@ impl<W> Scheduler<W> {
     /// Replaces the instrumentation bundle and re-attaches every
     /// component, in registration order.
     pub fn set_instruments(&mut self, world: &mut W, instr: Instruments) {
+        self.sample_at = instr.sampler.next_boundary();
         self.instr = instr;
         self.prof_slots.clear();
         for slot in &mut self.comps {
@@ -281,10 +310,10 @@ impl<W> Scheduler<W> {
     }
 
     /// One base tick: every non-passive component, in stage order, then
-    /// advance the clock. With the self-profiler on, each component's
-    /// `tick()` is timed against the host monotonic clock (one registry
-    /// lock per simulated tick); profiling never changes what components
-    /// do.
+    /// advance the clock and record a window boundary the tick closed.
+    /// With the self-profiler on, each component's `tick()` is timed
+    /// against the host monotonic clock (one registry lock per simulated
+    /// tick); profiling never changes what components do.
     pub fn tick(&mut self, world: &mut W) {
         let now = self.now;
         if self.instr.prof.on() {
@@ -296,7 +325,7 @@ impl<W> Scheduler<W> {
                 self.prof_scratch
                     .push((self.prof_slots[i], t0.elapsed().as_nanos() as u64));
             }
-            self.instr.prof.record_tick(&self.prof_scratch, now);
+            self.instr.prof.record_tick(&self.prof_scratch);
         } else {
             for k in 0..self.active_order.len() {
                 let i = self.active_order[k];
@@ -304,6 +333,25 @@ impl<W> Scheduler<W> {
             }
         }
         self.now += 1;
+        self.sample_passed(world);
+    }
+
+    /// Records every window boundary below `now` into the sampler. Ticks
+    /// after a boundary were either not run yet or skipped as no-ops, so
+    /// the world still holds the state at the end of the boundary tick,
+    /// and the components' [`Component::sample`] views are pure in it.
+    #[inline]
+    fn sample_passed(&mut self, world: &W) {
+        while self.sample_at < self.now {
+            let at = self.sample_at;
+            let (mut ports, mut counters) = (Vec::new(), Vec::new());
+            for c in self.components() {
+                c.sample(at, world, &mut ports, &mut counters);
+            }
+            let refs: Vec<(&str, u64)> = counters.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+            self.instr.sampler.record_at(at, &ports, &refs);
+            self.sample_at = self.instr.sampler.next_boundary();
+        }
     }
 
     /// Earliest base tick `>= now` at which any component would do
@@ -427,6 +475,8 @@ impl<W> Scheduler<W> {
     /// re-probing. A `None` fold jumps straight to `target`, or without
     /// one is a proven deadlock. A run with a `target` is a fixed-latency
     /// charge: it neither polls the sanitizer nor checks the budget.
+    /// Every window boundary the clock passes, by a tick or by a jump, is
+    /// recorded into the sampler; sampling never shortens a jump.
     ///
     /// With the sanitizer on, this loop is the only place the wake
     /// protocol is checked (rules in [`crate::conformance`]). With
@@ -488,6 +538,7 @@ impl<W> Scheduler<W> {
                         self.instr.prof.record_skip(to - self.now);
                     }
                     self.now = to;
+                    self.sample_passed(world);
                     if let Some(r) = self.halt(world, target, &mut done) {
                         return r;
                     }
@@ -599,6 +650,15 @@ mod tests {
         fn stall(&self, _now: Tick, _world: &World) -> Option<String> {
             (self.remaining > 0).then(|| format!("producer holds {}", self.remaining))
         }
+        fn sample(
+            &self,
+            _at: Tick,
+            _world: &World,
+            _ports: &mut Vec<PortSnapshot>,
+            counters: &mut Vec<(String, u64)>,
+        ) {
+            counters.push(("remaining".into(), self.remaining));
+        }
     }
 
     /// Consumes queued items; wakes only when the queue is non-empty.
@@ -627,6 +687,15 @@ mod tests {
                 now,
                 || format!("{} items left", world.queue.len()),
             );
+        }
+        fn sample(
+            &self,
+            _at: Tick,
+            world: &World,
+            _ports: &mut Vec<PortSnapshot>,
+            counters: &mut Vec<(String, u64)>,
+        ) {
+            counters.push(("finished".into(), world.finished));
         }
     }
 
@@ -724,6 +793,42 @@ mod tests {
         // Past quiescence, skip jumps straight to the target.
         sched.advance_ticks(&mut world, 1_000_000);
         assert_eq!(sched.now(), 17 + 1_000_000);
+    }
+
+    #[test]
+    fn sampler_records_the_same_windows_in_every_run_mode() {
+        // 5-tick windows against the producer's 6-tick edges put most
+        // boundaries inside skipped stretches; chunk ends fall inside a
+        // window (3, 28, 37, 51), on a boundary (10, 15, 50, 75) and one
+        // or more boundaries past the previous end (26, 75, 115). The
+        // 8-window ring coalesces mid-run.
+        const CHUNKS: [u64; 10] = [3, 7, 5, 11, 2, 9, 13, 1, 24, 40];
+        let sampled = |skip: bool| {
+            let (mut sched, mut world) = make(10_000, skip, 20);
+            let mut instr = Instruments::disabled();
+            instr.sampler = Sampler::enabled(5, 8);
+            sched.set_instruments(&mut world, instr);
+            (sched, world)
+        };
+        let dump = |s: &Scheduler<World>| s.instruments().sampler.dump().unwrap();
+        let (mut refr, mut wr) = sampled(false);
+        refr.run_until(&mut wr, |_, w| w.finished == 20).unwrap();
+        assert_eq!(refr.now(), CHUNKS.iter().sum::<u64>());
+        let want = dump(&refr);
+        assert!(want.coalesced > 0, "{want:?}");
+        assert!(want.counter_at(want.windows.len() - 1, "finished") > 0);
+
+        let (mut skip, mut ws) = sampled(true);
+        skip.run_until(&mut ws, |_, w| w.finished == 20).unwrap();
+        assert_eq!(skip.now(), refr.now());
+        assert_eq!(dump(&skip), want, "skip-ahead on");
+        for on in [false, true] {
+            let (mut sched, mut world) = sampled(on);
+            for n in CHUNKS {
+                sched.advance_ticks(&mut world, n);
+            }
+            assert_eq!(dump(&sched), want, "chunked, skip {on}");
+        }
     }
 
     #[test]

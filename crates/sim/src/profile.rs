@@ -7,11 +7,11 @@
 //! for, which component's `next_event` kept waking the machine, and how
 //! much simulated time the skip-ahead fast path jumped over.
 //!
-//! A [`Profiler`] is the third member of the scheduler's
+//! A [`Profiler`] is one member of the scheduler's
 //! [`Instruments`](crate::component::Instruments) bundle, next to the
-//! tracer and the sanitizer, with the same cost model: a disabled profiler
-//! is a `None` inside a cheap cloneable handle, so the tick loop pays one
-//! branch per tick and nothing else. Enabled (via `DISTDA_OBS` or
+//! tracer, the sanitizer and the explain sampler, with the same cost
+//! model: a disabled profiler is a `None` inside a cheap cloneable
+//! handle, so the tick loop pays one branch per tick and nothing else. Enabled (via `DISTDA_OBS` or
 //! programmatically), the scheduler times every component's `tick()` with
 //! the host monotonic clock and folds the numbers here.
 //!
@@ -31,15 +31,7 @@
 //! ```
 
 use crate::time::Tick;
-use distda_trace::metrics::Series;
 use std::sync::{Arc, Mutex};
-
-/// Executed ticks per utilization-series window: every window the profiler
-/// samples each component's share of the window's host nanoseconds.
-pub const UTIL_WINDOW_TICKS: u64 = 1 << 16;
-
-/// Maximum points retained per component utilization series.
-pub const UTIL_SERIES_CAP: usize = 4096;
 
 #[derive(Debug)]
 struct SlotState {
@@ -47,9 +39,6 @@ struct SlotState {
     host_ns: u64,
     active_ticks: u64,
     wakes: u64,
-    /// Host ns accumulated inside the current utilization window.
-    window_ns: u64,
-    util: Series,
 }
 
 #[derive(Debug)]
@@ -60,23 +49,6 @@ struct ProfState {
     skip_spans: u64,
     probes: u64,
     probe_ns: u64,
-    window_ticks: u64,
-}
-
-impl ProfState {
-    fn close_window(&mut self, now: Tick) {
-        let total: u64 = self.slots.iter().map(|s| s.window_ns).sum();
-        for s in &mut self.slots {
-            let share = if total > 0 {
-                s.window_ns as f64 / total as f64
-            } else {
-                0.0
-            };
-            s.util.sample(now, share);
-            s.window_ns = 0;
-        }
-        self.window_ticks = 0;
-    }
 }
 
 /// One component's profile, as captured in a [`ProfileSnapshot`].
@@ -91,9 +63,6 @@ pub struct ComponentProfile {
     /// Times this component's `next_event` was the scheduler's chosen wake
     /// target (it was the unit keeping the machine busy or waking it next).
     pub wakes: u64,
-    /// Change-sampled utilization series: at each window boundary, this
-    /// component's share of the window's host nanoseconds.
-    pub util: Vec<(Tick, f64)>,
 }
 
 /// Everything the self-profiler measured, in component registration order.
@@ -144,7 +113,6 @@ impl Profiler {
                 skip_spans: 0,
                 probes: 0,
                 probe_ns: 0,
-                window_ticks: 0,
             }))),
         }
     }
@@ -169,28 +137,21 @@ impl Profiler {
             host_ns: 0,
             active_ticks: 0,
             wakes: 0,
-            window_ns: 0,
-            util: Series::new(UTIL_SERIES_CAP),
         });
         st.slots.len() - 1
     }
 
-    /// Records one executed base tick at `now`: `(slot, host_ns)` per
-    /// component ticked. One lock per tick.
-    pub fn record_tick(&self, slot_ns: &[(usize, u64)], now: Tick) {
+    /// Records one executed base tick: `(slot, host_ns)` per component
+    /// ticked. One lock per tick.
+    pub fn record_tick(&self, slot_ns: &[(usize, u64)]) {
         let Some(shared) = &self.shared else { return };
         let mut st = shared.lock().unwrap();
         for &(slot, ns) in slot_ns {
             let s = &mut st.slots[slot];
             s.host_ns += ns;
             s.active_ticks += 1;
-            s.window_ns += ns;
         }
         st.ticks_executed += 1;
-        st.window_ticks += 1;
-        if st.window_ticks >= UTIL_WINDOW_TICKS {
-            st.close_window(now);
-        }
     }
 
     /// Records one skip-ahead jump over `span` base ticks.
@@ -213,15 +174,12 @@ impl Profiler {
         }
     }
 
-    /// Snapshot of everything measured so far (`None` when disabled). The
-    /// current (partial) utilization window is closed into the series at
-    /// tick `now_hint` so short runs still produce at least one sample.
-    pub fn snapshot_at(&self, now_hint: Tick) -> Option<ProfileSnapshot> {
-        let shared = self.shared.as_ref()?;
-        let mut st = shared.lock().unwrap();
-        if st.window_ticks > 0 {
-            st.close_window(now_hint);
-        }
+    /// Snapshot of everything measured so far (`None` when disabled).
+    /// The snapshot does not depend on `_now`; the parameter stays
+    /// because the benchmark sweep (`benchmark/src/sweep.rs`) calls this
+    /// signature.
+    pub fn snapshot_at(&self, _now: Tick) -> Option<ProfileSnapshot> {
+        let st = self.shared.as_ref()?.lock().unwrap();
         Some(ProfileSnapshot {
             comps: st
                 .slots
@@ -231,7 +189,6 @@ impl Profiler {
                     host_ns: s.host_ns,
                     active_ticks: s.active_ticks,
                     wakes: s.wakes,
-                    util: s.util.points.clone(),
                 })
                 .collect(),
             ticks_executed: st.ticks_executed,
@@ -300,7 +257,7 @@ mod tests {
         let p = Profiler::disabled();
         assert!(!p.on());
         assert_eq!(p.register("x"), 0);
-        p.record_tick(&[(0, 5)], 0);
+        p.record_tick(&[(0, 5)]);
         p.record_skip(10);
         p.record_probe(3, Some(0));
         assert!(p.snapshot_at(0).is_none());
@@ -321,8 +278,8 @@ mod tests {
         let p = Profiler::enabled();
         let a = p.register("a");
         let b = p.register("b");
-        p.record_tick(&[(a, 100), (b, 50)], 0);
-        p.record_tick(&[(a, 100), (b, 50)], 1);
+        p.record_tick(&[(a, 100), (b, 50)]);
+        p.record_tick(&[(a, 100), (b, 50)]);
         p.record_skip(40);
         p.record_probe(7, Some(b));
         let s = p.snapshot_at(42).unwrap();
@@ -338,22 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_closes_partial_window_into_util_series() {
-        let p = Profiler::enabled();
-        let a = p.register("a");
-        let b = p.register("b");
-        p.record_tick(&[(a, 300), (b, 100)], 5);
-        let s = p.snapshot_at(5).unwrap();
-        assert_eq!(s.comps[a].util, vec![(5, 0.75)]);
-        assert_eq!(s.comps[b].util, vec![(5, 0.25)]);
-    }
-
-    #[test]
     fn table_renders_sorted_with_footer() {
         let p = Profiler::enabled();
         let a = p.register("small");
         let b = p.register("big");
-        p.record_tick(&[(a, 10), (b, 990)], 0);
+        p.record_tick(&[(a, 10), (b, 990)]);
         let s = p.snapshot_at(1).unwrap();
         let t = render_table(&s);
         let big_at = t.find("big").unwrap();
@@ -367,8 +313,8 @@ mod tests {
     fn invariant_active_ticks_bounded_by_executed() {
         let p = Profiler::enabled();
         let a = p.register("a");
-        p.record_tick(&[(a, 1)], 0);
-        p.record_tick(&[], 1); // a registered but not ticked this round
+        p.record_tick(&[(a, 1)]);
+        p.record_tick(&[]); // a registered but not ticked this round
         let s = p.snapshot_at(2).unwrap();
         assert!(s.comps.iter().all(|c| c.active_ticks <= s.ticks_executed));
         let sum: u64 = s.comps.iter().map(|c| c.active_ticks).sum();

@@ -9,17 +9,27 @@
 //! every named port plus a set of named counters; consumers difference
 //! adjacent windows to recover per-window rates.
 //!
+//! A [`Sampler`] is one member of the scheduler's
+//! [`Instruments`](crate::component::Instruments), next to the tracer,
+//! the sanitizer and the profiler. The scheduler's run loop feeds it:
+//! once the clock has passed a boundary, by an executed tick or by a
+//! skip-ahead jump, it gathers every component's
+//! [`Component::sample`](crate::component::Component::sample) view at
+//! that boundary and calls [`Sampler::record_at`]. Nothing reports a wake
+//! for sampling, so it never changes which ticks a run executes.
+//!
 //! Design rules (mirroring the tracer and profiler):
 //!
-//! * **Free when disabled.** A disabled sampler is a `None` — the only
-//!   cost to a host embedding one is an inlined null check, and nothing
-//!   is ever recorded, so runs with sampling off are byte-identical to
-//!   runs on a build without the sampler.
+//! * **Free when disabled.** A disabled sampler is a `None`, and the
+//!   scheduler caches its next boundary as [`Tick::MAX`], so the tick
+//!   loop pays one compare per tick. Nothing is ever recorded, so runs
+//!   with sampling off are byte-identical to runs on a build without the
+//!   sampler.
 //! * **Deterministic.** Boundaries are simulated ticks, never host
 //!   time. Recording the cumulative state *at* the boundary tick makes
 //!   the series invariant under idle skip-ahead: skipped ticks are
 //!   provably no-ops, so the state at the boundary is bit-identical
-//!   whether the scheduler stepped or jumped there.
+//!   whether the scheduler stepped over it or jumped past it.
 //! * **Bounded.** The ring holds at most `cap` windows. When it fills,
 //!   every other window is dropped and the window size doubles — since
 //!   records are cumulative, discarding intermediate boundaries loses
@@ -194,8 +204,8 @@ impl Sampler {
         self.0.is_some()
     }
 
-    /// The next boundary tick a host should record at
-    /// ([`Tick::MAX`] when disabled — never wakes anything).
+    /// The next boundary tick the scheduler records at ([`Tick::MAX`]
+    /// when disabled).
     pub fn next_boundary(&self) -> Tick {
         match &self.0 {
             Some(s) => s.lock().unwrap().next_boundary,

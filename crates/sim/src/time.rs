@@ -48,16 +48,6 @@ impl ClockDomain {
         }
     }
 
-    /// Creates a domain directly from a base-tick period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn from_period_ticks(period: u64) -> Self {
-        assert!(period > 0, "clock period must be nonzero");
-        Self { period }
-    }
-
     /// The domain frequency in GHz.
     pub fn ghz(self) -> f64 {
         GHZ_BASE / self.period as f64

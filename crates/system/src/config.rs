@@ -343,6 +343,29 @@ impl RunConfig {
         }
     }
 
+    /// Resolves a command-line configuration label: the base name matches
+    /// a [`ConfigKind`] label case-insensitively, and any `:`-separated
+    /// topology segments (`4x4`, `b8`, `fm150x4`, `t2`; see
+    /// [`parse_label_extension`]) reshape the machine it runs on.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of an unknown base name or a malformed
+    /// segment.
+    pub fn from_label(label: &str) -> Result<Self, String> {
+        let (base, topo) = parse_label_extension(label)?;
+        let kind = ConfigKind::ALL
+            .into_iter()
+            .find(|k| k.label().eq_ignore_ascii_case(base))
+            .ok_or_else(|| {
+                format!(
+                    "unknown config: {base} (expected one of {})",
+                    ConfigKind::ALL.map(|k| k.label()).join(", ")
+                )
+            })?;
+        Ok(Self::named(kind).with_topology(topo))
+    }
+
     /// A copy of this configuration on a different machine shape.
     pub fn with_topology(self, topology: Topology) -> Self {
         Self { topology, ..self }

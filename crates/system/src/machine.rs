@@ -38,8 +38,7 @@ use distda_sim::component::{Component, Instruments, Scheduler, Stop};
 use distda_sim::port::{Channel, PortSnapshot};
 use distda_sim::port_names;
 use distda_sim::time::{ClockDomain, Tick};
-use distda_sim::Sampler;
-use distda_trace::{EventKind, TraceSink, Tracer};
+use distda_trace::{EventKind, TraceSink};
 
 /// Operand slots per channel buffer.
 pub const CHAN_CAPACITY: usize = 64;
@@ -63,9 +62,6 @@ mod stage {
     pub const NET_OUT: u32 = 40;
     /// Mesh routes.
     pub const MESH: u32 = 50;
-    /// Windowed port/counter sampling freezes the tick's final state
-    /// (registered lazily, only when explain sampling is on).
-    pub const SAMPLE: u32 = 60;
 }
 
 /// Handle to a configured offload plan.
@@ -168,11 +164,6 @@ impl MachineState {
     /// The functional memory image.
     pub fn memimg(&self) -> &Memory {
         &self.memimg
-    }
-
-    /// Whether the host core's current trace segment has drained by `now`.
-    pub fn host_segment_drained(&self, now: Tick) -> bool {
-        self.host.segment_drained(now)
     }
 
     /// Cycles engine `ei` spent blocked on global operand channel `g` as
@@ -334,7 +325,8 @@ impl Component<MachineState> for HostComp {
 /// advanced by the engines (producer/consumer sides) and the delivery
 /// stage, never tick on their own, and were never part of the machine's
 /// exit conditions — but a drained machine must leave every queue empty
-/// and every credit conserved, which this component asserts.
+/// and every credit conserved, which this component asserts. It also
+/// supplies the machine's explain record at each sampler boundary.
 struct ChannelsComp;
 
 impl Component<MachineState> for ChannelsComp {
@@ -388,6 +380,26 @@ impl Component<MachineState> for ChannelsComp {
         // the configured bound, nothing stranded after a drain.
         for v in distda_sim::conformance::check_ports(&st.port_snapshots(now), now, true) {
             san.record(v);
+        }
+    }
+
+    /// The machine's explain record: every port, plus per-engine busy and
+    /// stall totals in base ticks.
+    fn sample(
+        &self,
+        at: Tick,
+        st: &MachineState,
+        ports: &mut Vec<PortSnapshot>,
+        counters: &mut Vec<(String, u64)>,
+    ) {
+        ports.extend(st.port_snapshots(at));
+        for (i, s) in st.engines.iter().enumerate() {
+            let es = s.eng.stats_at(at);
+            let period = s.eng.clock().period_ticks();
+            let name = port_names::engine(i);
+            counters.push((format!("{name}.busy_ticks"), es.busy_cycles * period));
+            counters.push((format!("{name}.stall_mem_ticks"), es.stall_mem * period));
+            counters.push((format!("{name}.stall_chan_ticks"), es.stall_chan * period));
         }
     }
 }
@@ -681,58 +693,6 @@ impl Component<MachineState> for MeshComp {
     }
 }
 
-/// Stage `stage::SAMPLE`: freezes the cumulative state of every port
-/// plus per-engine busy/stall totals into the windowed sampler ring at
-/// each window boundary. Registered lazily by [`Machine::set_sampler`],
-/// so a machine without explain sampling carries no trace of it in the
-/// hot loop. Ticking last in stage order makes the record the tick's
-/// *final* state, identical whether the scheduler stepped or skipped to
-/// the boundary (skipped ticks are provably no-ops).
-///
-/// The component's wake (`next_event`) is the next window boundary —
-/// always finite, so with sampling on a genuine deadlock degrades to a
-/// tick-budget error instead of an immediate deadlock diagnosis. That
-/// trade-off only exists on explain runs.
-struct SamplerComp {
-    sampler: Sampler,
-    /// Cached copy of the sampler's next boundary, refreshed after each
-    /// record so the per-tick gate is a field compare, not a lock.
-    boundary: Tick,
-}
-
-impl Component<MachineState> for SamplerComp {
-    fn name(&self) -> &str {
-        "sampler"
-    }
-
-    fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) {
-        if now < self.boundary {
-            return;
-        }
-        let ports = st.port_snapshots(now);
-        let mut counters = Vec::with_capacity(st.engines.len() * 3);
-        for (i, s) in st.engines.iter().enumerate() {
-            let es = s.eng.stats_at(now);
-            let period = s.eng.clock().period_ticks();
-            let name = port_names::engine(i);
-            counters.push((format!("{name}.busy_ticks"), es.busy_cycles * period));
-            counters.push((format!("{name}.stall_mem_ticks"), es.stall_mem * period));
-            counters.push((format!("{name}.stall_chan_ticks"), es.stall_chan * period));
-        }
-        let refs: Vec<(&str, u64)> = counters.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        self.sampler.record_at(now, &ports, &refs);
-        self.boundary = self.sampler.next_boundary();
-    }
-
-    fn next_event(&self, _now: Tick, _st: &MachineState) -> Option<Tick> {
-        Some(self.boundary)
-    }
-
-    fn is_quiescent(&self, _now: Tick, _st: &MachineState) -> bool {
-        true
-    }
-}
-
 /// The machine: a [`Scheduler`] composed over [`MachineState`]. Construct
 /// with [`Machine::new`], configure plans, then alternate host segments
 /// and offload invocations.
@@ -740,9 +700,6 @@ impl Component<MachineState> for SamplerComp {
 pub struct Machine {
     sched: Scheduler<MachineState>,
     st: MachineState,
-    /// The attached windowed sampler (disabled unless
-    /// [`Machine::set_sampler`] ran with an enabled one).
-    sampler: Sampler,
 }
 
 impl Machine {
@@ -805,11 +762,7 @@ impl Machine {
         sched.register(stage::MEM, Box::new(MemComp), &mut st);
         sched.register(stage::NET_OUT, Box::new(NetOutComp), &mut st);
         sched.register(stage::MESH, Box::new(MeshComp), &mut st);
-        Self {
-            sched,
-            st,
-            sampler: Sampler::disabled(),
-        }
+        Self { sched, st }
     }
 
     /// Current base tick.
@@ -827,54 +780,15 @@ impl Machine {
     /// - The self-profiler times every registered component's `tick()`
     ///   against the host monotonic clock and counts wake targets and skip
     ///   spans; it never perturbs simulated results.
+    /// - The explain sampler records every port and engine total at each
+    ///   window boundary (see [`Machine::observation`]); it never adds a
+    ///   tick or a wake.
     ///
     /// Disabled instruments (the default) cost nothing beyond a branch.
     pub fn set_instruments(&mut self, instr: Instruments) {
         // The machine's own track registers first so track IDs are stable.
         self.st.sink = instr.tracer.sink("machine");
         self.sched.set_instruments(&mut self.st, instr);
-    }
-
-    /// The attached tracer (disabled unless [`Machine::set_instruments`]
-    /// attached an enabled one).
-    pub fn tracer(&self) -> &Tracer {
-        &self.sched.instruments().tracer
-    }
-
-    /// Snapshot of the attached self-profiler (`None` when disabled),
-    /// with the utilization window closed at the current tick.
-    pub fn profile(&self) -> Option<distda_sim::ProfileSnapshot> {
-        self.sched.instruments().prof.snapshot_at(self.sched.now())
-    }
-
-    /// Attaches a windowed port/counter sampler. An enabled sampler
-    /// registers a `stage::SAMPLE` component that freezes cumulative
-    /// port and engine statistics at every window boundary; a disabled
-    /// one (the default) registers nothing, so the tick loop is exactly
-    /// the un-sampled one and results stay byte-identical. Call at most
-    /// once per machine, before running.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an enabled sampler was already attached.
-    pub fn set_sampler(&mut self, sampler: Sampler) {
-        if !sampler.on() {
-            return;
-        }
-        assert!(!self.sampler.on(), "sampler already attached");
-        self.sampler = sampler.clone();
-        let boundary = sampler.next_boundary();
-        self.sched.register(
-            stage::SAMPLE,
-            Box::new(SamplerComp { sampler, boundary }),
-            &mut self.st,
-        );
-    }
-
-    /// The attached sampler (disabled unless [`Machine::set_sampler`]
-    /// ran with an enabled one).
-    pub fn sampler(&self) -> &Sampler {
-        &self.sampler
     }
 
     /// The blame topology of every handshaked port: which component
@@ -972,14 +886,14 @@ impl Machine {
     }
 
     /// The full explain observation of this machine's run so far: blame
-    /// topology, engine accounting and (when a sampler was attached) the
-    /// windowed time series.
+    /// topology, engine accounting and (when an enabled sampler was
+    /// attached) the windowed time series.
     pub fn observation(&self) -> distda_explain::Observation {
         distda_explain::Observation {
             ticks: self.now(),
             edges: self.port_topology(),
             engines: self.engine_observations(),
-            samples: self.sampler.dump(),
+            samples: self.sched.instruments().sampler.dump(),
         }
     }
 
@@ -1903,5 +1817,31 @@ mod tests {
             ]
         );
         let _ = (h, ck);
+    }
+
+    #[test]
+    fn sampled_machine_still_proves_deadlock() {
+        // The sampler reports no wake, so a condition that can never hold
+        // is a proven deadlock at the same tick with sampling on or off.
+        let deadlock_at = |sampler: distda_sim::Sampler| {
+            let (_p, ck, mut m, _x, _y) = axpy_setup();
+            m.set_skip(true);
+            m.set_instruments(Instruments {
+                sampler: sampler.clone(),
+                ..Instruments::disabled()
+            });
+            let h = m.configure_plan(&ck.offloads[0], &[0, 1], &[io_substrate(false); 2], &[]);
+            m.launch(h, &[], &[vec![], vec![]], 0, 64, 1);
+            let err = m.run_until("never", |_, _| false).unwrap_err();
+            assert!(matches!(err, SimError::Deadlock { .. }), "got {err:?}");
+            if let Some(d) = sampler.dump() {
+                assert!(!d.windows.is_empty());
+            }
+            m.now()
+        };
+        assert_eq!(
+            deadlock_at(distda_sim::Sampler::enabled(64, 512)),
+            deadlock_at(distda_sim::Sampler::disabled())
+        );
     }
 }

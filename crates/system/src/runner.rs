@@ -394,7 +394,7 @@ pub fn try_simulate(
     // samples become a ranked causal tree. An accounting violation
     // (blamed + busy exceeding the run) escalates through the sanitizer
     // like every other conservation law.
-    let explanation = if machine.sampler().on() {
+    let explanation = if spec.sampler.on() {
         let obs = machine.observation();
         let x = distda_explain::analyze(&obs);
         if san.on() {
@@ -645,8 +645,8 @@ fn instrument(machine: &mut Machine, spec: &RunSpec, san: &Sanitizer) {
         tracer: spec.tracer.clone(),
         san: san.clone(),
         prof: spec.profiler.clone(),
+        sampler: spec.sampler.clone(),
     });
-    machine.set_sampler(spec.sampler.clone());
 }
 
 /// What an execution strategy hands back to the shared metrics/validation

@@ -23,7 +23,7 @@
 //!   the analyzer reported no violations; exit nonzero otherwise.
 
 use distda::explain::{render_json, render_text, top_bottleneck};
-use distda::system::{slug, CheckPolicy, ConfigKind, RunConfig, RunSpec};
+use distda::system::{slug, CheckPolicy, RunConfig, RunSpec};
 use distda::workloads::{suite, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -79,17 +79,7 @@ fn run() -> Result<u32, String> {
         "eval" => Scale::eval(),
         other => return Err(format!("unknown scale: {other} (expected tiny or eval)")),
     };
-    let cfg = ConfigKind::ALL
-        .into_iter()
-        .find(|k| k.label().eq_ignore_ascii_case(&args.config))
-        .map(RunConfig::named)
-        .ok_or_else(|| {
-            format!(
-                "unknown config: {} (expected one of {})",
-                args.config,
-                ConfigKind::ALL.map(|k| k.label()).join(", ")
-            )
-        })?;
+    let cfg = RunConfig::from_label(&args.config)?;
     let workloads = suite(&scale);
     let selected: Vec<_> = if args.kernels.is_empty() {
         workloads.iter().collect()
