@@ -4,8 +4,9 @@
 //! or off; and the export must be structurally valid trace-event JSON.
 
 use distda_system::{ConfigKind, RunConfig, RunResult, RunSpec};
-use distda_trace::{chrome, json, summary, Tracer};
+use distda_trace::{chrome, json, EventKind, Tracer};
 use distda_workloads::{suite, Scale};
+use std::collections::BTreeMap;
 
 /// Runs `w` under the environment's policy with an explicit tracer and
 /// skip-ahead override.
@@ -100,16 +101,25 @@ fn tracing_does_not_perturb_results() {
 }
 
 /// The Chrome export of a real run parses as JSON, orders events by
-/// timestamp within each track, balances every `B` with an `E`, and the
-/// phase attribution over the same trace partitions the run's ticks.
+/// timestamp within each track and balances every `B` with an `E`; the
+/// run's phase attribution partitions its ticks, traced or not, and the
+/// trace's machine-track spans agree with it.
 #[test]
 fn chrome_export_of_real_run_is_valid() {
     let scale = Scale::tiny();
     let all = suite(&scale);
     let w = all.iter().find(|w| w.name == "bfs").expect("bfs in suite");
     let cfg = RunConfig::named(ConfigKind::DistDAIO);
+    let attributed = |tracer: &Tracer| {
+        let spec = RunSpec {
+            tracer: tracer.clone(),
+            ..RunSpec::from_env()
+        };
+        let run = w.try_simulate_with(&cfg, spec).unwrap();
+        (run.result, run.attribution)
+    };
     let tracer = Tracer::enabled();
-    let r = traced(w, &cfg, None, &tracer);
+    let (r, attr) = attributed(&tracer);
     assert!(r.validated);
 
     let doc = chrome::export(&tracer);
@@ -153,8 +163,27 @@ fn chrome_export_of_real_run_is_valid() {
         assert_eq!(*d, 0, "track {tid} left {d} phases open");
     }
 
-    let attr = summary::phase_attribution(&tracer, r.ticks);
     let total: u64 = attr.parts.iter().map(|(_, t)| t).sum();
     assert_eq!(total, r.ticks, "attribution must partition the run");
-    assert!(attr.complete);
+    assert_eq!(attr.total, r.ticks);
+    // The ledger does not depend on what is traced: a bare run and a run
+    // whose machine track is filtered out attribute their ticks alike.
+    assert_eq!(attributed(&Tracer::disabled()).1, attr);
+    assert_eq!(attributed(&Tracer::with_filter("mem")).1, attr);
+    // The machine track's phase spans sum per label to the ledger's parts.
+    let mut spans: BTreeMap<String, u64> = BTreeMap::new();
+    for c in tracer.components().iter().filter(|c| c.name == "machine") {
+        assert_eq!(c.dropped, 0, "machine track shed events");
+        for e in c.events.iter().filter(|e| !e.is_instant()) {
+            if matches!(
+                e.kind,
+                EventKind::KernelPhase { .. } | EventKind::MmioTransfer { .. }
+            ) {
+                *spans.entry(e.kind.display_name()).or_insert(0) += e.duration();
+            }
+        }
+    }
+    let (other, phases) = attr.parts.split_last().unwrap();
+    assert_eq!(other.0, "other");
+    assert_eq!(spans, phases.iter().cloned().collect::<BTreeMap<_, _>>());
 }

@@ -3,8 +3,9 @@
 //! simulation.
 
 use distda_obs::Registry;
-use distda_sim::Profiler;
-use distda_system::{ConfigKind, RunConfig, Topology};
+use distda_sim::profile::ComponentProfile;
+use distda_sim::{ProfileSnapshot, Profiler};
+use distda_system::{CheckPolicy, ConfigKind, RunConfig, RunSpec, Topology};
 use distda_workloads::{micro, pathfinder, Scale};
 
 #[test]
@@ -44,6 +45,60 @@ fn profiler_accounts_for_a_real_run() {
     let table = distda_sim::profile::render_table(&snap);
     assert!(table.contains("component"), "{table}");
     assert!(table.contains("executed"), "{table}");
+}
+
+/// One profiler shared by two runs adds them up, as the `RunSpec` docs
+/// promise: the scheduler hands each run's counts over once, when its
+/// run loops return, and those hand-overs must accumulate.
+#[test]
+fn a_shared_profiler_accumulates_runs() {
+    let w = pathfinder(&Scale::tiny());
+    let cfgs = [ConfigKind::DistDAIO, ConfigKind::DistDAF].map(RunConfig::named);
+    // Skip-ahead on: only its wake probes count wakes.
+    let run = |cfg: &RunConfig, profiler: &Profiler| {
+        let spec = RunSpec {
+            skip: Some(true),
+            profiler: profiler.clone(),
+            policy: CheckPolicy::from_env(),
+            ..RunSpec::default()
+        };
+        w.try_simulate_with(cfg, spec).unwrap().result.ticks
+    };
+    let alone: Vec<ProfileSnapshot> = cfgs
+        .iter()
+        .map(|cfg| {
+            let prof = Profiler::enabled();
+            run(cfg, &prof);
+            prof.snapshot_at(0).unwrap()
+        })
+        .collect();
+    let shared = Profiler::enabled();
+    let ticks: u64 = cfgs.iter().map(|cfg| run(cfg, &shared)).sum();
+    let snap = shared.snapshot_at(ticks).unwrap();
+    assert_eq!(snap.ticks_executed + snap.ticks_skipped, ticks);
+    let total = |f: fn(&ProfileSnapshot) -> u64| alone.iter().map(f).sum::<u64>();
+    assert_eq!(snap.ticks_executed, total(|s| s.ticks_executed));
+    assert_eq!(snap.skip_spans, total(|s| s.skip_spans));
+    assert_eq!(snap.probes, total(|s| s.probes));
+    let mut names: Vec<&str> = alone
+        .iter()
+        .flat_map(|s| s.comps.iter().map(|c| c.name.as_str()))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(snap.comps.len(), names.len());
+    assert!(snap.comps.iter().any(|c| c.wakes > 0), "{snap:?}");
+    for c in &snap.comps {
+        let sum = |f: fn(&ComponentProfile) -> u64| {
+            let of_name = alone
+                .iter()
+                .flat_map(|s| &s.comps)
+                .filter(|a| a.name == c.name);
+            of_name.map(f).sum::<u64>()
+        };
+        assert_eq!(c.active_ticks, sum(|a| a.active_ticks), "{}", c.name);
+        assert_eq!(c.wakes, sum(|a| a.wakes), "{}", c.name);
+    }
 }
 
 #[test]

@@ -68,7 +68,7 @@ pub struct Instruments {
     pub san: Sanitizer,
     /// Scheduler self-profiler (disabled by default). Unlike the tracer
     /// and sanitizer, components never emit into it themselves — the
-    /// scheduler times their `tick()` calls structurally.
+    /// scheduler times their `tick()` calls and adds its counts to it.
     pub prof: Profiler,
     /// Windowed explain sampler (disabled by default). The run loop
     /// records every window boundary the clock passes, executed or
@@ -178,11 +178,16 @@ struct Slot<W> {
     /// Tick-phase ordering key; ties broken by registration order.
     stage: u32,
     comp: Box<dyn Component<W>>,
+    /// Profiled host ns inside `tick()` and wakes chosen, not yet added
+    /// to the profiler.
+    host_ns: u64,
+    wakes: u64,
 }
 
 /// Owns the clock and orchestrates registered components: the lock-step
 /// tick loop, the skip-ahead wake probe, the tick budget, run loops and
-/// the drain loop with its invariant audit.
+/// the drain loop with its invariant audit. It is the one place ticks
+/// are counted as executed or skipped.
 ///
 /// Components tick in ascending *stage* order (ties in registration
 /// order), so a fixed intra-tick phase structure — deliver, issue,
@@ -207,10 +212,16 @@ pub struct Scheduler<W> {
     /// `tick_order` minus passive components: the indices whose `tick()`
     /// is actually called each simulated tick.
     active_order: Vec<usize>,
-    /// Per-component profiler slot, parallel to `comps`.
-    prof_slots: Vec<usize>,
-    /// Reused `(slot, host_ns)` buffer for profiled ticks.
-    prof_scratch: Vec<(usize, u64)>,
+    /// Base ticks executed; the other `now - executed` were skipped.
+    executed: u64,
+    /// Skip-ahead jumps taken.
+    skip_spans: u64,
+    /// Profiled wake probes and their host ns, not yet added to the
+    /// profiler.
+    probes: u64,
+    probe_ns: u64,
+    /// `(now, executed, skip_spans)` when last added to the profiler.
+    flushed: (Tick, u64, u64),
 }
 
 impl<W> std::fmt::Debug for Scheduler<W> {
@@ -244,8 +255,11 @@ impl<W> Scheduler<W> {
             comps: Vec::new(),
             tick_order: Vec::new(),
             active_order: Vec::new(),
-            prof_slots: Vec::new(),
-            prof_scratch: Vec::new(),
+            executed: 0,
+            skip_spans: 0,
+            probes: 0,
+            probe_ns: 0,
+            flushed: (0, 0, 0),
         }
     }
 
@@ -271,15 +285,14 @@ impl<W> Scheduler<W> {
     }
 
     /// Replaces the instrumentation bundle and re-attaches every
-    /// component, in registration order.
+    /// component, in registration order. The outgoing profiler gets the
+    /// counts it is owed; the incoming one counts from here.
     pub fn set_instruments(&mut self, world: &mut W, instr: Instruments) {
+        self.flush_profile();
         self.sample_at = instr.sampler.next_boundary();
         self.instr = instr;
-        self.prof_slots.clear();
         for slot in &mut self.comps {
             slot.comp.attach(world, &self.instr);
-            self.prof_slots
-                .push(self.instr.prof.register(slot.comp.name()));
         }
     }
 
@@ -288,10 +301,16 @@ impl<W> Scheduler<W> {
     /// to include a component in the tick loop, the wake probe, the drain
     /// predicate and the drain audit.
     pub fn register(&mut self, stage: u32, mut comp: Box<dyn Component<W>>, world: &mut W) {
+        // The profiler counts the newcomer from here.
+        self.flush_profile();
         comp.attach(world, &self.instr);
         let idx = self.comps.len();
-        self.prof_slots.push(self.instr.prof.register(comp.name()));
-        self.comps.push(Slot { stage, comp });
+        self.comps.push(Slot {
+            stage,
+            comp,
+            host_ns: 0,
+            wakes: 0,
+        });
         let pos = self
             .tick_order
             .partition_point(|&i| self.comps[i].stage <= stage);
@@ -312,28 +331,56 @@ impl<W> Scheduler<W> {
     /// One base tick: every non-passive component, in stage order, then
     /// advance the clock and record a window boundary the tick closed.
     /// With the self-profiler on, each component's `tick()` is timed
-    /// against the host monotonic clock (one registry lock per simulated
-    /// tick); profiling never changes what components do.
+    /// against the host monotonic clock, and the counts are added to the
+    /// profiler on return; profiling never changes what components do.
     pub fn tick(&mut self, world: &mut W) {
+        self.step(world);
+        self.flush_profile();
+    }
+
+    /// [`Scheduler::tick`] without adding to the profiler.
+    fn step(&mut self, world: &mut W) {
         let now = self.now;
-        if self.instr.prof.on() {
-            self.prof_scratch.clear();
-            for k in 0..self.active_order.len() {
-                let i = self.active_order[k];
+        let prof = self.instr.prof.on();
+        for k in 0..self.active_order.len() {
+            let slot = &mut self.comps[self.active_order[k]];
+            if prof {
                 let t0 = Instant::now();
-                self.comps[i].comp.tick(now, world, &mut self.instr);
-                self.prof_scratch
-                    .push((self.prof_slots[i], t0.elapsed().as_nanos() as u64));
-            }
-            self.instr.prof.record_tick(&self.prof_scratch);
-        } else {
-            for k in 0..self.active_order.len() {
-                let i = self.active_order[k];
-                self.comps[i].comp.tick(now, world, &mut self.instr);
+                slot.comp.tick(now, world, &mut self.instr);
+                slot.host_ns += t0.elapsed().as_nanos() as u64;
+            } else {
+                slot.comp.tick(now, world, &mut self.instr);
             }
         }
+        self.executed += 1;
         self.now += 1;
         self.sample_passed(world);
+    }
+
+    /// Adds the counts since the last call to the profiler, if any, by
+    /// component name: every component registered then was active on each
+    /// tick executed since, unless it is passive.
+    fn flush_profile(&mut self) {
+        let (now, executed, spans) = (self.now, self.executed, self.skip_spans);
+        let (t0, e0, s0) = std::mem::replace(&mut self.flushed, (now, executed, spans));
+        let probes = std::mem::take(&mut self.probes);
+        let probe_ns = std::mem::take(&mut self.probe_ns);
+        let comps = &mut self.comps;
+        self.instr.prof.add(|p| {
+            p.ticks_executed += executed - e0;
+            p.ticks_skipped += (now - t0) - (executed - e0);
+            p.skip_spans += spans - s0;
+            p.probes += probes;
+            p.probe_ns += probe_ns;
+            for slot in comps {
+                let c = p.comp_mut(slot.comp.name());
+                c.host_ns += std::mem::take(&mut slot.host_ns);
+                c.wakes += std::mem::take(&mut slot.wakes);
+                if !slot.comp.passive() {
+                    c.active_ticks += executed - e0;
+                }
+            }
+        });
     }
 
     /// Records every window boundary below `now` into the sampler. Ticks
@@ -365,15 +412,17 @@ impl<W> Scheduler<W> {
     /// the components up to the first one due. With the sanitizer on the
     /// fold visits every component and checks each candidate for a wake
     /// in the past; the minimum is the same. The profiler times the probe
-    /// and attributes it to the component the fold settles on.
-    pub fn next_wake(&self, world: &W) -> Option<Tick> {
-        let t0 = self.instr.prof.on().then(Instant::now);
+    /// and counts a wake for the component the fold settles on.
+    pub fn next_wake(&mut self, world: &W) -> Option<Tick> {
+        if !self.instr.prof.on() {
+            return self.wake_fold(world).0;
+        }
+        let t0 = Instant::now();
         let (w, argmin) = self.wake_fold(world);
-        if let Some(t0) = t0 {
-            self.instr.prof.record_probe(
-                t0.elapsed().as_nanos() as u64,
-                argmin.map(|i| self.prof_slots[i]),
-            );
+        self.probes += 1;
+        self.probe_ns += t0.elapsed().as_nanos() as u64;
+        if let Some(k) = argmin {
+            self.comps[k].wakes += 1;
         }
         w
     }
@@ -483,7 +532,19 @@ impl<W> Scheduler<W> {
     /// skip-ahead off the sanitizer still probes where a skipping run
     /// would, unseen by the profiler, and ticks its way to the promised
     /// wake instead of jumping, so both settings check the same ticks.
+    /// The profiler gets the loop's counts once, when it returns.
     fn run(
+        &mut self,
+        world: &mut W,
+        target: Option<Tick>,
+        done: impl FnMut(&Self, &W) -> bool,
+    ) -> Result<(), Stop> {
+        let r = self.run_loop(world, target, done);
+        self.flush_profile();
+        r
+    }
+
+    fn run_loop(
         &mut self,
         world: &mut W,
         target: Option<Tick>,
@@ -534,9 +595,7 @@ impl<W> Scheduler<W> {
                 if to > self.now && !self.skip {
                     promised = Some(to);
                 } else if to > self.now {
-                    if self.instr.prof.on() {
-                        self.instr.prof.record_skip(to - self.now);
-                    }
+                    self.skip_spans += 1;
                     self.now = to;
                     self.sample_passed(world);
                     if let Some(r) = self.halt(world, target, &mut done) {
@@ -547,7 +606,7 @@ impl<W> Scheduler<W> {
                     }
                 }
             }
-            self.tick(world);
+            self.step(world);
         }
     }
 

@@ -9,11 +9,16 @@
 //!
 //! A [`Profiler`] is one member of the scheduler's
 //! [`Instruments`](crate::component::Instruments) bundle, next to the
-//! tracer, the sanitizer and the explain sampler, with the same cost
-//! model: a disabled profiler is a `None` inside a cheap cloneable
-//! handle, so the tick loop pays one branch per tick and nothing else. Enabled (via `DISTDA_OBS` or
-//! programmatically), the scheduler times every component's `tick()` with
-//! the host monotonic clock and folds the numbers here.
+//! tracer, the sanitizer and the explain sampler. It holds no counters of
+//! its own: the [`Scheduler`](crate::component::Scheduler) counts executed
+//! and skipped ticks whether or not anyone profiles it, and with a
+//! profiler attached (via `DISTDA_OBS` or programmatically) also times
+//! every component's `tick()` and every wake probe with the host
+//! monotonic clock, in plain fields. It adds those counts to the shared
+//! [`ProfileSnapshot`] once, when a run loop or a public `tick` returns
+//! (and before a component registers or the instruments change), so the
+//! tick loop never takes a lock and a disabled profiler costs one branch
+//! per tick.
 //!
 //! Profiling is measurement-only by construction: it reads the host clock
 //! and counts scheduler decisions, but never influences them — simulated
@@ -33,23 +38,7 @@
 use crate::time::Tick;
 use std::sync::{Arc, Mutex};
 
-#[derive(Debug)]
-struct SlotState {
-    name: String,
-    host_ns: u64,
-    active_ticks: u64,
-    wakes: u64,
-}
-
-#[derive(Debug)]
-struct ProfState {
-    slots: Vec<SlotState>,
-    ticks_executed: u64,
-    ticks_skipped: u64,
-    skip_spans: u64,
-    probes: u64,
-    probe_ns: u64,
-}
+const POISONED: &str = "a run panicked while adding to the profiler";
 
 /// One component's profile, as captured in a [`ProfileSnapshot`].
 #[derive(Debug, Clone)]
@@ -87,14 +76,33 @@ impl ProfileSnapshot {
     pub fn total_host_ns(&self) -> u64 {
         self.comps.iter().map(|c| c.host_ns).sum()
     }
+
+    /// The entry of component `name`, appended zeroed on first use:
+    /// registrations under one name merge.
+    pub(crate) fn comp_mut(&mut self, name: &str) -> &mut ComponentProfile {
+        let i = match self.comps.iter().position(|c| c.name == name) {
+            Some(i) => i,
+            None => {
+                self.comps.push(ComponentProfile {
+                    name: name.to_string(),
+                    host_ns: 0,
+                    active_ticks: 0,
+                    wakes: 0,
+                });
+                self.comps.len() - 1
+            }
+        };
+        &mut self.comps[i]
+    }
 }
 
 /// The self-profiling handle threaded through the scheduler's
-/// [`Instruments`](crate::component::Instruments). Cheap to clone;
-/// disabled by default.
+/// [`Instruments`](crate::component::Instruments): the totals every
+/// scheduler it is attached to adds into. Cheap to clone; disabled by
+/// default.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    shared: Option<Arc<Mutex<ProfState>>>,
+    shared: Option<Arc<Mutex<ProfileSnapshot>>>,
 }
 
 impl Profiler {
@@ -103,11 +111,11 @@ impl Profiler {
         Self::default()
     }
 
-    /// A live profiler with empty state.
+    /// A live profiler with empty totals.
     pub fn enabled() -> Self {
         Self {
-            shared: Some(Arc::new(Mutex::new(ProfState {
-                slots: Vec::new(),
+            shared: Some(Arc::new(Mutex::new(ProfileSnapshot {
+                comps: Vec::new(),
                 ticks_executed: 0,
                 ticks_skipped: 0,
                 skip_spans: 0,
@@ -123,54 +131,10 @@ impl Profiler {
         self.shared.is_some()
     }
 
-    /// Registers (or reuses, by name) a component slot and returns its
-    /// index. Returns 0 on a disabled profiler — callers only use the
-    /// index back through a profiler that is on.
-    pub fn register(&self, name: &str) -> usize {
-        let Some(shared) = &self.shared else { return 0 };
-        let mut st = shared.lock().unwrap();
-        if let Some(i) = st.slots.iter().position(|s| s.name == name) {
-            return i;
-        }
-        st.slots.push(SlotState {
-            name: name.to_string(),
-            host_ns: 0,
-            active_ticks: 0,
-            wakes: 0,
-        });
-        st.slots.len() - 1
-    }
-
-    /// Records one executed base tick: `(slot, host_ns)` per component
-    /// ticked. One lock per tick.
-    pub fn record_tick(&self, slot_ns: &[(usize, u64)]) {
-        let Some(shared) = &self.shared else { return };
-        let mut st = shared.lock().unwrap();
-        for &(slot, ns) in slot_ns {
-            let s = &mut st.slots[slot];
-            s.host_ns += ns;
-            s.active_ticks += 1;
-        }
-        st.ticks_executed += 1;
-    }
-
-    /// Records one skip-ahead jump over `span` base ticks.
-    pub fn record_skip(&self, span: u64) {
-        let Some(shared) = &self.shared else { return };
-        let mut st = shared.lock().unwrap();
-        st.ticks_skipped += span;
-        st.skip_spans += 1;
-    }
-
-    /// Records one `next_wake` probe: its host cost and, if any, the slot
-    /// of the component whose event was the chosen wake target.
-    pub fn record_probe(&self, ns: u64, woke: Option<usize>) {
-        let Some(shared) = &self.shared else { return };
-        let mut st = shared.lock().unwrap();
-        st.probes += 1;
-        st.probe_ns += ns;
-        if let Some(slot) = woke {
-            st.slots[slot].wakes += 1;
+    /// Adds a scheduler's counts to the totals, under one lock.
+    pub(crate) fn add(&self, f: impl FnOnce(&mut ProfileSnapshot)) {
+        if let Some(shared) = &self.shared {
+            f(&mut shared.lock().expect(POISONED));
         }
     }
 
@@ -179,24 +143,7 @@ impl Profiler {
     /// because the benchmark sweep (`benchmark/src/sweep.rs`) calls this
     /// signature.
     pub fn snapshot_at(&self, _now: Tick) -> Option<ProfileSnapshot> {
-        let st = self.shared.as_ref()?.lock().unwrap();
-        Some(ProfileSnapshot {
-            comps: st
-                .slots
-                .iter()
-                .map(|s| ComponentProfile {
-                    name: s.name.clone(),
-                    host_ns: s.host_ns,
-                    active_ticks: s.active_ticks,
-                    wakes: s.wakes,
-                })
-                .collect(),
-            ticks_executed: st.ticks_executed,
-            ticks_skipped: st.ticks_skipped,
-            skip_spans: st.skip_spans,
-            probes: st.probes,
-            probe_ns: st.probe_ns,
-        })
+        Some(self.shared.as_ref()?.lock().expect(POISONED).clone())
     }
 }
 
@@ -256,50 +203,47 @@ mod tests {
     fn disabled_profiler_is_inert() {
         let p = Profiler::disabled();
         assert!(!p.on());
-        assert_eq!(p.register("x"), 0);
-        p.record_tick(&[(0, 5)]);
-        p.record_skip(10);
-        p.record_probe(3, Some(0));
+        p.add(|_| panic!("a disabled profiler has no totals"));
         assert!(p.snapshot_at(0).is_none());
     }
 
     #[test]
-    fn register_merges_by_name() {
+    fn entries_merge_by_name_in_first_use_order() {
         let p = Profiler::enabled();
-        let a = p.register("mem");
-        let b = p.register("noc");
-        let a2 = p.register("mem");
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
+        p.add(|s| {
+            s.comp_mut("mem").active_ticks += 2;
+            s.comp_mut("noc").wakes += 1;
+            s.comp_mut("mem").active_ticks += 3;
+        });
+        let s = p.snapshot_at(0).unwrap();
+        let names: Vec<_> = s.comps.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["mem", "noc"]);
+        assert_eq!(s.comps[0].active_ticks, 5);
+        assert_eq!(s.comps[1].wakes, 1);
     }
 
     #[test]
-    fn ticks_and_wakes_accumulate() {
+    fn clones_share_totals() {
         let p = Profiler::enabled();
-        let a = p.register("a");
-        let b = p.register("b");
-        p.record_tick(&[(a, 100), (b, 50)]);
-        p.record_tick(&[(a, 100), (b, 50)]);
-        p.record_skip(40);
-        p.record_probe(7, Some(b));
+        let q = p.clone();
+        p.add(|s| s.ticks_executed += 2);
+        q.add(|s| {
+            s.ticks_executed += 3;
+            s.comp_mut("a").host_ns += 100;
+        });
         let s = p.snapshot_at(42).unwrap();
-        assert_eq!(s.comps[a].host_ns, 200);
-        assert_eq!(s.comps[a].active_ticks, 2);
-        assert_eq!(s.comps[b].wakes, 1);
-        assert_eq!(s.ticks_executed, 2);
-        assert_eq!(s.ticks_skipped, 40);
-        assert_eq!(s.skip_spans, 1);
-        assert_eq!(s.probes, 1);
-        assert_eq!(s.probe_ns, 7);
-        assert_eq!(s.total_host_ns(), 300);
+        assert_eq!(s.ticks_executed, 5);
+        assert_eq!(s.total_host_ns(), 100);
     }
 
     #[test]
     fn table_renders_sorted_with_footer() {
         let p = Profiler::enabled();
-        let a = p.register("small");
-        let b = p.register("big");
-        p.record_tick(&[(a, 10), (b, 990)]);
+        p.add(|s| {
+            s.comp_mut("small").host_ns += 10;
+            s.comp_mut("big").host_ns += 990;
+            s.ticks_executed += 1;
+        });
         let s = p.snapshot_at(1).unwrap();
         let t = render_table(&s);
         let big_at = t.find("big").unwrap();
@@ -307,17 +251,5 @@ mod tests {
         assert!(big_at < small_at, "rows must sort by host_ns:\n{t}");
         assert!(t.contains("executed"));
         assert!(t.contains("wake probes"));
-    }
-
-    #[test]
-    fn invariant_active_ticks_bounded_by_executed() {
-        let p = Profiler::enabled();
-        let a = p.register("a");
-        p.record_tick(&[(a, 1)]);
-        p.record_tick(&[]); // a registered but not ticked this round
-        let s = p.snapshot_at(2).unwrap();
-        assert!(s.comps.iter().all(|c| c.active_ticks <= s.ticks_executed));
-        let sum: u64 = s.comps.iter().map(|c| c.active_ticks).sum();
-        assert!(sum <= s.ticks_executed * s.comps.len() as u64);
     }
 }

@@ -700,6 +700,8 @@ impl Component<MachineState> for MeshComp {
 pub struct Machine {
     sched: Scheduler<MachineState>,
     st: MachineState,
+    /// Ticks charged to each machine phase, in first-charge order.
+    phases: Vec<(&'static str, Tick)>,
 }
 
 impl Machine {
@@ -762,7 +764,11 @@ impl Machine {
         sched.register(stage::MEM, Box::new(MemComp), &mut st);
         sched.register(stage::NET_OUT, Box::new(NetOutComp), &mut st);
         sched.register(stage::MESH, Box::new(MeshComp), &mut st);
-        Self { sched, st }
+        Self {
+            sched,
+            st,
+            phases: Vec::new(),
+        }
     }
 
     /// Current base tick.
@@ -1221,10 +1227,32 @@ impl Machine {
         let t0 = self.now();
         self.advance_ticks(ticks);
         if words > 0 {
-            self.st
-                .sink
-                .span(t0, self.now(), EventKind::MmioTransfer { words });
+            self.charge_phase(t0, EventKind::MmioTransfer { words });
         }
+    }
+
+    /// Charges the ticks since `t0` to a machine phase: one span on the
+    /// machine track, and its length in the phase ledger under the span's
+    /// label (a zero-tick phase adds no entry).
+    fn charge_phase(&mut self, t0: Tick, kind: EventKind) {
+        let now = self.now();
+        if now > t0 {
+            let label = match kind {
+                EventKind::KernelPhase { phase } => phase,
+                _ => kind.category(),
+            };
+            match self.phases.iter_mut().find(|(l, _)| *l == label) {
+                Some((_, t)) => *t += now - t0,
+                None => self.phases.push((label, now - t0)),
+            }
+        }
+        self.st.sink.span(t0, now, kind);
+    }
+
+    /// Ticks charged to each machine phase so far (`kernel_phase` labels
+    /// and `mmio`); the run's other ticks belong to no phase.
+    pub(crate) fn phases(&self) -> &[(&'static str, Tick)] {
+        &self.phases
     }
 
     /// Carry scalars of each partition of a configured plan (the values the
@@ -1310,9 +1338,7 @@ impl Machine {
             .run_until(&mut self.st, done)
             .map_err(|s| Self::map_stop(phase, s));
         if r.is_ok() {
-            self.st
-                .sink
-                .span(t0, self.now(), EventKind::KernelPhase { phase });
+            self.charge_phase(t0, EventKind::KernelPhase { phase });
             // A violation flagged on the final tick (after the loop's last
             // check) must still fail the phase.
             self.check_sanitizer(phase)?;
@@ -1378,9 +1404,7 @@ impl Machine {
         self.sched
             .drain(&mut self.st)
             .map_err(|s| Self::map_stop("drain", s))?;
-        self.st
-            .sink
-            .span(t0, self.now(), EventKind::KernelPhase { phase: "drain" });
+        self.charge_phase(t0, EventKind::KernelPhase { phase: "drain" });
         Ok(())
     }
 

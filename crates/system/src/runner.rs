@@ -24,6 +24,7 @@ use distda_noc::TrafficClass;
 use distda_sim::component::Instruments;
 use distda_sim::time::{ticks_to_ns, ClockDomain, Tick};
 use distda_sim::{Profiler, Report, Sampler};
+use distda_trace::summary::Attribution;
 use distda_trace::Tracer;
 use std::collections::HashMap;
 
@@ -177,6 +178,9 @@ impl RunSpec<'_> {
 pub struct Run {
     /// Everything measured.
     pub result: RunResult,
+    /// The run's ticks split into machine phases (host segments, offload,
+    /// MMIO, drain) and `other`.
+    pub attribution: Attribution,
     /// The simulated final memory image.
     pub memory: Memory,
     /// The simulated live-out scalar values.
@@ -339,35 +343,13 @@ pub fn try_simulate(
 
     let ticks = machine.now();
     let tracer = &spec.tracer;
-    // Tick-attribution partition invariant: with full event history, the
-    // machine-track phase spans plus the `other` remainder must account
-    // for exactly the run's ticks — neither a shortfall nor an
-    // over-accounting masked by the old `saturating_sub`.
-    if san.on() && tracer.is_enabled() {
-        let attr = distda_trace::summary::phase_attribution(tracer, ticks);
-        if attr.complete {
-            let sum: Tick = attr.parts.iter().map(|(_, t)| *t).sum();
-            san.check(
-                sum == ticks && !attr.over_accounted,
-                "trace",
-                "attribution-partition",
-                ticks,
-                || {
-                    format!(
-                        "phase attribution sums to {sum} of {ticks} ticks (over_accounted={})",
-                        attr.over_accounted
-                    )
-                },
-            );
-        }
-        if san.count() > 0 {
-            return Err(SimError::InvariantViolation {
-                phase: "post-run",
-                now: ticks,
-                count: san.count(),
-                report: san.render(),
-            });
-        }
+    // Causal attribution: with an attached sampler the drained machine's
+    // port topology, engine counters and windowed samples become a ranked
+    // causal tree.
+    let obs = spec.sampler.on().then(|| machine.observation());
+    let explanation = obs.as_ref().map(distda_explain::analyze);
+    if san.on() {
+        check_tick_accounting(&san, ticks, machine.phases(), explanation.as_ref())?;
     }
     let mut report = Report::new();
     report.merge_prefixed("mem", &machine.mem().report());
@@ -389,49 +371,24 @@ pub fn try_simulate(
     if tracer.is_enabled() {
         report.merge_prefixed("trace", &tracer.metrics_report());
     }
-    // Causal attribution (`explain.*`): with an attached sampler the
-    // drained machine's port topology, engine counters and windowed
-    // samples become a ranked causal tree. An accounting violation
-    // (blamed + busy exceeding the run) escalates through the sanitizer
-    // like every other conservation law.
-    let explanation = if spec.sampler.on() {
-        let obs = machine.observation();
-        let x = distda_explain::analyze(&obs);
-        if san.on() {
-            for v in &x.violations {
-                san.check(false, "explain", "tick-accounting", ticks, || v.clone());
-            }
-            if san.count() > 0 {
-                return Err(SimError::InvariantViolation {
-                    phase: "explain-accounting",
-                    now: ticks,
-                    count: san.count(),
-                    report: san.render(),
-                });
-            }
-        }
-        report.merge_prefixed("explain", &distda_explain::to_report(&x));
+    if let (Some(obs), Some(x)) = (&obs, &explanation) {
+        report.merge_prefixed("explain", &distda_explain::to_report(x));
         // Counter tracks: the sampled windows become `explain` series in
         // the trace registry, rendered as Perfetto counter tracks by the
         // Chrome exporter next to the run's slices.
-        if tracer.is_enabled() {
-            if let Some(d) = &obs.samples {
-                let sink = tracer.sink("explain");
-                for w in &d.windows {
-                    for (p, pt) in d.port_names.iter().zip(&w.ports) {
-                        sink.sample(w.at, &format!("{p}.stalls"), pt.stalls as f64);
-                        sink.sample(w.at, &format!("{p}.len"), pt.len as f64);
-                    }
-                    for (c, v) in d.counter_names.iter().zip(&w.counters) {
-                        sink.sample(w.at, c, *v as f64);
-                    }
+        if let Some(d) = obs.samples.as_ref().filter(|_| tracer.is_enabled()) {
+            let sink = tracer.sink("explain");
+            for w in &d.windows {
+                for (p, pt) in d.port_names.iter().zip(&w.ports) {
+                    sink.sample(w.at, &format!("{p}.stalls"), pt.stalls as f64);
+                    sink.sample(w.at, &format!("{p}.len"), pt.len as f64);
+                }
+                for (c, v) in d.counter_names.iter().zip(&w.counters) {
+                    sink.sample(w.at, c, *v as f64);
                 }
             }
         }
-        Some(x)
-    } else {
-        None
-    };
+    }
 
     let result = RunResult {
         kernel: prog.name.clone(),
@@ -454,6 +411,7 @@ pub fn try_simulate(
     };
     let run = Run {
         result,
+        attribution: Attribution::new(machine.phases(), ticks),
         memory: machine.into_memimg(),
         scalars: eval_scalars,
         explanation,
@@ -502,6 +460,47 @@ pub fn try_simulate_instrumented(
         sampler: sampler.clone(),
     };
     try_simulate(prog, init, cfg, &spec).map(|run| (run.result, run.memory, run.scalars))
+}
+
+/// The post-run `tick-accounting` rule, the one check over the run's tick
+/// ledgers: the machine's `phases` fit in its `ticks`, and so does every
+/// engine's blamed plus busy time in the causal tree `x`. The `other`
+/// phase, each engine's idle time and the profiler's skipped ticks are
+/// remainders of these ledgers, so they cannot over-account.
+///
+/// # Errors
+///
+/// [`SimError::InvariantViolation`] with phase `post-run` when `san`
+/// holds any violation.
+fn check_tick_accounting(
+    san: &Sanitizer,
+    ticks: Tick,
+    phases: &[(&str, Tick)],
+    x: Option<&Explanation>,
+) -> Result<(), SimError> {
+    let phased: Tick = phases.iter().map(|(_, t)| t).sum();
+    san.check(phased <= ticks, "machine", "tick-accounting", ticks, || {
+        format!("phases charge {phased} of {ticks} ticks")
+    });
+    for e in x.map_or(&[][..], |x| &x.engines) {
+        let (blamed, busy) = (e.blamed_ticks, e.busy_ticks);
+        san.check(
+            blamed + busy <= ticks,
+            &e.name,
+            "tick-accounting",
+            ticks,
+            || format!("blamed {blamed} + busy {busy} ticks exceed the run's {ticks}"),
+        );
+    }
+    if san.count() > 0 {
+        return Err(SimError::InvariantViolation {
+            phase: "post-run",
+            now: ticks,
+            count: san.count(),
+            report: san.render(),
+        });
+    }
+    Ok(())
 }
 
 /// Writes each artifact the environment asks for of a finished run: the
@@ -1442,6 +1441,42 @@ mod tests {
                 assert!(report.contains(&format!("({},", slow.ticks)), "{report}");
             }
             other => panic!("expected a skip-cross-check violation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overrunning_ledgers_break_the_tick_accounting_rule() {
+        use distda_explain::{EngineObs, Observation};
+        let engine = |busy_ticks| Observation {
+            ticks: 100,
+            engines: vec![EngineObs {
+                name: "engine.0".into(),
+                busy_ticks,
+                period_ticks: 1,
+            }],
+            ..Observation::default()
+        };
+        let fits = distda_explain::analyze(&engine(100));
+        let overruns = distda_explain::analyze(&engine(101));
+        let check = |phases: &[(&str, Tick)], x| {
+            let san = Sanitizer::enabled();
+            check_tick_accounting(&san, 100, phases, Some(x))
+        };
+        assert!(check(&[("offload", 60), ("mmio", 40)], &fits).is_ok());
+        // An over-accounted phase ledger, then an over-accounted engine.
+        for r in [
+            check(&[("offload", 60), ("mmio", 41)], &fits),
+            check(&[("offload", 60)], &overruns),
+        ] {
+            match r {
+                Err(SimError::InvariantViolation {
+                    phase: "post-run",
+                    count: 1,
+                    report,
+                    ..
+                }) => assert!(report.contains("tick-accounting"), "{report}"),
+                other => panic!("expected a tick-accounting violation, got {other:?}"),
+            }
         }
     }
 }

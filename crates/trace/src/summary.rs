@@ -1,13 +1,13 @@
 //! Plain-text summaries: a top-N digest of the busiest events, counters
-//! and latency histograms per component, and a cycle-exact stall/phase
+//! and latency histograms per component, and a cycle-exact phase
 //! attribution for a run.
 //!
-//! Attribution relies on the machine's emission discipline: the `machine`
-//! track's `kernel_phase` and `mmio` spans are sequential and disjoint by
-//! construction, so summing their durations per label and assigning the
-//! remainder to `other` partitions every base tick of the run exactly.
+//! The attribution reads the machine's phase ledger, not the event ring:
+//! the machine charges every `kernel_phase` and `mmio` span's ticks to
+//! its label as it emits the span, and the spans are sequential and
+//! disjoint, so the labelled buckets plus the `other` remainder partition
+//! every base tick of the run, traced or not.
 
-use crate::event::EventKind;
 use crate::Tick;
 use crate::{ComponentDump, Tracer};
 use std::collections::BTreeMap;
@@ -16,62 +16,24 @@ use std::fmt::Write as _;
 /// A partition of a run's ticks into labelled buckets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribution {
-    /// `(label, ticks)` buckets, largest first; includes `other`.
+    /// `(label, ticks)` buckets, largest first, then `other`.
     pub parts: Vec<(String, Tick)>,
     /// Total ticks of the run (the sum of all parts).
     pub total: Tick,
-    /// Whether the event ring shed history, making the split a floor.
-    pub complete: bool,
-    /// Labelled spans summed to *more* than the claimed run length —
-    /// overlapping phase spans or a wrong total. The `other` bucket
-    /// saturates to zero in that case, which used to mask the condition
-    /// entirely; the flag keeps the invariant checkable.
-    pub over_accounted: bool,
 }
 
-/// Attributes every tick of a `total`-tick run to a machine phase.
-///
-/// Sums the durations of `kernel_phase` and `mmio` spans on every traced
-/// track whose name starts with `machine`, per display label, and assigns
-/// the unaccounted remainder to `other`.
-pub fn phase_attribution(tracer: &Tracer, total: Tick) -> Attribution {
-    attribution_from(&tracer.components(), total)
-}
-
-/// [`phase_attribution`] over a pre-snapshotted component list.
-pub fn attribution_from(comps: &[ComponentDump], total: Tick) -> Attribution {
-    let mut sums: BTreeMap<String, Tick> = BTreeMap::new();
-    let mut complete = true;
-    for c in comps.iter().filter(|c| c.name.starts_with("machine")) {
-        if c.dropped > 0 {
-            complete = false;
-        }
-        for e in &c.events {
-            let attributed = matches!(
-                e.kind,
-                EventKind::KernelPhase { .. } | EventKind::MmioTransfer { .. }
-            );
-            if attributed && !e.is_instant() {
-                *sums.entry(e.kind.display_name()).or_insert(0) += e.duration();
-            }
-        }
-    }
-    let accounted: Tick = sums.values().sum();
-    let mut parts: Vec<(String, Tick)> = sums.into_iter().collect();
-    parts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    // Underflow is possible here by design: overlapping spans (or a
-    // `total` measured over a narrower window than the trace) can
-    // over-account the run. That case is reported explicitly through
-    // `over_accounted` — `other` clamps to zero instead of wrapping, and
-    // `total` widens to cover what was actually attributed.
-    let over_accounted = accounted > total;
-    let other = if over_accounted { 0 } else { total - accounted };
-    parts.push(("other".to_string(), other));
-    Attribution {
-        parts,
-        total: total.max(accounted),
-        complete,
-        over_accounted,
+impl Attribution {
+    /// Splits a `total`-tick run into the `(label, ticks)` phases of a
+    /// ledger, largest first, and `other`, the remainder. Phases that
+    /// overrun the run are the sanitizer's `tick-accounting` violation;
+    /// `other` is zero then.
+    pub fn new(phases: &[(&str, Tick)], total: Tick) -> Self {
+        let mut parts: Vec<(String, Tick)> =
+            phases.iter().map(|&(l, t)| (l.to_string(), t)).collect();
+        parts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let phased: Tick = phases.iter().map(|(_, t)| t).sum();
+        parts.push(("other".to_string(), total.saturating_sub(phased)));
+        Self { parts, total }
     }
 }
 
@@ -94,12 +56,6 @@ pub fn render_attribution(attr: &Attribution) -> String {
         let _ = writeln!(out, "  {label:width$}  {ticks:>14}  {pct:6.2}%");
     }
     let _ = writeln!(out, "  {:width$}  {:>14}  100.00%", "total", attr.total);
-    if !attr.complete {
-        out.push_str("  (event ring overflowed; labelled shares are lower bounds)\n");
-    }
-    if attr.over_accounted {
-        out.push_str("  (WARNING: labelled spans exceed the run length)\n");
-    }
     out
 }
 
@@ -164,60 +120,43 @@ mod tests {
     use super::*;
     use crate::{EventKind, Tracer};
 
-    fn machine_tracer() -> Tracer {
-        let t = Tracer::enabled();
-        let m = t.sink("machine");
-        m.span(
-            0,
-            40,
-            EventKind::KernelPhase {
-                phase: "host-segment",
-            },
-        );
-        m.span(40, 50, EventKind::MmioTransfer { words: 8 });
-        m.span(50, 90, EventKind::KernelPhase { phase: "offload" });
-        t
-    }
+    const PHASES: [(&str, Tick); 3] = [("offload", 40), ("mmio", 10), ("host-segment", 40)];
 
     #[test]
     fn attribution_partitions_total_exactly() {
-        let attr = phase_attribution(&machine_tracer(), 100);
+        let attr = Attribution::new(&PHASES, 100);
         let sum: Tick = attr.parts.iter().map(|(_, t)| t).sum();
         assert_eq!(sum, 100);
         assert_eq!(attr.total, 100);
-        let other = attr.parts.iter().find(|(l, _)| l == "other").unwrap();
-        assert_eq!(other.1, 10);
-        assert!(attr.complete);
+        assert_eq!(attr.parts.last().unwrap(), &("other".to_string(), 10));
     }
 
     #[test]
     fn attribution_sorts_largest_first() {
-        let attr = phase_attribution(&machine_tracer(), 100);
-        assert_eq!(attr.parts[0].0, "host-segment");
-        assert_eq!(attr.parts[0].1, 40);
+        let attr = Attribution::new(&PHASES, 100);
+        let labels: Vec<_> = attr.parts.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, ["host-segment", "offload", "mmio", "other"]);
     }
 
     #[test]
-    fn over_accounting_is_flagged_not_masked() {
-        // Spans sum to 90 ticks; claim the run was only 50.
-        let attr = phase_attribution(&machine_tracer(), 50);
-        assert!(attr.over_accounted);
-        assert_eq!(attr.total, 90);
-        let other = attr.parts.iter().find(|(l, _)| l == "other").unwrap();
-        assert_eq!(other.1, 0);
-        assert!(render_attribution(&attr).contains("WARNING"));
-        assert!(!phase_attribution(&machine_tracer(), 100).over_accounted);
+    fn overrun_leaves_no_other() {
+        // Phases sum to 90 ticks; claim the run was only 50.
+        let attr = Attribution::new(&PHASES, 50);
+        assert_eq!(attr.total, 50);
+        assert_eq!(attr.parts.last().unwrap().1, 0);
     }
 
     #[test]
     fn render_lists_components_and_counters() {
-        let t = machine_tracer();
+        let t = Tracer::enabled();
+        let m = t.sink("machine");
+        m.span(0, 40, EventKind::KernelPhase { phase: "offload" });
         t.sink("noc").count("flits", 12);
         let text = render(&t, 5);
         assert!(text.contains("[machine]"));
         assert!(text.contains("[noc]"));
         assert!(text.contains("flits"));
-        let attr_text = render_attribution(&phase_attribution(&t, 100));
+        let attr_text = render_attribution(&Attribution::new(&PHASES, 100));
         assert!(attr_text.contains("100.00%"));
     }
 }
