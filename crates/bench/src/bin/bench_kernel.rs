@@ -2,9 +2,10 @@
 //! 100%-busy machine and a 99%-idle machine separately, so busy-path
 //! (dispatch and early-exit probe) and skip-ahead wins are visible as
 //! distinct numbers.
-//! The same measurement runs at the end of `reproduce`, which embeds the
-//! results in `BENCH_simspeed.json`; this binary is the quick standalone
-//! form.
+//! The repository benchmark's traced runs report the same measurement as
+//! `sim.busy_dispatch_ticks_per_s` and `sim.idle_skip_ticks_per_s`, which
+//! `obs record` keeps in `BENCH_simspeed.json`; this binary is the quick
+//! standalone form.
 //!
 //! ```text
 //! cargo run --release -p distda-bench --bin bench_kernel
@@ -26,5 +27,4 @@ fn main() {
         kb.idle_secs,
         kb.idle_ticks_per_sec()
     );
-    println!("kernel_bench json block:\n{}", kb.render_json_block());
 }

@@ -1,9 +1,9 @@
 //! Regenerates every table and figure of the paper's evaluation in one
-//! run, writing each to `results/`.
+//! run, writing each to `results/`, plus the deterministic run log
+//! `results/reproduce.log`, its wall-clock companion
+//! `results/reproduce_timing.log` and one run manifest per simulated run.
 
-use distda_bench::{
-    emit, figures, paper_configs, run_kernel_bench, run_suite_matrix, write_simspeed,
-};
+use distda_bench::{emit, figures, paper_configs, run_suite_matrix, write_run_logs};
 use distda_workloads::Scale;
 
 fn main() {
@@ -38,9 +38,6 @@ fn main() {
     emit("table_area.txt", &figures::table_area());
     eprintln!("[6/6] working-set sweep...");
     emit("sweep_working_set.txt", &figures::sweep_working_set());
-    let wall = t0.elapsed().as_secs_f64();
-    eprintln!("scheduler micro-bench (busy/idle synthetic machines)...");
-    let kb = run_kernel_bench();
-    write_simspeed(wall, Some(&kb));
+    write_run_logs(t0.elapsed().as_secs_f64());
     eprintln!("done — see results/");
 }

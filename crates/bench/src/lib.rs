@@ -346,14 +346,11 @@ fn sort_rows(rows: &mut [RunTiming]) {
 pub fn render_run_log(rows: &[RunTiming]) -> String {
     let mut rows: Vec<RunTiming> = rows.to_vec();
     sort_rows(&mut rows);
-    let mut log = String::new();
     use std::fmt::Write as _;
-    writeln!(
-        log,
-        "{:<14} {:<20} {:>16}",
+    let mut log = format!(
+        "{:<14} {:<20} {:>16}\n",
         "kernel", "config", "simulated_ticks"
-    )
-    .unwrap();
+    );
     let mut total_ticks = 0u64;
     for r in &rows {
         writeln!(log, "{:<14} {:<20} {:>16}", r.kernel, r.config, r.ticks).unwrap();
@@ -370,20 +367,18 @@ pub fn render_run_log(rows: &[RunTiming]) -> String {
 }
 
 /// Renders the wall-clock companion log (host seconds and ticks/sec per
-/// run, worker count, wall time). Inherently nondeterministic — kept out
-/// of `reproduce.log` so that file stays byte-stable.
+/// run; worker count, wall time and the aggregate simulated ticks per
+/// wall-clock second). Inherently nondeterministic — kept out of
+/// `reproduce.log` so that file stays byte-stable.
 pub fn render_timing_log(rows: &[RunTiming], total_wall_secs: f64) -> String {
     let mut rows: Vec<RunTiming> = rows.to_vec();
     sort_rows(&mut rows);
-    let mut log = String::new();
     use std::fmt::Write as _;
-    writeln!(
-        log,
-        "{:<14} {:<20} {:>12} {:>16} {:>14}",
+    let mut log = format!(
+        "{:<14} {:<20} {:>12} {:>16} {:>14}\n",
         "kernel", "config", "host_secs", "simulated_ticks", "ticks_per_sec"
-    )
-    .unwrap();
-    let mut sim_secs = 0.0f64;
+    );
+    let (mut sim_secs, mut total_ticks) = (0.0f64, 0u64);
     for r in &rows {
         let tps = if r.host_secs > 0.0 {
             r.ticks as f64 / r.host_secs
@@ -397,76 +392,31 @@ pub fn render_timing_log(rows: &[RunTiming], total_wall_secs: f64) -> String {
         )
         .unwrap();
         sim_secs += r.host_secs;
+        total_ticks += r.ticks;
     }
+    let tps = total_ticks as f64 / total_wall_secs;
+    let (runs, workers) = (rows.len(), sweep_threads());
     writeln!(
         log,
-        "total: {} runs, {:.2}s simulating across {} workers, {:.2}s wall",
-        rows.len(),
-        sim_secs,
-        sweep_threads(),
-        total_wall_secs
+        "total: {runs} runs, {sim_secs:.2}s simulating across {workers} workers, {total_wall_secs:.2}s wall, {tps:.3e} simulated ticks/s"
     )
     .unwrap();
     log
 }
 
-/// Renders the `BENCH_simspeed.json` document: the aggregate throughput
-/// numbers the regression gate diffs, plus a `meta` block recording what
-/// produced them (git revision, UTC date, thread count, `DISTDA_*`
-/// policies in force). When scheduler micro-bench timings are supplied
-/// they are embedded as a `kernel_bench` object, keeping the busy-path
-/// and skip-ahead numbers distinct from the blended sweep figure.
-pub fn render_simspeed_json(
-    rows: &[RunTiming],
-    total_wall_secs: f64,
-    kernel: Option<&KernelBench>,
-) -> String {
-    let sim_secs: f64 = rows.iter().map(|r| r.host_secs).sum();
-    let total_ticks: u64 = rows.iter().map(|r| r.ticks).sum();
-    let kernel_block = match kernel {
-        Some(kb) => format!("  \"kernel_bench\": {},\n", kb.render_json_block()),
-        None => String::new(),
-    };
-    format!(
-        concat!(
-            "{{\n  \"threads\": {},\n  \"runs\": {},\n  \"wall_secs\": {:.3},\n",
-            "  \"sim_secs_sum\": {:.3},\n  \"sims_per_sec\": {:.4},\n",
-            "  \"simulated_ticks\": {},\n  \"simulated_ticks_per_sec\": {:.1},\n",
-            "{}",
-            "  \"meta\": {{\n    \"git_rev\": \"{}\",\n    \"date_utc\": \"{}\",\n",
-            "    \"threads_env\": {},\n    \"skip\": {},\n    \"sanitize\": {},\n",
-            "    \"validate\": {}\n  }}\n}}\n"
-        ),
-        sweep_threads(),
-        rows.len(),
-        total_wall_secs,
-        sim_secs,
-        if total_wall_secs > 0.0 {
-            rows.len() as f64 / total_wall_secs
-        } else {
-            0.0
-        },
-        total_ticks,
-        if total_wall_secs > 0.0 {
-            total_ticks as f64 / total_wall_secs
-        } else {
-            0.0
-        },
-        kernel_block,
-        distda_obs::manifest::git_rev(),
-        distda_obs::manifest::utc_now_string(),
-        distda_sim::env::threads().unwrap_or(0),
-        distda_sim::env::skip(),
-        distda_sim::env::sanitize(),
-        distda_sim::env::validate(),
-    )
-}
-
-/// Appends one [`ManifestRecord`] per timing row to the default manifest
-/// stream (`results/manifests/runs.jsonl`). Rows only exist for runs that
-/// simulated *and validated*, so every record carries `validated: true`.
-fn append_manifests(rows: &[RunTiming]) {
-    for r in rows {
+/// Writes the run logs from the run timings accumulated since the last
+/// [`take_timings`]: `results/reproduce.log` gets the deterministic run log
+/// (byte-identical across thread counts), `results/reproduce_timing.log`
+/// the wall-clock companion, and one manifest record per run appends to
+/// `results/manifests/runs.jsonl`. Rows only exist for runs that simulated
+/// *and validated*, so every record carries `validated: true`.
+pub fn write_run_logs(total_wall_secs: f64) {
+    let mut rows = take_timings();
+    sort_rows(&mut rows);
+    save_result("reproduce.log", &render_run_log(&rows));
+    let timing = render_timing_log(&rows, total_wall_secs);
+    save_result("reproduce_timing.log", &timing);
+    for r in &rows {
         let rec = ManifestRecord::capture(
             &r.kernel,
             &r.config,
@@ -480,55 +430,6 @@ fn append_manifests(rows: &[RunTiming]) {
             break;
         }
     }
-}
-
-fn write_speed_artifacts(
-    run_log: &str,
-    timing_log: &str,
-    json_path: &str,
-    total_wall_secs: f64,
-    kernel: Option<&KernelBench>,
-) {
-    let mut rows = take_timings();
-    sort_rows(&mut rows);
-    save_result(run_log, &render_run_log(&rows));
-    save_result(timing_log, &render_timing_log(&rows, total_wall_secs));
-    let json = render_simspeed_json(&rows, total_wall_secs, kernel);
-    if std::fs::write(json_path, &json).is_ok() {
-        eprintln!("wrote {json_path}");
-    }
-    append_manifests(&rows);
-}
-
-/// Writes the simulator-throughput artifacts from the accumulated run
-/// timings: `results/reproduce.log` gets the deterministic run log
-/// (byte-identical across thread counts), `results/reproduce_timing.log`
-/// the wall-clock companion, `BENCH_simspeed.json` the aggregate
-/// throughput + `meta` block the regression gate diffs, and one manifest
-/// record per run appends to `results/manifests/runs.jsonl`.
-pub fn write_simspeed(total_wall_secs: f64, kernel: Option<&KernelBench>) {
-    write_speed_artifacts(
-        "reproduce.log",
-        "reproduce_timing.log",
-        "BENCH_simspeed.json",
-        total_wall_secs,
-        kernel,
-    );
-}
-
-/// [`write_simspeed`] for the CI smoke sweep: same artifact family under
-/// smoke names (`results/reproduce_smoke.log`,
-/// `results/reproduce_smoke_timing.log`,
-/// `results/BENCH_simspeed_smoke.json`) so a quick gate run never
-/// clobbers the full reproduction's committed artifacts.
-pub fn write_simspeed_smoke(total_wall_secs: f64) {
-    write_speed_artifacts(
-        "reproduce_smoke.log",
-        "reproduce_smoke_timing.log",
-        "results/BENCH_simspeed_smoke.json",
-        total_wall_secs,
-        None,
-    );
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! idle skip-ahead must be bit-identical to tick-by-tick execution, and
 //! no combination of instruments may perturb a result.
 
-use distda_bench::run_matrix;
+use distda_bench::{run_matrix, try_run_matrix};
 use distda_sim::sample::{DEFAULT_WINDOW_CAP, DEFAULT_WINDOW_TICKS};
 use distda_sim::{Profiler, Sampler};
 use distda_system::{
@@ -84,6 +84,24 @@ fn multi_tenant_sweep_is_byte_stable_across_threads() {
             "results diverged for {key:?}"
         );
     }
+}
+
+/// The tiny-scale suite under OoO and Dist-DA-IO gives 24 validated runs
+/// of exactly 1 697 725 simulated ticks in total. Any change to a
+/// modelled latency, a kernel or a scheduling decision moves the sum; only
+/// a deliberate model change may update it.
+#[test]
+fn tiny_suite_ticks_are_pinned() {
+    let configs = [
+        RunConfig::named(ConfigKind::OoO),
+        RunConfig::named(ConfigKind::DistDAIO),
+    ];
+    let (sweep, failures) = try_run_matrix(&suite(&Scale::tiny()), &configs);
+    assert!(failures.is_empty(), "failed cells: {failures:?}");
+    assert_eq!(sweep.results.len(), 24);
+    assert!(sweep.results.values().all(|r| r.validated));
+    let ticks: u64 = sweep.results.values().map(|r| r.ticks).sum();
+    assert_eq!(ticks, 1_697_725);
 }
 
 /// Skip-ahead and tick-by-tick execution must agree on every statistic of

@@ -1,29 +1,25 @@
-//! The fleet observability CLI: self-profile a run, gate a benchmark
-//! against a baseline, or export manifests as OpenMetrics.
+//! The fleet observability CLI: self-profile a run, record and gate the
+//! benchmark's performance, or export manifests as OpenMetrics.
 //!
-//! ```text
-//! cargo run --release --bin obs -- profile --kernel pf --config Dist-DA-F
-//! cargo run --release --bin obs -- gate --baseline ci/simspeed_smoke_baseline.json \
-//!     --current results/BENCH_simspeed_smoke.json --manifests results/manifests/runs.jsonl
-//! cargo run --release --bin obs -- export --manifests results/manifests/runs.jsonl \
-//!     --out results/manifests.om
-//! ```
-//!
-//! Subcommands:
+//! `cargo run --release --bin obs -- <subcommand> ...`, where the
+//! subcommands are:
 //!
 //! - `profile [--kernel NAME]... [--config LABEL] [--scale tiny|eval]
 //!   [--out DIR]` — run each workload with the scheduler self-profiler
 //!   attached, print the "perf top"-style table and write the OpenMetrics
 //!   rendering of the profile + run metrics to `<out>/profile_<k>_<c>.om`.
-//! - `gate --baseline PATH [--current PATH] [--manifests PATH]
-//!   [--max-tps-drop F] [--allow-runs-drift]` — diff a current
-//!   `BENCH_simspeed.json` against a committed baseline; exit nonzero on
-//!   regression (deterministic metrics exact, throughput by ratio).
+//!   A run that errs or produces wrong results makes the exit nonzero.
+//! - `record --out PATH RUN...` — fold the saved standard output of N
+//!   runs of the repository benchmark (`--trace 1`) into one performance
+//!   record: per metric the median, q1 and q3, its unit and `better` from
+//!   `BENCHMARK.json` in the working directory. Refuses incorrect runs.
+//! - `gate --baseline PATH --current PATH` — compare two records layer
+//!   by layer; exit nonzero when a metric regressed, naming it.
 //! - `export [--manifests PATH] [--out PATH]` — fold a manifest JSONL
 //!   stream into the metrics registry and write OpenMetrics text.
 
 use distda_obs::manifest::{self, config_hash};
-use distda_obs::{gate, Registry, Thresholds};
+use distda_obs::{gate, Record, Registry};
 use distda_system::{slug, RunConfig};
 use distda_workloads::{suite, Scale};
 use std::path::{Path, PathBuf};
@@ -34,15 +30,14 @@ struct Args {
     kernels: Vec<String>,
     config: String,
     scale: String,
-    out: PathBuf,
+    out: Option<PathBuf>,
     baseline: Option<PathBuf>,
-    current: PathBuf,
+    current: Option<PathBuf>,
     manifests: Option<PathBuf>,
-    max_tps_drop: f64,
-    allow_runs_drift: bool,
+    runs: Vec<PathBuf>,
 }
 
-const USAGE: &str = "usage: obs profile [--kernel NAME]... [--config LABEL] [--scale tiny|eval] [--out DIR]\n       obs gate --baseline PATH [--current PATH] [--manifests PATH] [--max-tps-drop F] [--allow-runs-drift]\n       obs export [--manifests PATH] [--out PATH]";
+const USAGE: &str = "usage: obs profile [--kernel NAME]... [--config LABEL] [--scale tiny|eval] [--out DIR]\n       obs record --out PATH RUN...\n       obs gate --baseline PATH --current PATH\n       obs export [--manifests PATH] [--out PATH]";
 
 fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
@@ -52,12 +47,11 @@ fn parse_args() -> Result<Args, String> {
         kernels: Vec::new(),
         config: "Dist-DA-F".to_string(),
         scale: "tiny".to_string(),
-        out: PathBuf::from("results"),
+        out: None,
         baseline: None,
-        current: PathBuf::from("BENCH_simspeed.json"),
+        current: None,
         manifests: None,
-        max_tps_drop: 0.9,
-        allow_runs_drift: false,
+        runs: Vec::new(),
     };
     while let Some(a) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
@@ -65,17 +59,14 @@ fn parse_args() -> Result<Args, String> {
             "--kernel" => args.kernels.push(value("--kernel")?),
             "--config" => args.config = value("--config")?,
             "--scale" => args.scale = value("--scale")?,
-            "--out" => args.out = PathBuf::from(value("--out")?),
+            "--out" => args.out = Some(PathBuf::from(value("--out")?)),
             "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--current" => args.current = PathBuf::from(value("--current")?),
+            "--current" => args.current = Some(PathBuf::from(value("--current")?)),
             "--manifests" => args.manifests = Some(PathBuf::from(value("--manifests")?)),
-            "--max-tps-drop" => {
-                args.max_tps_drop = value("--max-tps-drop")?
-                    .parse()
-                    .map_err(|e| format!("--max-tps-drop: {e}"))?;
-            }
-            "--allow-runs-drift" => args.allow_runs_drift = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
+            run if args.cmd == "record" && !run.starts_with('-') => {
+                args.runs.push(PathBuf::from(run));
+            }
             other => return Err(format!("unknown argument: {other}")),
         }
     }
@@ -83,6 +74,10 @@ fn parse_args() -> Result<Args, String> {
         args.kernels.push("pf".to_string());
     }
     Ok(args)
+}
+
+fn read(p: &Path) -> Result<String, String> {
+    std::fs::read_to_string(p).map_err(|e| format!("cannot read {}: {e}", p.display()))
 }
 
 fn cmd_profile(args: &Args) -> Result<u32, String> {
@@ -93,8 +88,8 @@ fn cmd_profile(args: &Args) -> Result<u32, String> {
     };
     let cfg = RunConfig::from_label(&args.config)?;
     let workloads = suite(&scale);
-    std::fs::create_dir_all(&args.out)
-        .map_err(|e| format!("cannot create {}: {e}", args.out.display()))?;
+    let out = args.out.clone().unwrap_or_else(|| PathBuf::from("results"));
+    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
 
     let mut failures = 0u32;
     for name in &args.kernels {
@@ -132,7 +127,7 @@ fn cmd_profile(args: &Args) -> Result<u32, String> {
         let mut reg = Registry::new();
         reg.ingest_run(&r);
         reg.ingest_profile(&[("kernel", &r.kernel), ("config", &r.config)], &snap);
-        let om_path = args.out.join(format!(
+        let om_path = out.join(format!(
             "profile_{}_{}.om",
             slug(&r.kernel),
             slug(&r.config)
@@ -153,29 +148,35 @@ fn cmd_profile(args: &Args) -> Result<u32, String> {
         if let Err(e) = rec.append() {
             eprintln!("warning: cannot append manifest: {e}");
         }
+        if !r.validated {
+            eprintln!("{name}: wrong results (golden-model mismatch)");
+            failures += 1;
+        }
         println!();
     }
     Ok(failures)
 }
 
+fn cmd_record(args: &Args) -> Result<u32, String> {
+    let out = args.out.as_ref().ok_or("record requires --out PATH")?;
+    let run = |p: &PathBuf| Ok((p.display().to_string(), read(p)?));
+    let runs: Result<Vec<_>, String> = args.runs.iter().map(run).collect();
+    let hostname = std::fs::read_to_string("/proc/sys/kernel/hostname")
+        .map_or_else(|_| "unknown".to_string(), |h| h.trim().to_string());
+    let rec = Record::from_runs(&runs?, &read(Path::new("BENCHMARK.json"))?, &hostname)?;
+    std::fs::write(out, rec.render())
+        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    let (n, rev, host) = (rec.runs, &rec.rev, &rec.host);
+    println!("{n} runs of {rev} on {host} -> {}", out.display());
+    Ok(0)
+}
+
 fn cmd_gate(args: &Args) -> Result<u32, String> {
-    let baseline_path = args
-        .baseline
-        .as_ref()
-        .ok_or("gate requires --baseline PATH")?;
-    let read = |p: &PathBuf| {
-        std::fs::read_to_string(p).map_err(|e| format!("cannot read {}: {e}", p.display()))
+    let (Some(baseline), Some(current)) = (&args.baseline, &args.current) else {
+        return Err("gate requires --baseline PATH and --current PATH".into());
     };
-    let th = Thresholds {
-        max_tps_drop: args.max_tps_drop,
-        require_runs_match: !args.allow_runs_drift,
-        require_ticks_match: !args.allow_runs_drift,
-    };
-    let mut rep = gate::gate_simspeed(&read(baseline_path)?, &read(&args.current)?, &th)?;
-    if let Some(manifests) = &args.manifests {
-        let man = gate::check_manifests_at(Some(manifests), &read(manifests)?)?;
-        rep.checks.extend(man.checks);
-    }
+    let load = |p: &Path| Ok::<_, String>(Record::parse(&p.display().to_string(), &read(p)?)?);
+    let rep = gate(&load(baseline)?, &load(current)?)?;
     print!("{}", rep.render());
     Ok(u32::from(rep.regressed()))
 }
@@ -202,10 +203,9 @@ fn cmd_export(args: &Args) -> Result<u32, String> {
             reg.counter_add("distda_manifest_unvalidated", labels, 1);
         }
     }
-    let out = if args.out == Path::new("results") {
-        PathBuf::from("results/manifests.om")
-    } else {
-        args.out.clone()
+    let out = match &args.out {
+        Some(out) if out != Path::new("results") => out.clone(),
+        _ => PathBuf::from("results/manifests.om"),
     };
     if let Some(parent) = out.parent() {
         let _ = std::fs::create_dir_all(parent);
@@ -226,6 +226,7 @@ fn main() -> ExitCode {
     };
     let outcome = match args.cmd.as_str() {
         "profile" => cmd_profile(&args),
+        "record" => cmd_record(&args),
         "gate" => cmd_gate(&args),
         "export" => cmd_export(&args),
         other => Err(format!("unknown subcommand: {other}\n{USAGE}")),

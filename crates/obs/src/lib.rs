@@ -17,9 +17,10 @@
 //! - [`progress`] — a live sweep-progress reporter: a channel-fed thread
 //!   that renders a one-line stderr status and streams machine-readable
 //!   JSONL events, gated by `DISTDA_PROGRESS`.
-//! - [`gate`] — a perf-regression gate diffing the current
-//!   `BENCH_simspeed.json` and manifests against a committed baseline with
-//!   per-metric thresholds; nonzero exit on regression for CI.
+//! - [`gate`](mod@gate) — the performance record and its gate: `obs record` folds
+//!   repeated traced runs of the repository benchmark into a per-metric
+//!   median and IQR (`BENCH_simspeed.json`), and `obs gate` compares two
+//!   such records layer by layer, naming each metric that regressed.
 //!
 //! The invariant the whole crate is built around: observation never
 //! perturbs simulation. Every pillar consumes data the simulator already
@@ -32,7 +33,7 @@ pub mod manifest;
 pub mod progress;
 pub mod registry;
 
-pub use gate::{gate_simspeed, GateReport, Thresholds};
+pub use gate::{gate, GateReport, Record, RecordError};
 pub use manifest::ManifestRecord;
 pub use progress::{Progress, ProgressConfig};
 pub use registry::Registry;

@@ -8,8 +8,8 @@
 //! simulated tick count, the host wall-clock and the validation verdict.
 //!
 //! Records append to `results/manifests/runs.jsonl` — one JSON object per
-//! line, so `grep`/`jq` and the [regression gate](crate::gate) can stream
-//! them without a real JSON-document parser. Parsing reuses the
+//! line, so `grep`/`jq` and `obs export` can stream them without a real
+//! JSON-document parser. Parsing reuses the
 //! workspace's hand-rolled [`distda_trace::json`].
 
 use distda_system::RunConfig;

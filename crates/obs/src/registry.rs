@@ -13,7 +13,7 @@
 //!
 //! Everything is `BTreeMap`-backed, so the export is byte-stable for a
 //! given set of observations regardless of insertion order — the property
-//! the regression gate and the CI artifact diffs rely on.
+//! the CI artifact diffs rely on.
 
 use distda_sim::ProfileSnapshot;
 use distda_system::RunResult;
