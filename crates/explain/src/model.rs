@@ -53,7 +53,7 @@ impl Edge {
 /// stall time is the sum of its blame [`Edge`]s).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineObs {
-    /// Component name (`engine.N`, matching scheduler registration).
+    /// Engine name (`engine.N`, its trace track and port-blame name).
     pub name: String,
     /// Base ticks spent executing (busy engine cycles x clock period).
     pub busy_ticks: u64,

@@ -342,6 +342,22 @@ impl ResultCache {
         dir.join(format!("{}.entry", slug(key)))
     }
 
+    /// Writes an entry to a temp file beside `path`, then renames it into
+    /// place, so that no reader, scan or eviction ever sees a partly
+    /// written entry. The temp name carries the process id (two daemons
+    /// may share a directory) and no `.entry` extension, so a temp file a
+    /// crash leaves behind is never served, counted or evicted. Nothing is
+    /// synced: an entry lost or torn by a power cut fails its hash check
+    /// and is re-simulated like any miss.
+    fn write_entry(path: &Path, contents: &str) -> std::io::Result<()> {
+        let tmp = path.with_extension(format!("{}.tmp", std::process::id()));
+        let r = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path));
+        if r.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        r
+    }
+
     /// In-memory entry count.
     pub fn mem_entries(&self) -> usize {
         self.mem.len()
@@ -439,7 +455,7 @@ impl ResultCache {
                         // Rewrite the entry to refresh its modified time:
                         // disk eviction is LRU over *use*, not creation.
                         if self.disk_budget > 0 {
-                            let _ = std::fs::write(&path, &contents);
+                            let _ = Self::write_entry(&path, &contents);
                         }
                         self.insert_mem(key, payload.to_string());
                         return Some(r);
@@ -475,7 +491,7 @@ impl ResultCache {
         if let Some(dir) = self.dir.clone() {
             if std::fs::create_dir_all(&dir).is_ok() {
                 let path = Self::path_for(&dir, key);
-                let _ = std::fs::write(&path, render_entry(&payload));
+                let _ = Self::write_entry(&path, &render_entry(&payload));
                 self.enforce_disk_budget(&path);
             }
         }
@@ -608,6 +624,41 @@ mod tests {
         cache.put("b", &r);
         assert!(cache.get("b").is_some());
         assert!(cache.get("a").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn temp_files_are_never_entries() {
+        let dir = tmpdir("temp");
+        let r = tiny_result();
+        let mut cache = ResultCache::new(0, Some(dir.clone())).with_disk_budget(1);
+        cache.put("a", &r);
+        let files = || {
+            let mut v: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            v.sort();
+            v
+        };
+        // `put` leaves exactly the entry behind, no temp file.
+        assert_eq!(files(), ["a.entry"]);
+        let one_entry = cache.disk_bytes();
+        // A crash between write and rename leaves a full temp file next
+        // to the entries: for key "b", and one for "a" holding garbage.
+        // (No process has id 0, so these names never collide with ours.)
+        let entry_b = render_entry(&encode_result(&r));
+        std::fs::write(dir.join("b.0.tmp"), &entry_b).unwrap();
+        std::fs::write(dir.join("a.0.tmp"), "torn").unwrap();
+        // Never served, never counted ...
+        assert!(cache.get("b").is_none());
+        assert!(cache.get("a").is_some());
+        assert_eq!(cache.disk_bytes(), one_entry);
+        // ... and never evicted as an entry: a put over budget evicts
+        // "a" but leaves both temp files alone.
+        cache.put("c", &r);
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(files(), ["a.0.tmp", "b.0.tmp", "c.entry"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -31,7 +31,7 @@
 //! ```text
 //! component         host_ms  host%   active_ticks   wakes  ns/tick
 //! mesh               812.41  41.2%       1203441   88123     675
-//! engine.2           401.77  20.4%        903441   41021     444
+//! engine.all         401.77  20.4%        903441   41021     444
 //! ...
 //! ```
 

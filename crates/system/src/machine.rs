@@ -54,7 +54,8 @@ mod stage {
     pub const DELIVERY: u32 = 0;
     /// Host core issues.
     pub const HOST: u32 = 10;
-    /// Accelerator engines execute (registered later, one per engine).
+    /// Accelerator engines execute (one stage for every engine,
+    /// registered with the first one).
     pub const ENGINE: u32 = 20;
     /// Memory hierarchy advances and injects its outgoing packets.
     pub const MEM: u32 = 30;
@@ -150,6 +151,48 @@ pub struct MachineState {
     /// edges on which the engine is not due are gated off; with it off
     /// every edge runs, as the tick-by-tick reference requires.
     skip: bool,
+    /// The engine stage's wake cache, parallel to `engines`.
+    wakes: EngineWakes,
+}
+
+/// The engine stage's wake cache: each engine's wake as last computed by
+/// [`engine_wake`] ([`NO_WAKE`] for `None`), and a mark set at every
+/// hand-over since that can change it. An unmarked entry equals what
+/// `engine_wake` would report at any tick up to the entry itself: only
+/// the engine's own edge or a marked hand-over moves any of its inputs,
+/// and a next-edge answer stays put while the clock approaches it.
+#[derive(Debug, Default)]
+struct EngineWakes {
+    at: Vec<Tick>,
+    marked: Vec<bool>,
+}
+
+/// [`EngineWakes`] entry of an engine that only external input can wake.
+const NO_WAKE: Tick = Tick::MAX;
+
+impl EngineWakes {
+    fn mark_all(&mut self) {
+        self.marked.fill(true);
+    }
+
+    /// Marks every engine with a response waiting at its memory port.
+    /// Callers run it when the hierarchy's response count moved across a
+    /// hand-over into it (`mem.deliver`, `mem.tick`).
+    fn mark_responded(&mut self, engines: &[EngineSlot], mem: &MemSystem) {
+        for (marked, slot) in self.marked.iter_mut().zip(engines) {
+            *marked |= mem.has_responses(slot.port);
+        }
+    }
+
+    /// Engine `i`'s wake at `now`: the cached entry, or `engine_wake`'s
+    /// answer if a hand-over marked it since.
+    fn wake(&self, i: usize, engines: &[EngineSlot], chans: &[ChanState], now: Tick) -> Tick {
+        if self.marked[i] {
+            engine_wake(&engines[i], chans, now).unwrap_or(NO_WAKE)
+        } else {
+            self.at[i]
+        }
+    }
 }
 
 impl MachineState {
@@ -224,8 +267,15 @@ impl Component<MachineState> for DeliveryComp {
     fn tick(&mut self, now: Tick, st: &mut MachineState, instr: &mut Instruments) {
         let san = &instr.san;
         let MachineState {
-            mesh, mem, chans, ..
+            mesh,
+            mem,
+            chans,
+            engines,
+            chan_engines,
+            wakes,
+            ..
         } = st;
+        let responses = mem.sys_stats().responses;
         mesh.for_each_delivered(|_node, pkt| {
             match pkt.payload {
                 NetMsg::Mem(m) => {
@@ -234,6 +284,7 @@ impl Component<MachineState> for DeliveryComp {
                     mem.deliver(now, wrapped);
                 }
                 NetMsg::ChanData { chan, v } => {
+                    wakes.marked[chan_engines[chan as usize].1] = true;
                     if chans[chan as usize].queue.tx().offer(v).is_err() {
                         // Credits bound occupancy; an arrival beyond
                         // capacity means a credit was double-issued.
@@ -256,6 +307,7 @@ impl Component<MachineState> for DeliveryComp {
                     }
                 }
                 NetMsg::ChanCredit { chan, n } => {
+                    wakes.marked[chan_engines[chan as usize].0] = true;
                     chans[chan as usize].flow.grant(n as usize);
                     if san.on() {
                         let ch = &chans[chan as usize];
@@ -279,6 +331,9 @@ impl Component<MachineState> for DeliveryComp {
                 NetMsg::Mmio => {}
             }
         });
+        if mem.sys_stats().responses != responses {
+            wakes.mark_responded(engines, mem);
+        }
     }
 
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
@@ -436,23 +491,59 @@ fn engine_wake(slot: &EngineSlot, chans: &[ChanState], now: Tick) -> Option<Tick
     }
 }
 
-/// Stage [`stage::ENGINE`], one per configured engine: collects the
-/// engine's port responses and, when the engine is due, executes one
-/// edge against its [`EngineCtx`] view of the world.
-struct EngineComp {
-    index: usize,
-    name: String,
+/// Stage [`stage::ENGINE`], one for every configured engine: collects
+/// the port responses of marked engines and executes one edge of each
+/// engine that is due, against its [`EngineCtx`] view of the world.
+///
+/// The stage probes and ticks from [`MachineState::wakes`]: an engine's
+/// wake is recomputed only after it ran an edge or when a hand-over marked
+/// it, so an engine that waits on a channel or a memory response costs one
+/// compare per probe and per executed tick.
+#[derive(Default)]
+struct EngineStage {
+    san: Sanitizer,
 }
 
-impl Component<MachineState> for EngineComp {
+impl EngineStage {
+    const NAME: &'static str = "engine.all";
+
+    /// The `engine-wake-cache` rule: every unmarked engine's cached wake
+    /// equals its uncached `engine_wake`, and no response waits at its
+    /// memory port (a pushed response marks it until it is collected).
+    fn check_wakes(&self, now: Tick, st: &MachineState) {
+        for (i, slot) in st.engines.iter().enumerate() {
+            if st.wakes.marked[i] {
+                continue;
+            }
+            let cached = Some(st.wakes.at[i]).filter(|&t| t != NO_WAKE);
+            let fresh = engine_wake(slot, &st.chans, now);
+            let waiting = st.mem.has_responses(slot.port);
+            self.san.check(
+                cached == fresh && !waiting,
+                Self::NAME,
+                "engine-wake-cache",
+                now,
+                || {
+                    format!(
+                        "engine {i} unmarked: cached wake {cached:?}, engine_wake {fresh:?}, \
+                         responses waiting {waiting}"
+                    )
+                },
+            );
+        }
+    }
+}
+
+impl Component<MachineState> for EngineStage {
     fn name(&self) -> &str {
-        &self.name
+        Self::NAME
     }
 
     fn attach(&mut self, st: &mut MachineState, instr: &Instruments) {
-        st.engines[self.index]
-            .eng
-            .set_sink(instr.tracer.sink(&self.name));
+        self.san = instr.san.clone();
+        for (i, slot) in st.engines.iter_mut().enumerate() {
+            slot.eng.set_sink(instr.tracer.sink(&port_names::engine(i)));
+        }
     }
 
     fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) {
@@ -465,104 +556,131 @@ impl Component<MachineState> for EngineComp {
             layout,
             tenant_views,
             chan_sink,
+            chan_engines,
             skip,
+            wakes,
             ..
         } = st;
-        let slot = &mut engines[self.index];
-        {
-            let mut rx = mem.responses(slot.port).rx();
-            while let Some(r) = rx.accept() {
-                slot.resp.push(r.id);
+        for (i, slot) in engines.iter_mut().enumerate() {
+            if wakes.marked[i] {
+                let mut rx = mem.responses(slot.port).rx();
+                while let Some(r) = rx.accept() {
+                    slot.resp.push(r.id);
+                }
+                wakes.at[i] = engine_wake(slot, chans, now).unwrap_or(NO_WAKE);
+                wakes.marked[i] = false;
             }
-        }
-        // An engine that is not due here would only re-try its blocked
-        // node — the skip-ahead argument applied to one engine: the edge
-        // is skipped, and its stall cycle is charged in bulk on the
-        // engine's next processed edge (readers in between see it through
-        // `PartitionEngine::stats_at`). Off the engine's clock edge
-        // `eng.tick` is a no-op anyway.
-        let due = if *skip {
-            engine_wake(slot, chans, now) == Some(now)
-        } else {
-            slot.eng.clock().fires_at(now)
-        };
-        if !due {
-            return;
-        }
-        // The engine reads and writes its tenant's functional view.
-        let (memimg, layout) = match slot.tenant {
-            0 => (memimg, &*layout),
-            t => {
-                let (img, lay) = &mut tenant_views[t as usize - 1];
-                (img, &*lay)
+            // An engine that is not due here would only re-try its blocked
+            // node — the skip-ahead argument applied to one engine: the
+            // edge is skipped, and its stall cycle is charged in bulk on
+            // the engine's next processed edge (readers in between see it
+            // through `PartitionEngine::stats_at`). Off the engine's clock
+            // edge `eng.tick` is a no-op anyway.
+            let run = if *skip {
+                wakes.at[i] == now
+            } else {
+                slot.eng.clock().fires_at(now)
+            };
+            if !run {
+                continue;
             }
-        };
-        let mut ctx = Ctx {
-            now,
-            port: slot.port,
-            chan_base: slot.chan_base,
-            tenant: slot.tenant,
-            mem,
-            chans,
-            net_out,
-            memimg,
-            layout,
-            resp: &mut slot.resp,
-            chan_sink,
-        };
-        slot.eng.tick(now, &mut ctx);
+            // The engine reads and writes its tenant's functional view.
+            let (memimg, layout) = match slot.tenant {
+                0 => (&mut *memimg, &*layout),
+                t => {
+                    let (img, lay) = &mut tenant_views[t as usize - 1];
+                    (img, &*lay)
+                }
+            };
+            let mut ctx = Ctx {
+                now,
+                port: slot.port,
+                chan_base: slot.chan_base,
+                tenant: slot.tenant,
+                mem,
+                chans,
+                net_out,
+                memimg,
+                layout,
+                resp: &mut slot.resp,
+                chan_sink,
+                chan_engines,
+                marked: &mut wakes.marked,
+            };
+            slot.eng.tick(now, &mut ctx);
+            // The next probe asks from the next tick on.
+            wakes.at[i] = engine_wake(slot, chans, now + 1).unwrap_or(NO_WAKE);
+            wakes.marked[i] = false;
+        }
     }
 
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
-        engine_wake(&st.engines[self.index], &st.chans, now)
+        let (engines, chans) = (&st.engines, &st.chans);
+        let mut w = NO_WAKE;
+        for i in 0..engines.len() {
+            w = w.min(st.wakes.wake(i, engines, chans, now));
+            if w == now {
+                break;
+            }
+        }
+        if self.san.on() {
+            self.check_wakes(now, st);
+        }
+        (w != NO_WAKE).then_some(w)
     }
 
     fn is_quiescent(&self, _now: Tick, st: &MachineState) -> bool {
-        let slot = &st.engines[self.index];
-        slot.eng.is_quiescent() && slot.resp.is_empty()
+        st.engines
+            .iter()
+            .all(|slot| slot.eng.is_quiescent() && slot.resp.is_empty())
     }
 
     fn audit_drained(&self, now: Tick, st: &MachineState, san: &Sanitizer) {
-        let i = self.index;
-        let slot = &st.engines[i];
-        san.check(
-            slot.eng.is_done() || slot.eng.is_idle(),
-            "engine",
-            "engine-settled",
-            now,
-            || format!("engine {i} mid-invocation: {}", slot.eng.stall_debug()),
-        );
-        san.check(
-            slot.eng.is_quiescent(),
-            "engine",
-            "engine-quiescent",
-            now,
-            || {
-                format!(
-                    "engine {i} leaked in-flight memory: {}",
-                    slot.eng.stall_debug()
-                )
-            },
-        );
-        san.check(
-            slot.resp.is_empty(),
-            "engine",
-            "response-drain",
-            now,
-            || format!("engine {i}: {} responses never consumed", slot.resp.len()),
-        );
+        for (i, slot) in st.engines.iter().enumerate() {
+            san.check(
+                slot.eng.is_done() || slot.eng.is_idle(),
+                "engine",
+                "engine-settled",
+                now,
+                || format!("engine {i} mid-invocation: {}", slot.eng.stall_debug()),
+            );
+            san.check(
+                slot.eng.is_quiescent(),
+                "engine",
+                "engine-quiescent",
+                now,
+                || {
+                    format!(
+                        "engine {i} leaked in-flight memory: {}",
+                        slot.eng.stall_debug()
+                    )
+                },
+            );
+            san.check(
+                slot.resp.is_empty(),
+                "engine",
+                "response-drain",
+                now,
+                || format!("engine {i}: {} responses never consumed", slot.resp.len()),
+            );
+        }
     }
 
     fn stall(&self, _now: Tick, st: &MachineState) -> Option<String> {
-        let slot = &st.engines[self.index];
-        (!slot.eng.is_done() && !slot.eng.is_idle()).then(|| {
-            format!(
-                "engine {} (cluster {}): {}",
-                self.index,
-                slot.cluster,
-                slot.eng.stall_debug()
-            )
-        })
+        let parts: Vec<String> = st
+            .engines
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| !slot.eng.is_done() && !slot.eng.is_idle())
+            .map(|(i, slot)| {
+                format!(
+                    "engine {i} (cluster {}): {}",
+                    slot.cluster,
+                    slot.eng.stall_debug()
+                )
+            })
+            .collect();
+        (!parts.is_empty()).then(|| parts.join("; "))
     }
 }
 
@@ -588,7 +706,11 @@ impl Component<MachineState> for MemComp {
         if !st.mem.is_active() {
             return;
         }
+        let responses = st.mem.sys_stats().responses;
         st.mem.tick(now);
+        if st.mem.sys_stats().responses != responses {
+            st.wakes.mark_responded(&st.engines, &st.mem);
+        }
         // Peek-then-accept: the packet leaves the memory system's port
         // only once the mesh accepts it, so a refused injection leaves
         // the exact same packet at the head (stable data).
@@ -754,6 +876,7 @@ impl Machine {
             host_sink: TraceSink::default(),
             chan_sink: TraceSink::default(),
             skip: distda_sim::env::skip(),
+            wakes: EngineWakes::default(),
         };
         let mut sched = Scheduler::new(TICK_BUDGET, st.skip);
         // Registration order is also instrument-attach order (stable trace
@@ -955,6 +1078,7 @@ impl Machine {
     pub fn set_skip(&mut self, on: bool) {
         self.sched.set_skip(on);
         self.st.skip = on;
+        self.st.wakes.mark_all();
     }
 
     /// The scheduler (clock, registered components, instruments).
@@ -1107,6 +1231,15 @@ impl Machine {
             self.st.chans.push(c);
         }
         let handle = self.st.plans.len();
+        if self.st.engines.is_empty() {
+            // One stage ticks every engine; it joins the tick loop, wake
+            // probe, drain predicate and drain audit with the first one.
+            self.sched.register(
+                stage::ENGINE,
+                Box::new(EngineStage::default()),
+                &mut self.st,
+            );
+        }
         let mut engine_ids = Vec::new();
         let mut carry_scalars = Vec::new();
         let mut config_words = 0u64;
@@ -1125,6 +1258,12 @@ impl Machine {
             let (pf, mr, mw) = sub.tuning;
             eng.set_tuning(pf, mr, mw);
             let index = self.st.engines.len();
+            eng.set_sink(
+                self.sched
+                    .instruments()
+                    .tracer
+                    .sink(&port_names::engine(index)),
+            );
             engine_ids.push(index);
             carry_scalars.push(part.carry_scalars.clone());
             self.st.engines.push(EngineSlot {
@@ -1137,17 +1276,8 @@ impl Machine {
                 is_cgra: matches!(sub.model, IssueModel::Cgra { .. }),
                 tenant,
             });
-            // Registration wires the engine into the tick loop, wake
-            // probe, drain predicate and drain audit — and attaches the
-            // current instruments (its trace sink).
-            self.sched.register(
-                stage::ENGINE,
-                Box::new(EngineComp {
-                    index,
-                    name: format!("engine.{index}"),
-                }),
-                &mut self.st,
-            );
+            self.st.wakes.at.push(NO_WAKE);
+            self.st.wakes.marked.push(true);
             // Configuration traffic: microcode + one word per access.
             let words = (part.microcode_bytes() / 8 + part.accesses.len() + 1) as u64;
             config_words += words;
@@ -1285,6 +1415,7 @@ impl Machine {
         for ch in &mut self.st.chans {
             ch.flow.restore();
         }
+        self.st.wakes.mark_all();
         let engine_ids = self.st.plans[handle].engines.clone();
         let tenant = self.st.plans[handle].tenant;
         let mut words = 0u64;
@@ -1512,6 +1643,10 @@ struct Ctx<'a> {
     layout: &'a Layout,
     resp: &'a mut Vec<u64>,
     chan_sink: &'a TraceSink,
+    /// Producer/consumer engine per global channel, and the wake marks a
+    /// local send or receive sets on the engine at the other end.
+    chan_engines: &'a [(usize, usize)],
+    marked: &'a mut [bool],
 }
 
 impl EngineCtx for Ctx<'_> {
@@ -1527,6 +1662,7 @@ impl EngineCtx for Ctx<'_> {
             }
             // Credits bound occupancy, so the offer cannot be refused.
             assert!(ch.queue.tx().offer(v).is_ok(), "credits bound occupancy");
+            self.marked[self.chan_engines[g].1] = true;
             if self.chan_sink.on() {
                 self.chan_sink
                     .sample(self.now, &port_names::chan(g), ch.queue.len() as f64);
@@ -1567,6 +1703,7 @@ impl EngineCtx for Ctx<'_> {
         }
         if ch.is_local() {
             ch.flow.put();
+            self.marked[self.chan_engines[g].0] = true;
         } else if let Some(n) = ch.flow.defer() {
             let pkt = Packet::new(
                 ch.consumer_cluster,
@@ -1640,17 +1777,26 @@ mod tests {
     use distda_ir::prelude::*;
     use distda_mem::MemConfig;
 
-    fn axpy_setup() -> (
+    /// An axpy kernel, its compiled plan, a machine holding its inputs,
+    /// and its `x` and `y` arrays.
+    type Axpy = (
         Program,
         distda_compiler::CompiledKernel,
         Machine,
         ArrayId,
         ArrayId,
-    ) {
+    );
+
+    fn axpy_setup() -> Axpy {
+        axpy_machine(64)
+    }
+
+    /// [`axpy_setup`] over `n` elements.
+    fn axpy_machine(n: usize) -> Axpy {
         let mut b = ProgramBuilder::new("axpy");
-        let x = b.array_f64("x", 64);
-        let y = b.array_f64("y", 64);
-        b.for_(0, 64, 1, |b, i| {
+        let x = b.array_f64("x", n);
+        let y = b.array_f64("y", n);
+        b.for_(0, n as i64, 1, |b, i| {
             let v = Expr::cf(2.0) * Expr::load(x, i.clone()) + Expr::load(y, i.clone());
             b.store(y, i, v);
         });
@@ -1666,7 +1812,7 @@ mod tests {
             &mut mem,
         );
         let mut img = Memory::for_program(&p);
-        for i in 0..64 {
+        for i in 0..n {
             img.array_mut(x)[i] = Value::F(i as f64);
             img.array_mut(y)[i] = Value::F(1.0);
         }
@@ -1803,44 +1949,126 @@ mod tests {
         assert!(intra > 0 && da > 0 && aa > 0);
     }
 
+    fn component_names(m: &Machine) -> Vec<String> {
+        m.scheduler()
+            .components()
+            .map(|c| c.name().to_string())
+            .collect()
+    }
+
     #[test]
     fn adding_components_needs_only_registration() {
         // The tick loop, wake probe, drain predicate and drain audit all
-        // derive from the registered component set: a machine configured
-        // with more engines has more registered components, with no other
+        // derive from the registered component set. A machine that only
+        // runs host code (an OoO machine) registers no engine stage; the
+        // first configured engine registers the one stage, and every
+        // later engine, of this plan or another, joins it with no other
         // machine code aware of the count.
-        let (_p, ck, m, _x, _y) = axpy_setup();
-        let before: Vec<String> = m
-            .scheduler()
-            .components()
-            .map(|c| c.name().to_string())
-            .collect();
-        assert_eq!(
-            before,
-            ["delivery", "host", "mem", "machine.chan", "net-out", "noc"]
+        use distda_ir::trace::{DynOp, OpKind, NO_DEP};
+        let (_p, _ck, mut m, x, _y) = axpy_setup();
+        let store = DynOp {
+            kind: OpKind::Store {
+                addr: m.layout().base(x),
+            },
+            dep1: NO_DEP,
+            dep2: NO_DEP,
+        };
+        m.run_host_segment(vec![store]).unwrap();
+        m.drain().unwrap();
+        let host_only = ["delivery", "host", "mem", "machine.chan", "net-out", "noc"];
+        assert_eq!(component_names(&m), host_only);
+
+        let (_p, ck, mut m, _x, _y) = axpy_setup();
+        let with_engines = [
+            "delivery",
+            "host",
+            "engine.all",
+            "mem",
+            "machine.chan",
+            "net-out",
+            "noc",
+        ];
+        m.configure_plan(&ck.offloads[0], &[0, 1], &[io_substrate(false); 2], &[]);
+        assert_eq!(component_names(&m), with_engines);
+        m.configure_plan(&ck.offloads[0], &[2, 3], &[io_substrate(false); 2], &[]);
+        assert_eq!(component_names(&m), with_engines);
+        assert_eq!(m.state().engines.len(), 4);
+    }
+
+    /// Runs two invocations of axpy's two-partition plan placed at
+    /// `placement` to a drained machine, with the sanitizer attached.
+    /// The consumer runs at half the producer's clock over 8x the
+    /// channel's capacity in elements, so the consumer waits for operands
+    /// at first and the producer then waits for credits. Returns
+    /// everything a run result is built from (ticks, energy counters,
+    /// traffic, engine statistics, port report, output array) and the
+    /// number of violations the sanitizer recorded.
+    fn sanitized_axpy(placement: [usize; 2], skip: bool) -> (String, usize) {
+        const N: usize = 8 * CHAN_CAPACITY;
+        let (_p, ck, mut m, _x, y) = axpy_machine(N);
+        m.set_skip(skip);
+        let san = Sanitizer::enabled();
+        m.set_instruments(Instruments {
+            san: san.clone(),
+            ..Instruments::disabled()
+        });
+        let slow = Substrate {
+            clock: ClockDomain::from_ghz(1.0),
+            ..io_substrate(false)
+        };
+        let h = m.configure_plan(
+            &ck.offloads[0],
+            &placement,
+            &[io_substrate(false), slow],
+            &[],
         );
-        let (_p2, ck2, mut m2, _x2, _y2) = axpy_setup();
-        let plan = &ck2.offloads[0];
-        let h = m2.configure_plan(plan, &[0, 1], &[io_substrate(false); 2], &[]);
-        let after: Vec<String> = m2
-            .scheduler()
-            .components()
-            .map(|c| c.name().to_string())
-            .collect();
-        assert_eq!(
-            after,
-            [
-                "delivery",
-                "host",
-                "engine.0",
-                "engine.1",
-                "mem",
-                "machine.chan",
-                "net-out",
-                "noc"
-            ]
+        for _ in 0..2 {
+            m.launch(h, &[], &[vec![], vec![]], 0, N as i64, 1);
+            m.run_offload(h).unwrap();
+        }
+        m.drain().unwrap();
+        let outcome = format!(
+            "{:?}",
+            (
+                m.now(),
+                m.energy_counters(),
+                m.access_distribution(),
+                m.noc_stats(),
+                m.engine_totals(),
+                m.port_report(),
+                m.memimg().array(y),
+            )
         );
-        let _ = (h, ck);
+        (outcome, san.count())
+    }
+
+    /// The engine stage's cached wakes under the sanitizer's
+    /// `engine-wake-cache` rule: with skip-ahead on, no violation, and the
+    /// same results as the tick-by-tick run.
+    fn wake_cache_holds(placement: [usize; 2]) {
+        let (skipped, violations) = sanitized_axpy(placement, true);
+        assert_eq!(violations, 0);
+        let (reference, violations) = sanitized_axpy(placement, false);
+        assert_eq!(violations, 0);
+        assert_eq!(skipped, reference);
+    }
+
+    // `x` lives on cluster 0 and `y` on cluster 1. An engine at its
+    // array's cluster gets its responses from `mem.tick`, an engine
+    // elsewhere from the delivery stage; each test has both kinds.
+
+    #[test]
+    fn wake_cache_holds_on_a_local_channel() {
+        // Co-located partitions: local sends and receives mark the engine
+        // at the other end of the channel.
+        wake_cache_holds([1, 1]);
+    }
+
+    #[test]
+    fn wake_cache_holds_on_a_remote_channel() {
+        // Partitions at their data: delivered operands and credits mark
+        // the engine at the other end.
+        wake_cache_holds([0, 1]);
     }
 
     #[test]
