@@ -2,42 +2,64 @@
 //! run, writing each to `results/`, plus the deterministic run log
 //! `results/reproduce.log`, its wall-clock companion
 //! `results/reproduce_timing.log` and one run manifest per simulated run.
+//!
+//! ```text
+//! cargo run --release -p distda-bench --bin reproduce
+//! cargo run --release -p distda-bench --bin reproduce -- --only fig11b_speedup table_area
+//! ```
+//!
+//! `--only NAME...` writes only the named artifacts (file stems, listed in
+//! `distda_bench::figures::ARTIFACTS`) and runs the suite sweep only if
+//! one of them needs it. Such a partial run writes no run log, timing log
+//! or manifest. The two ablations, `ablation_buffer_size` and
+//! `ablation_placement`, run only when named.
 
-use distda_bench::{emit, figures, paper_configs, run_suite_matrix, write_run_logs};
+use distda_bench::figures::{self, Source};
+use distda_bench::{emit, paper_configs, run_suite_matrix, write_run_logs};
 use distda_workloads::Scale;
+use std::process::ExitCode;
 
-fn main() {
+const USAGE: &str = "usage: reproduce [--only NAME...]";
+
+fn main() -> ExitCode {
+    let mut args = std::env::args().skip(1);
+    let only: Vec<String> = match args.next().as_deref() {
+        None => Vec::new(),
+        Some("--only") => args.collect(),
+        Some(_) => {
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let selected = match figures::select(&only) {
+        Ok(s) if !s.is_empty() => s,
+        Ok(_) => {
+            eprintln!("--only requires at least one name\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+
     let t0 = std::time::Instant::now();
     let scale = Scale::eval();
-    eprintln!("[1/6] suite sweep over the six configurations...");
-    let sweep = run_suite_matrix(&scale, &paper_configs());
-    emit("headline.txt", &figures::headline(&sweep));
-    emit("fig07_energy_efficiency.txt", &figures::fig07(&sweep));
-    emit("fig08_cache_accesses.txt", &figures::fig08(&sweep));
-    emit("fig09_access_distribution.txt", &figures::fig09(&sweep));
-    emit("fig10_noc_traffic.txt", &figures::fig10(&sweep));
-    emit("fig11a_memrate_ipc.txt", &figures::fig11a(&sweep));
-    emit("fig11b_speedup.txt", &figures::fig11b(&sweep));
-    emit("data_movement.txt", &figures::data_movement(&sweep));
-    eprintln!("[2/6] case studies (Figure 12)...");
-    emit("fig12a_case_control.txt", &figures::fig12a(&scale));
-    emit(
-        "fig12b_case_multithread.txt",
-        &distda_bench::mt::fig12b(&scale),
-    );
-    eprintln!("[3/6] clock sensitivity (Figure 13)...");
-    emit("fig13_clock_sensitivity.txt", &figures::fig13(&scale));
-    eprintln!("[4/6] software optimizations (Figure 14)...");
-    emit("fig14_sw_optimizations.txt", &figures::fig14(&scale));
-    eprintln!("[5/6] tables...");
-    emit("table05_interface_coverage.txt", &figures::table05(&scale));
-    emit(
-        "table06_offload_characteristics.txt",
-        &figures::table06(&scale),
-    );
-    emit("table_area.txt", &figures::table_area());
-    eprintln!("[6/6] working-set sweep...");
-    emit("sweep_working_set.txt", &figures::sweep_working_set());
-    write_run_logs(t0.elapsed().as_secs_f64());
+    let mut sweep = None;
+    for (i, a) in selected.iter().enumerate() {
+        eprintln!("[{}/{}] {}...", i + 1, selected.len(), a.name);
+        let text = match a.source {
+            Source::Sweep(render) => render(sweep.get_or_insert_with(|| {
+                eprintln!("suite sweep over the six configurations...");
+                run_suite_matrix(&scale, &paper_configs())
+            })),
+            Source::Scale(render) => render(&scale),
+        };
+        emit(&format!("{}.txt", a.name), &text);
+    }
+    if only.is_empty() {
+        write_run_logs(t0.elapsed().as_secs_f64());
+    }
     eprintln!("done — see results/");
+    ExitCode::SUCCESS
 }

@@ -4,131 +4,75 @@
 //! and reports each failing cell by coordinates instead of aborting.
 //!
 //! ```text
-//! cargo run --release --bin validate                  # 12 workloads x 6 configs x skip on/off
-//! cargo run --release --bin validate -- --smoke 42    # randomized-kernel smoke at seed 42
+//! cargo run --release -p distda-bench --bin validate                # 12 workloads x 6 configs x skip on/off
+//! cargo run --release -p distda-bench --bin validate -- --smoke 42  # randomized-kernel smoke at seed 42
 //! ```
 //!
 //! Options:
 //!
-//! - `--scale tiny|eval`: workload input scale (default `tiny`).
-//! - `--kernel NAME` (repeatable): restrict to suite kernels by name
-//!   (default: all twelve).
-//! - `--config LABEL` (repeatable): restrict to configurations by label
-//!   (default: all six). Labels accept topology extensions in the
-//!   `Dist-DA-IO:4x4:fm150:t2` form — wider meshes, far-memory pools and
-//!   tenant counts sweep through the same strict-validation machinery as
-//!   the paper machine.
+//! - `--kernel NAME`, `--config LABEL` (both repeatable) and `--scale
+//!   tiny|eval`: the selection `run` takes too (default: all twelve suite
+//!   kernels x the six paper configurations, tiny scale). Labels accept
+//!   topology extensions in the `Dist-DA-IO:4x4:fm150:t2` form — wider
+//!   meshes, far-memory pools and tenant counts sweep through the same
+//!   strict-validation machinery as the paper machine.
 //! - `--smoke SEED`: instead of the fixed suite, generate randomized
 //!   kernels (saxpy, dot reduction, indirect gather, 3-point stencil) with
 //!   sizes and constants drawn from `SEED`, and validate those across the
 //!   selected configurations. The same seed always generates the same
 //!   kernels.
 //!
-//! Exit status is nonzero if any cell fails.
+//! Every cell runs under [`CheckPolicy::full`] whatever `DISTDA_SANITIZE`
+//! and `DISTDA_VALIDATE` say. Exit status is nonzero if any cell fails.
 
-use distda_system::{CheckPolicy, ConfigKind, RunConfig, RunSpec};
-use distda_workloads::{micro, suite, Scale, Workload};
+use distda_bench::Selection;
+use distda_system::{CheckPolicy, RunSpec};
+use distda_workloads::micro;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-struct Args {
-    scale: String,
-    kernels: Vec<String>,
-    configs: Vec<String>,
-    smoke: Option<u64>,
+const USAGE: &str =
+    "usage: validate [--kernel NAME]... [--config LABEL]... [--scale tiny|eval] [--smoke SEED]";
+
+fn main() -> ExitCode {
+    match sweep() {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        scale: "tiny".to_string(),
-        kernels: Vec::new(),
-        configs: Vec::new(),
-        smoke: None,
-    };
+/// Runs the selected cells; `Ok(false)` when any failed.
+fn sweep() -> Result<bool, String> {
+    let mut sel = Selection::default();
+    let mut smoke: Option<u64> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+        if sel.take(&a, &mut it).map_err(|e| e.to_string())? {
+            continue;
+        }
         match a.as_str() {
-            "--scale" => args.scale = value("--scale")?,
-            "--kernel" => args.kernels.push(value("--kernel")?),
-            "--config" => args.configs.push(value("--config")?),
             "--smoke" => {
-                args.smoke = Some(
-                    value("--smoke")?
-                        .parse()
-                        .map_err(|e| format!("--smoke: {e}"))?,
-                );
+                let seed = it.next().ok_or("--smoke requires a value")?;
+                smoke = Some(seed.parse().map_err(|e| format!("--smoke: {e}"))?);
             }
-            "--help" | "-h" => {
-                return Err("usage: validate [--scale tiny|eval] [--kernel NAME]... \
-                            [--config LABEL]... [--smoke SEED]"
-                    .to_string())
-            }
+            "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Ok(args)
-}
-
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scale = match args.scale.as_str() {
-        "tiny" => Scale::tiny(),
-        "eval" => Scale::eval(),
-        other => {
-            eprintln!("unknown scale: {other} (expected tiny or eval)");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut configs: Vec<RunConfig> = Vec::new();
-    if args.configs.is_empty() {
-        configs = ConfigKind::ALL
-            .iter()
-            .map(|&k| RunConfig::named(k))
-            .collect();
-    } else {
-        for label in &args.configs {
-            match RunConfig::from_label(label) {
-                Ok(cfg) => configs.push(cfg),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-
-    let mut workloads: Vec<Workload> = match args.smoke {
+    let configs = sel.configs();
+    let workloads = match smoke {
         Some(seed) => {
             println!("randomized smoke suite, seed {seed}");
-            micro::suite(seed)
+            sel.kernels_of(micro::suite(seed))
         }
-        None => suite(&scale),
-    };
-    if !args.kernels.is_empty() {
-        for name in &args.kernels {
-            if !workloads.iter().any(|w| &w.name == name) {
-                eprintln!(
-                    "unknown kernel: {name} (available: {})",
-                    workloads
-                        .iter()
-                        .map(|w| w.name.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        workloads.retain(|w| args.kernels.contains(&w.name));
+        None => sel.kernels(),
     }
+    .map_err(|e| e.to_string())?;
 
     // Every (workload, config, skip) cell, skip-ahead both on and off: the
     // fast-forwarded and tick-by-tick simulations must both reproduce the
@@ -183,12 +127,11 @@ fn main() -> ExitCode {
             workloads.len(),
             configs.len()
         );
-        ExitCode::SUCCESS
     } else {
         println!("validate: {}/{total} cells FAILED:", failures.len());
         for (_, msg) in &failures {
             println!("  {msg}");
         }
-        ExitCode::FAILURE
     }
+    Ok(failures.is_empty())
 }

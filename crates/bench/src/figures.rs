@@ -1,16 +1,114 @@
-//! Renderers for every table and figure in the paper's evaluation.
+//! Renderers for every table and figure in the paper's evaluation, and
+//! the ablations.
 //!
-//! Each function returns the rendered text; binaries print and save it.
-//! Normalization follows the paper: everything against OoO unless stated
-//! otherwise (Figure 13 against Dist-DA-IO@1GHz, Figure 14 against
-//! Dist-DA-IO).
+//! Each function returns the rendered text; [`ARTIFACTS`] names each one
+//! after the file `reproduce` writes it to. Normalization follows the
+//! paper: everything against OoO unless stated otherwise (Figure 13
+//! against Dist-DA-IO@1GHz, Figure 14 against Dist-DA-IO).
 
-use crate::{metric_table, run_suite_matrix, Sweep};
+use crate::{metric_table, mt, run_matrix, run_suite_matrix, Sweep};
 use distda_compiler::{compile, summarize, MechanismUse, PartitionMode};
 use distda_energy::AreaModel;
-use distda_system::{ConfigKind, RunConfig};
-use distda_workloads::{fdtd_2d, nw_blocked, spmv, spmv_flat, suite, Scale};
+use distda_system::{AllocStrategy, ConfigKind, RunConfig};
+use distda_workloads::{
+    disparity, fdtd_2d, nw_blocked, pagerank, seidel_2d, spmv, spmv_flat, suite, Scale,
+};
 use std::fmt::Write;
+
+/// What an artifact is rendered from.
+#[derive(Debug, Clone, Copy)]
+pub enum Source {
+    /// The suite sweep over the six paper configurations.
+    Sweep(fn(&Sweep) -> String),
+    /// Its own simulations at the given scale.
+    Scale(fn(&Scale) -> String),
+}
+
+/// One file `reproduce` writes: `results/<name>.txt`.
+#[derive(Debug)]
+pub struct Artifact {
+    /// File stem, and the name `reproduce --only` takes.
+    pub name: &'static str,
+    /// How it is rendered.
+    pub source: Source,
+    /// Whether a full `reproduce` writes it; the ablations run only when
+    /// named.
+    pub default: bool,
+}
+
+const fn sweep(name: &'static str, f: fn(&Sweep) -> String) -> Artifact {
+    Artifact {
+        name,
+        source: Source::Sweep(f),
+        default: true,
+    }
+}
+
+const fn scaled(name: &'static str, f: fn(&Scale) -> String) -> Artifact {
+    Artifact {
+        name,
+        source: Source::Scale(f),
+        default: true,
+    }
+}
+
+const fn ablation(name: &'static str, f: fn(&Scale) -> String) -> Artifact {
+    Artifact {
+        default: false,
+        ..scaled(name, f)
+    }
+}
+
+/// Every artifact, in the order a full `reproduce` writes them.
+pub const ARTIFACTS: [Artifact; 18] = [
+    sweep("headline", headline),
+    sweep("fig07_energy_efficiency", fig07),
+    sweep("fig08_cache_accesses", fig08),
+    sweep("fig09_access_distribution", fig09),
+    sweep("fig10_noc_traffic", fig10),
+    sweep("fig11a_memrate_ipc", fig11a),
+    sweep("fig11b_speedup", fig11b),
+    sweep("data_movement", data_movement),
+    scaled("fig12a_case_control", fig12a),
+    scaled("fig12b_case_multithread", mt::fig12b),
+    scaled("fig13_clock_sensitivity", fig13),
+    scaled("fig14_sw_optimizations", fig14),
+    scaled("table05_interface_coverage", table05),
+    scaled("table06_offload_characteristics", table06),
+    scaled("table_area", |_| table_area()),
+    scaled("sweep_working_set", |_| sweep_working_set()),
+    ablation("ablation_buffer_size", ablation_buffer_size),
+    ablation("ablation_placement", ablation_placement),
+];
+
+/// The artifacts `names` selects, in [`ARTIFACTS`] order; no names
+/// selects those a full `reproduce` writes.
+///
+/// # Errors
+///
+/// The first unknown name, listing the valid ones.
+pub fn select(names: &[String]) -> Result<Vec<&'static Artifact>, String> {
+    if let Some(bad) = names
+        .iter()
+        .find(|n| ARTIFACTS.iter().all(|a| a.name != *n))
+    {
+        let valid: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
+        return Err(format!(
+            "unknown artifact: {bad} (valid: {})",
+            valid.join(", ")
+        ));
+    }
+    Ok(ARTIFACTS
+        .iter()
+        .filter(|a| {
+            if names.is_empty() {
+                a.default
+            } else {
+                names.iter().any(|n| n == a.name)
+            }
+        })
+        .collect())
+}
 
 /// Accelerated configuration labels, in paper order.
 fn accel_labels(sweep: &Sweep) -> Vec<String> {
@@ -460,6 +558,95 @@ pub fn sweep_working_set() -> String {
     out
 }
 
+/// Ablation: access-unit buffer capacity. Sweeps the per-engine SRAM from
+/// 0.5 KB to 8 KB on representative kernels under Dist-DA-F.
+pub fn ablation_buffer_size(scale: &Scale) -> String {
+    let ws = vec![fdtd_2d(scale), seidel_2d(scale), pagerank(scale)];
+    let cfgs: Vec<RunConfig> = [
+        (8, "-0.5KB"),
+        (16, "-1KB"),
+        (32, "-2KB"),
+        (64, "-4KB"),
+        (128, "-8KB"),
+    ]
+    .into_iter()
+    .map(|(buffer_lines, suffix)| RunConfig {
+        buffer_lines,
+        suffix,
+        ..RunConfig::named(ConfigKind::DistDAF)
+    })
+    .collect();
+    let sweep = run_matrix(&ws, &cfgs);
+    let mut out = String::new();
+    writeln!(out, "\n=== Ablation: buffer capacity (Dist-DA-F) ===").unwrap();
+    writeln!(
+        out,
+        "{:<12} {:>12} {:>12} {:>10} {:>10}",
+        "kernel", "buffer", "ticks", "intra%", "D-A(KB)"
+    )
+    .unwrap();
+    for k in &sweep.kernels {
+        for c in &sweep.configs {
+            let r = sweep.get(k, c);
+            let total = (r.intra_bytes + r.da_bytes + r.aa_bytes).max(1) as f64;
+            writeln!(
+                out,
+                "{:<12} {:>12} {:>12} {:>9.1}% {:>10}",
+                k,
+                c,
+                r.ticks,
+                100.0 * r.intra_bytes as f64 / total,
+                r.da_bytes / 1024
+            )
+            .unwrap();
+        }
+    }
+    out
+}
+
+/// Ablation: object placement. Compares round-robin anchoring (the greedy
+/// stand-in) with affinity anchoring under Dist-DA-F. Decentralized plans
+/// need a home cluster per object, so interleaving is not a candidate.
+pub fn ablation_placement(scale: &Scale) -> String {
+    let ws = vec![disparity(scale), fdtd_2d(scale), pagerank(scale)];
+    let cfgs: Vec<RunConfig> = [
+        (AllocStrategy::RoundRobin, "-anchor"),
+        (AllocStrategy::Affinity, "-affinity"),
+    ]
+    .into_iter()
+    .map(|(alloc, suffix)| RunConfig {
+        alloc,
+        suffix,
+        ..RunConfig::named(ConfigKind::DistDAF)
+    })
+    .collect();
+    let sweep = run_matrix(&ws, &cfgs);
+    let mut out = String::new();
+    writeln!(out, "\n=== Ablation: object placement (Dist-DA-F) ===").unwrap();
+    writeln!(
+        out,
+        "{:<12} {:>26} {:>12} {:>14} {:>12}",
+        "kernel", "policy", "ticks", "NoC hop-bytes", "energy(nJ)"
+    )
+    .unwrap();
+    for k in &sweep.kernels {
+        for c in &sweep.configs {
+            let r = sweep.get(k, c);
+            writeln!(
+                out,
+                "{:<12} {:>26} {:>12} {:>14} {:>12.1}",
+                k,
+                c,
+                r.ticks,
+                r.counters.noc_hop_bytes,
+                r.energy_pj() / 1e3
+            )
+            .unwrap();
+        }
+    }
+    out
+}
+
 /// Run the headline summary (abstract numbers).
 pub fn headline(sweep: &Sweep) -> String {
     let mut out = String::new();
@@ -522,6 +709,30 @@ mod tests {
     fn area_table_mentions_both_substrates() {
         let t = table_area();
         assert!(t.contains("CGRA") && t.contains("in-order"));
+    }
+
+    #[test]
+    fn ablations_render_every_cell() {
+        // `run_matrix` panics on any failing cell, so rendering at all
+        // means every cell simulated and validated.
+        let rows = |t: &str| t.lines().filter(|l| l.contains("Dist-DA-F-")).count();
+        assert_eq!(rows(&ablation_buffer_size(&Scale::tiny())), 3 * 5);
+        assert_eq!(rows(&ablation_placement(&Scale::tiny())), 3 * 2);
+    }
+
+    #[test]
+    fn artifacts_select_by_name_and_default_skips_the_ablations() {
+        let names = |v: Vec<&Artifact>| v.iter().map(|a| a.name).collect::<Vec<_>>();
+        let all = names(select(&[]).unwrap());
+        assert_eq!(all.len(), 16);
+        assert!(!all.iter().any(|n| n.starts_with("ablation_")));
+        let picked = ["table_area", "headline"].map(String::from);
+        assert_eq!(names(select(&picked).unwrap()), ["headline", "table_area"]);
+        let err = select(&["fig99".to_string()]).unwrap_err();
+        assert!(
+            err.contains("fig99") && err.contains("ablation_placement"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! # distda-bench
 //!
-//! The experiment harness: shared sweep infrastructure used by one binary
-//! per paper figure/table (`fig07_energy_efficiency`, ...,
-//! `table06_offload_characteristics`, `reproduce`). Each binary prints the
-//! same rows/series the paper reports, normalized the same way.
+//! The experiment harness: the sweep infrastructure behind `reproduce`,
+//! which writes every paper figure and table ([`figures::ARTIFACTS`]; one
+//! or more of them with `--only NAME...`), and the kernel, configuration
+//! and scale [`Selection`] shared by the `run` and `validate` commands.
+//! Each artifact prints the same rows/series the paper reports, normalized
+//! the same way.
 
 pub mod figures;
 pub mod kernel_bench;
 pub mod mt;
+pub mod select;
 
 pub use kernel_bench::{run_kernel_bench, KernelBench};
+pub use select::{SelectError, Selection};
 
 use distda_obs::manifest::{config_hash, ManifestRecord};
 use distda_obs::Progress;
@@ -216,7 +220,7 @@ pub fn try_run_matrix_with_progress(
 }
 
 /// [`try_run_matrix`] for harness code that treats any failing cell as
-/// fatal: the figure binaries want a complete matrix or nothing.
+/// fatal: the figures want a complete matrix or nothing.
 ///
 /// # Panics
 ///

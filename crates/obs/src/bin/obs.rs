@@ -1,14 +1,10 @@
-//! The fleet observability CLI: self-profile a run, record and gate the
-//! benchmark's performance, or export manifests as OpenMetrics.
+//! The fleet observability CLI: record and gate the benchmark's
+//! performance, or export manifests as OpenMetrics. (A run is
+//! self-profiled by `run --profile`.)
 //!
-//! `cargo run --release --bin obs -- <subcommand> ...`, where the
-//! subcommands are:
+//! `cargo run --release -p distda-obs --bin obs -- <subcommand> ...`,
+//! where the subcommands are:
 //!
-//! - `profile [--kernel NAME]... [--config LABEL] [--scale tiny|eval]
-//!   [--out DIR]` — run each workload with the scheduler self-profiler
-//!   attached, print the "perf top"-style table and write the OpenMetrics
-//!   rendering of the profile + run metrics to `<out>/profile_<k>_<c>.om`.
-//!   A run that errs or produces wrong results makes the exit nonzero.
 //! - `record --out PATH RUN...` — fold the saved standard output of N
 //!   runs of the repository benchmark (`--trace 1`) into one performance
 //!   record: per metric the median, q1 and q3, its unit and `better` from
@@ -18,18 +14,13 @@
 //! - `export [--manifests PATH] [--out PATH]` — fold a manifest JSONL
 //!   stream into the metrics registry and write OpenMetrics text.
 
-use distda_obs::manifest::{self, config_hash};
+use distda_obs::manifest;
 use distda_obs::{gate, Record, Registry};
-use distda_system::{slug, RunConfig};
-use distda_workloads::{suite, Scale};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Args {
     cmd: String,
-    kernels: Vec<String>,
-    config: String,
-    scale: String,
     out: Option<PathBuf>,
     baseline: Option<PathBuf>,
     current: Option<PathBuf>,
@@ -37,16 +28,13 @@ struct Args {
     runs: Vec<PathBuf>,
 }
 
-const USAGE: &str = "usage: obs profile [--kernel NAME]... [--config LABEL] [--scale tiny|eval] [--out DIR]\n       obs record --out PATH RUN...\n       obs gate --baseline PATH --current PATH\n       obs export [--manifests PATH] [--out PATH]";
+const USAGE: &str = "usage: obs record --out PATH RUN...\n       obs gate --baseline PATH --current PATH\n       obs export [--manifests PATH] [--out PATH]";
 
 fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     let cmd = it.next().ok_or(USAGE)?;
     let mut args = Args {
         cmd,
-        kernels: Vec::new(),
-        config: "Dist-DA-F".to_string(),
-        scale: "tiny".to_string(),
         out: None,
         baseline: None,
         current: None,
@@ -56,9 +44,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match a.as_str() {
-            "--kernel" => args.kernels.push(value("--kernel")?),
-            "--config" => args.config = value("--config")?,
-            "--scale" => args.scale = value("--scale")?,
             "--out" => args.out = Some(PathBuf::from(value("--out")?)),
             "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
             "--current" => args.current = Some(PathBuf::from(value("--current")?)),
@@ -70,91 +55,11 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    if args.kernels.is_empty() {
-        args.kernels.push("pf".to_string());
-    }
     Ok(args)
 }
 
 fn read(p: &Path) -> Result<String, String> {
     std::fs::read_to_string(p).map_err(|e| format!("cannot read {}: {e}", p.display()))
-}
-
-fn cmd_profile(args: &Args) -> Result<u32, String> {
-    let scale = match args.scale.as_str() {
-        "tiny" => Scale::tiny(),
-        "eval" => Scale::eval(),
-        other => return Err(format!("unknown scale: {other} (expected tiny or eval)")),
-    };
-    let cfg = RunConfig::from_label(&args.config)?;
-    let workloads = suite(&scale);
-    let out = args.out.clone().unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-
-    let mut failures = 0u32;
-    for name in &args.kernels {
-        let Some(w) = workloads.iter().find(|w| &w.name == name) else {
-            eprintln!(
-                "unknown kernel: {name} (available: {})",
-                workloads
-                    .iter()
-                    .map(|w| w.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            failures += 1;
-            continue;
-        };
-        let prof = distda_sim::Profiler::enabled();
-        let t0 = std::time::Instant::now();
-        let r = match w.try_simulate_profiled(&cfg, &prof) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{name} / {}: {e}", cfg.kind.label());
-                failures += 1;
-                continue;
-            }
-        };
-        let host_secs = t0.elapsed().as_secs_f64();
-        let snap = prof.snapshot_at(r.ticks).expect("profiler was enabled");
-
-        println!(
-            "=== {} / {} — {} ticks in {host_secs:.3}s host, validated={} ===",
-            r.kernel, r.config, r.ticks, r.validated
-        );
-        print!("{}", distda_sim::profile::render_table(&snap));
-
-        let mut reg = Registry::new();
-        reg.ingest_run(&r);
-        reg.ingest_profile(&[("kernel", &r.kernel), ("config", &r.config)], &snap);
-        let om_path = out.join(format!(
-            "profile_{}_{}.om",
-            slug(&r.kernel),
-            slug(&r.config)
-        ));
-        std::fs::write(&om_path, reg.openmetrics())
-            .map_err(|e| format!("cannot write {}: {e}", om_path.display()))?;
-        println!("openmetrics: {}", om_path.display());
-
-        let rec = manifest::ManifestRecord::capture(
-            &r.kernel,
-            &r.config,
-            config_hash(&cfg),
-            r.ticks,
-            host_secs,
-            r.validated,
-        )
-        .with_bottleneck(&r.report);
-        if let Err(e) = rec.append() {
-            eprintln!("warning: cannot append manifest: {e}");
-        }
-        if !r.validated {
-            eprintln!("{name}: wrong results (golden-model mismatch)");
-            failures += 1;
-        }
-        println!();
-    }
-    Ok(failures)
 }
 
 fn cmd_record(args: &Args) -> Result<u32, String> {
@@ -186,9 +91,7 @@ fn cmd_export(args: &Args) -> Result<u32, String> {
         .manifests
         .clone()
         .unwrap_or_else(|| PathBuf::from(manifest::DEFAULT_MANIFEST_PATH));
-    let stream = std::fs::read_to_string(&manifests)
-        .map_err(|e| format!("cannot read {}: {e}", manifests.display()))?;
-    let records = manifest::parse_manifests(&stream)?;
+    let records = manifest::parse_manifests(&read(&manifests)?)?;
     let mut reg = Registry::new();
     for r in &records {
         let labels: &[(&str, &str)] = &[("kernel", &r.kernel), ("config", &r.config)];
@@ -203,10 +106,7 @@ fn cmd_export(args: &Args) -> Result<u32, String> {
             reg.counter_add("distda_manifest_unvalidated", labels, 1);
         }
     }
-    let out = match &args.out {
-        Some(out) if out != Path::new("results") => out.clone(),
-        _ => PathBuf::from("results/manifests.om"),
-    };
+    let out = (args.out.clone()).unwrap_or_else(|| PathBuf::from("results/manifests.om"));
     if let Some(parent) = out.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
@@ -225,7 +125,6 @@ fn main() -> ExitCode {
         }
     };
     let outcome = match args.cmd.as_str() {
-        "profile" => cmd_profile(&args),
         "record" => cmd_record(&args),
         "gate" => cmd_gate(&args),
         "export" => cmd_export(&args),

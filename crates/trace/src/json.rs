@@ -1,10 +1,10 @@
 //! A minimal JSON reader used to validate exported traces.
 //!
 //! The workspace deliberately carries no external dependencies, so the
-//! Chrome-trace smoke tests and `trace --check` parse their own output with
-//! this small recursive-descent parser instead of `serde`. It accepts
-//! strict JSON (no comments, no trailing commas) — exactly what the
-//! exporters produce — and is not meant as a general-purpose library.
+//! Chrome-trace smoke tests and `run --trace --check` parse their own
+//! output with this small recursive-descent parser instead of `serde`. It
+//! accepts strict JSON (no comments, no trailing commas) — exactly what
+//! the exporters produce — and is not meant as a general-purpose library.
 
 use std::collections::BTreeMap;
 use std::fmt;
