@@ -11,10 +11,9 @@
 use distda_compiler::{compile, PartitionMode};
 use distda_ir::interp::Memory;
 use distda_ir::value::Value;
-use distda_mem::MemSystem;
-use distda_sim::time::ClockDomain;
-use distda_system::runner::{mem_config_for, place_partitions, substrates_for};
-use distda_system::{allocate, ConfigKind, Machine, RunConfig};
+use distda_ir::Program;
+use distda_system::runner::{place_partitions, substrates_for};
+use distda_system::{machine_for, ConfigKind, Machine, PlanHandle, RunConfig};
 use distda_workloads::{gen, Scale};
 
 /// Result of one multithreaded run.
@@ -26,6 +25,34 @@ pub struct MtResult {
     pub ticks: u64,
     /// Whether results matched the reference.
     pub validated: bool,
+}
+
+/// Compiles the one loop of `prog` under `cfg`, builds its machine with
+/// [`machine_for`] (inputs installed by `init`), and configures one
+/// instance of the plan per thread, all at the same placement.
+fn thread_machine(
+    prog: &Program,
+    init: &dyn Fn(&mut Memory),
+    cfg: &RunConfig,
+    threads: usize,
+) -> (Machine, Vec<PlanHandle>) {
+    let mode = cfg
+        .kind
+        .partition_mode()
+        .unwrap_or(PartitionMode::Monolithic);
+    let mut ck = compile(prog, mode);
+    assert_eq!(ck.offloads.len(), 1);
+    if cfg.kind.decentralize_accesses() {
+        ck.offloads[0] = distda_system::decentralize(&ck.offloads[0]);
+    }
+    let (mut machine, allocs) = machine_for(prog, init, cfg, &ck.offloads);
+    let plan = &ck.offloads[0];
+    let placement = place_partitions(plan, &allocs[0], cfg.kind, cfg.topology.host_node);
+    let substrates = substrates_for(plan, cfg);
+    let handles = (0..threads)
+        .map(|_| machine.configure_plan(plan, &placement, &substrates, &[], 0))
+        .collect();
+    (machine, handles)
 }
 
 /// Multithreaded level-synchronous BFS: per level, up to `threads` frontier
@@ -63,49 +90,16 @@ pub fn bfs_mt(scale: &Scale, threads: usize, cfg: &RunConfig) -> MtResult {
         );
     });
     let prog = b.build();
-    let plan = {
-        let mode = match cfg.kind.partition_mode() {
-            Some(m) => m,
-            None => PartitionMode::Monolithic,
-        };
-        let mut ck = compile(&prog, mode);
-        assert_eq!(ck.offloads.len(), 1);
-        if cfg.kind.decentralize_accesses() {
-            ck.offloads[0] = distda_system::decentralize(&ck.offloads[0]);
+    let init = |img: &mut Memory| {
+        for (k, v) in col.iter().enumerate() {
+            img.array_mut(aj)[k] = Value::I(*v);
         }
-        ck.offloads.remove(0)
+        img.array_mut(visited)[0] = Value::I(1);
+        for v in img.array_mut(cost).iter_mut().skip(1) {
+            *v = Value::I(-1);
+        }
     };
-
-    // Machine setup (same parameters as the runner).
-    let topo = &cfg.topology;
-    let uncore = ClockDomain::from_ghz(2.0);
-    let mut mem = MemSystem::new(
-        mem_config_for(topo),
-        uncore,
-        topo.host_node,
-        topo.memctrl_node,
-    );
-    let plans = vec![plan.clone()];
-    let alloc = allocate(&prog, &plans, topo.clusters(), cfg.alloc, &mut mem);
-    let mut img = Memory::for_program(&prog);
-    for (k, v) in row_ptr.iter().enumerate() {
-        let _ = (k, v); // row_ptr is host-side only in this driver
-    }
-    for (k, v) in col.iter().enumerate() {
-        img.array_mut(aj)[k] = Value::I(*v);
-    }
-    img.array_mut(visited)[0] = Value::I(1);
-    for v in img.array_mut(cost).iter_mut().skip(1) {
-        *v = Value::I(-1);
-    }
-    let mut machine = Machine::new(mem, img, alloc.layout.clone(), 5, 224, topo);
-
-    // One plan instance per thread.
-    let placement = place_partitions(&plan, &alloc, cfg.kind, topo.host_node);
-    let substrates = substrates_for(&plan, cfg);
-    let handles: Vec<_> = (0..threads)
-        .map(|_| machine.configure_plan(&plan, &placement, &substrates, &[]))
-        .collect();
+    let (mut machine, handles) = thread_machine(&prog, &init, cfg, threads);
 
     // Host-side frontier state.
     let mut mask = vec![false; n];
@@ -180,17 +174,17 @@ pub fn bfs_mt(scale: &Scale, threads: usize, cfg: &RunConfig) -> MtResult {
         // Frontier rotation on the host (fast bookkeeping, not modeled as
         // offload): mask <- updating, visited |= updating.
         for (v, m) in mask.iter_mut().enumerate().take(n) {
-            let upd = machine.memimg().array(updating)[v].truthy();
+            let upd = machine.memimg(0).array(updating)[v].truthy();
             if upd {
                 *m = true;
-                machine.memimg_mut().store(visited, v as i64, Value::I(1));
-                machine.memimg_mut().store(updating, v as i64, Value::I(0));
+                machine.memimg_mut(0).store(visited, v as i64, Value::I(1));
+                machine.memimg_mut(0).store(updating, v as i64, Value::I(0));
             }
         }
     }
     machine.drain().unwrap_or_else(|e| panic!("{e}"));
     let got: Vec<i64> = machine
-        .memimg()
+        .memimg(0)
         .array(cost)
         .iter()
         .map(|v| v.as_i64())
@@ -232,36 +226,9 @@ pub fn pathfinder_mt(scale: &Scale, threads: usize, cfg: &RunConfig) -> MtResult
         );
     });
     let prog = b.build();
-    let mode = cfg
-        .kind
-        .partition_mode()
-        .unwrap_or(PartitionMode::Monolithic);
-    let mut ck = compile(&prog, mode);
-    if cfg.kind.decentralize_accesses() {
-        ck.offloads[0] = distda_system::decentralize(&ck.offloads[0]);
-    }
-    let plan = ck.offloads.remove(0);
-
-    let topo = &cfg.topology;
-    let uncore = ClockDomain::from_ghz(2.0);
-    let mut mem = MemSystem::new(
-        mem_config_for(topo),
-        uncore,
-        topo.host_node,
-        topo.memctrl_node,
-    );
-    let plans = vec![plan.clone()];
-    let alloc = allocate(&prog, &plans, topo.clusters(), cfg.alloc, &mut mem);
-    let mut img = Memory::for_program(&prog);
     let wall_vals = gen::pixels(rows * cols, scale.seed + 60);
-    img.array_mut(wall).copy_from_slice(&wall_vals);
-    let mut machine = Machine::new(mem, img, alloc.layout.clone(), 5, 224, topo);
-
-    let placement = place_partitions(&plan, &alloc, cfg.kind, topo.host_node);
-    let substrates = substrates_for(&plan, cfg);
-    let handles: Vec<_> = (0..threads)
-        .map(|_| machine.configure_plan(&plan, &placement, &substrates, &[]))
-        .collect();
+    let init = |img: &mut Memory| img.array_mut(wall).copy_from_slice(&wall_vals);
+    let (mut machine, handles) = thread_machine(&prog, &init, cfg, threads);
 
     let interior = cols - 2;
     let chunk = interior.div_ceil(threads);
@@ -298,24 +265,24 @@ pub fn pathfinder_mt(scale: &Scale, threads: usize, cfg: &RunConfig) -> MtResult
             })
             .unwrap_or_else(|e| panic!("{e}"));
         // Host: edges + roll src <- dst.
-        let w0 = machine.memimg().load(wall, (i * cols) as i64).as_f64();
-        let s0 = machine.memimg().load(src, 0).as_f64();
-        let s1 = machine.memimg().load(src, 1).as_f64();
+        let w0 = machine.memimg(0).load(wall, (i * cols) as i64).as_f64();
+        let s0 = machine.memimg(0).load(src, 0).as_f64();
+        let s1 = machine.memimg(0).load(src, 1).as_f64();
         machine
-            .memimg_mut()
+            .memimg_mut(0)
             .store(dst, 0, Value::F(w0 + s0.min(s1)));
         let wl = machine
-            .memimg()
+            .memimg(0)
             .load(wall, (i * cols + cols - 1) as i64)
             .as_f64();
-        let sl = machine.memimg().load(src, (cols - 1) as i64).as_f64();
-        let sl2 = machine.memimg().load(src, (cols - 2) as i64).as_f64();
+        let sl = machine.memimg(0).load(src, (cols - 1) as i64).as_f64();
+        let sl2 = machine.memimg(0).load(src, (cols - 2) as i64).as_f64();
         machine
-            .memimg_mut()
+            .memimg_mut(0)
             .store(dst, (cols - 1) as i64, Value::F(wl + sl.min(sl2)));
         for j in 0..cols {
-            let v = machine.memimg().load(dst, j as i64);
-            machine.memimg_mut().store(src, j as i64, v);
+            let v = machine.memimg(0).load(dst, j as i64);
+            machine.memimg_mut(0).store(src, j as i64, v);
         }
     }
     machine.drain().unwrap_or_else(|e| panic!("{e}"));
@@ -338,7 +305,7 @@ pub fn pathfinder_mt(scale: &Scale, threads: usize, cfg: &RunConfig) -> MtResult
         s.copy_from_slice(&d);
     }
     let validated =
-        (0..cols).all(|j| (machine.memimg().array(src)[j].as_f64() - s[j]).abs() < 1e-9);
+        (0..cols).all(|j| (machine.memimg(0).array(src)[j].as_f64() - s[j]).abs() < 1e-9);
     MtResult {
         threads,
         ticks: machine.now(),

@@ -104,6 +104,49 @@ fn tiny_suite_ticks_are_pinned() {
     assert_eq!(ticks, 1_697_725);
 }
 
+/// The randomized micro suite (seed 20220231) under the two tenant
+/// configurations of CI's rack/tenant slice: per cell, the run's ticks and
+/// an FNV-1a digest of every `tenant.*`/`tenancy.*` report entry (key and
+/// value bits, in key order). Any change to how co-scheduled tenants are
+/// set up, launched or attributed moves a value; only a deliberate model
+/// change may update them.
+#[test]
+fn tenant_runs_are_pinned() {
+    let configs =
+        ["Dist-DA-IO:t2", "Dist-DA-F:4x4:fm150:t4"].map(|c| RunConfig::from_label(c).unwrap());
+    let [t2, t4] = [&configs[0], &configs[1]].map(RunConfig::label);
+    let digest = |r: &RunResult| {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (k, v) in r.report.iter() {
+            if !(k.starts_with("tenant.") || k.starts_with("tenancy.")) {
+                continue;
+            }
+            for b in k.bytes().chain(v.to_bits().to_le_bytes()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    };
+    let (sweep, failures) = try_run_matrix(&micro::suite(20220231), &configs);
+    assert!(failures.is_empty(), "failed cells: {failures:?}");
+    let want = [
+        ("micro-saxpy", &t2, 6157, 9542501023816091010),
+        ("micro-saxpy", &t4, 20563, 17677915231191247256),
+        ("micro-dot", &t2, 13392, 1632959065345029972),
+        ("micro-dot", &t4, 43749, 15073259649029614696),
+        ("micro-gather", &t2, 15403, 2049320334968406254),
+        ("micro-gather", &t4, 37642, 10993918617871840745),
+        ("micro-stencil3", &t2, 13951, 18210532072460516175),
+        ("micro-stencil3", &t4, 24877, 16803991757583088772),
+    ];
+    assert_eq!(sweep.results.len(), want.len());
+    for (k, c, ticks, d) in want {
+        let r = sweep.get(k, c);
+        assert!(r.validated, "{k} / {c} must validate");
+        assert_eq!((r.ticks, digest(r)), (ticks, d), "{k} / {c}");
+    }
+}
+
 /// Skip-ahead and tick-by-tick execution must agree on every statistic of
 /// the full `RunResult` for a small kernel across representative configs.
 #[test]

@@ -561,12 +561,15 @@ impl MemSystem {
     /// observable work, or `None` when the hierarchy is quiescent and only
     /// a new request can wake it.
     ///
-    /// Undelivered responses and outgoing packets demand an immediate tick
-    /// so the owning machine moves them along the same tick it would have
-    /// in lock-step execution.
+    /// Outgoing packets demand an immediate tick so the owning machine
+    /// injects them the same tick it would have in lock-step execution.
+    /// Responses waiting at a port are the requester's work, not the
+    /// hierarchy's: each requester reports its own (see
+    /// [`MemSystem::has_responses`]), so a response nobody collects leaves
+    /// the hierarchy eventless but not quiescent.
     pub fn next_event(&self, now: Tick) -> Option<Tick> {
         use distda_sim::time::earliest;
-        if !self.out.is_empty() || self.resp.iter().any(|c| !c.is_empty()) {
+        if !self.out.is_empty() {
             return Some(now);
         }
         let actions = self.actions.peek().map(|Reverse(top)| top.at.max(now));

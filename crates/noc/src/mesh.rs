@@ -12,7 +12,6 @@ use crate::packet::{NodeId, Packet, TrafficClass};
 use distda_check::Sanitizer;
 use distda_sim::port::{Channel, PortSnapshot};
 use distda_sim::time::{ClockDomain, Tick};
-use distda_sim::Fifo;
 use distda_trace::{EventKind, TraceSink};
 
 /// Per-packet header bytes added on the wire (route + sequencing + CRC).
@@ -143,13 +142,13 @@ pub struct Mesh<P> {
     cfg: NocConfig,
     clock: ClockDomain,
     /// Packet queue per directed link (4 per node: E, W, N, S).
-    link_q: Vec<Fifo<InFlight<P>>>,
+    link_q: Vec<Channel<InFlight<P>>>,
     /// `ready_at` of each link queue's head; `Tick::MAX` when empty.
     link_head: Vec<Tick>,
     /// One bit per link: set while its queue is non-empty.
     link_occ: Vec<u64>,
     /// Injection queue per node.
-    inj_q: Vec<Fifo<InFlight<P>>>,
+    inj_q: Vec<Channel<InFlight<P>>>,
     /// `ready_at` of each injection queue's head; `Tick::MAX` when empty.
     inj_head: Vec<Tick>,
     /// One bit per node: set while its injection queue is non-empty.
@@ -172,9 +171,13 @@ impl<P> Mesh<P> {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension or either queue depth is zero.
     pub fn new(cols: usize, rows: usize, cfg: NocConfig, clock: ClockDomain) -> Self {
         assert!(cols > 0 && rows > 0, "mesh dimensions must be nonzero");
+        assert!(
+            cfg.link_queue > 0 && cfg.inject_queue > 0,
+            "mesh queue depths must be nonzero"
+        );
         let n = cols * rows;
         Self {
             cols,
@@ -182,10 +185,12 @@ impl<P> Mesh<P> {
             cfg,
             clock,
             // 4 directed links per node (E, W, N, S); boundary links unused.
-            link_q: (0..n * 4).map(|_| Fifo::new(cfg.link_queue)).collect(),
+            link_q: (0..n * 4)
+                .map(|_| Channel::bounded(cfg.link_queue))
+                .collect(),
             link_head: vec![Tick::MAX; n * 4],
             link_occ: vec![0; (n * 4).div_ceil(64)],
-            inj_q: (0..n).map(|_| Fifo::new(cfg.inject_queue)).collect(),
+            inj_q: (0..n).map(|_| Channel::bounded(cfg.inject_queue)).collect(),
             inj_head: vec![Tick::MAX; n],
             inj_occ: vec![0; n.div_ceil(64)],
             inbox: (0..n).map(|_| Channel::unbounded()).collect(),
@@ -331,7 +336,8 @@ impl<P> Mesh<P> {
             self.inj_occ[node / 64] |= 1 << (node % 64);
         }
         self.inj_q[node]
-            .try_push(flight)
+            .tx()
+            .offer(flight)
             .ok()
             .expect("fullness checked above");
         self.stats.packets[idx] += 1;
@@ -411,7 +417,7 @@ impl<P> Mesh<P> {
             ),
             Source::Inject(i) => (&mut self.inj_q[i], &mut self.inj_head, &mut self.inj_occ, i),
         };
-        let f = q.pop().expect("pop_head on empty queue");
+        let f = q.rx().accept().expect("pop_head on empty queue");
         match q.front() {
             Some(n) => heads[i] = n.ready_at,
             None => {
@@ -467,7 +473,8 @@ impl<P> Mesh<P> {
                     self.link_occ[link / 64] |= 1 << (link % 64);
                 }
                 self.link_q[link]
-                    .try_push(f)
+                    .tx()
+                    .offer(f)
                     .ok()
                     .expect("space checked above");
                 false
@@ -708,6 +715,16 @@ mod tests {
             assert!(t < 1_000_000, "mesh did not drain");
         }
         t
+    }
+
+    #[test]
+    #[should_panic(expected = "mesh queue depths must be nonzero")]
+    fn zero_queue_depth_is_rejected() {
+        let cfg = NocConfig {
+            link_queue: 0,
+            ..NocConfig::default()
+        };
+        let _ = Mesh::<u64>::new(4, 2, cfg, ClockDomain::from_ghz(2.0));
     }
 
     #[test]

@@ -37,14 +37,14 @@
 //! carry the per-cell bottleneck verdict (`"bottleneck"` component name
 //! and `"bottleneck_share"` of stall ticks) from the explain layer.
 //!
-//! Config labels accept either the bare kind (`"Dist-DA-F"`, matching
-//! case-insensitively) or a full display label (`"Dist-DA-F@1GHz"`,
+//! Config labels follow [`RunConfig::from_label`](distda_system::RunConfig::from_label)'s grammar, the one `run`
+//! and `validate` accept: a bare kind (`"Dist-DA-F"`, matching
+//! case-insensitively), a full display label (`"Dist-DA-F@1GHz"`,
 //! `"Dist-DA-IO+SW@2GHz"`), optionally extended with `:`-separated
 //! topology segments (`"Dist-DA-IO:4x4:fm150:t2"` — mesh shape, bank
 //! count, far-memory pool, tenant count); every resolved config passes
-//! [`RunConfig::validate`] before the job is accepted.
+//! [`RunConfig::validate`](distda_system::RunConfig::validate) before the job is accepted.
 
-use distda_system::{parse_label_extension, ConfigKind, RunConfig};
 use distda_trace::json;
 
 /// One parsed client request.
@@ -134,31 +134,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         other => Err(format!("unknown request `{other}`")),
     }
-}
-
-/// Resolves a config label to a validated [`RunConfig`]: bare kind labels
-/// (`"OoO"`, `"dist-da-f"`), full display labels (`"Dist-DA-F@1GHz"`),
-/// and the two Figure 14 variants (`"Dist-DA-IO+SW"`, `"Dist-DA-F+A"`).
-///
-/// # Errors
-///
-/// Returns a message for an unknown label or a config rejected by
-/// [`RunConfig::validate`].
-pub fn config_by_label(label: &str) -> Result<RunConfig, String> {
-    let (base, topo) = parse_label_extension(label)?;
-    let named = ConfigKind::ALL.into_iter().map(RunConfig::named);
-    let variants = [RunConfig::dist_da_io_sw(), RunConfig::dist_da_f_alloc()];
-    let cfg = named
-        .chain(variants)
-        .find(|c| {
-            c.label().eq_ignore_ascii_case(base)
-                || format!("{}{}", c.kind.label(), c.suffix).eq_ignore_ascii_case(base)
-        })
-        .ok_or_else(|| format!("unknown config `{base}`"))?
-        .with_topology(topo);
-    cfg.validate()
-        .map_err(|e| format!("invalid config `{label}`: {e}"))?;
-    Ok(cfg)
 }
 
 /// `{"event":"pong"}`
@@ -351,38 +326,6 @@ mod tests {
         assert!(parse_request("{\"req\":\"sweep\",\"scale\":\"huge\"}").is_err());
         assert!(parse_request("{\"req\":\"sweep\",\"kernels\":[1]}").is_err());
         assert!(parse_request("{\"req\":\"sweep\",\"dedupe\":\"yes\"}").is_err());
-    }
-
-    #[test]
-    fn config_labels_resolve_and_validate() {
-        assert_eq!(config_by_label("OoO").unwrap().kind, ConfigKind::OoO);
-        assert_eq!(
-            config_by_label("dist-da-f").unwrap().kind,
-            ConfigKind::DistDAF
-        );
-        assert_eq!(
-            config_by_label("Dist-DA-F@1GHz").unwrap().kind,
-            ConfigKind::DistDAF
-        );
-        let sw = config_by_label("Dist-DA-IO+SW").unwrap();
-        assert_eq!(sw.issue_width, 4);
-        assert!(sw.sw_prefetch);
-        let a = config_by_label("Dist-DA-F+A@1GHz").unwrap();
-        assert_eq!(a.suffix, "+A");
-        assert!(config_by_label("Giga-DA").is_err());
-    }
-
-    #[test]
-    fn config_labels_accept_topology_extensions() {
-        let wide = config_by_label("Dist-DA-IO:4x4").unwrap();
-        assert_eq!(wide.topology.clusters(), 16);
-        assert_eq!(wide.label(), "Dist-DA-IO@2GHz:4x4");
-        let full = config_by_label("dist-da-f:8x4:fm150x4:t2").unwrap();
-        assert_eq!(full.topology.clusters(), 32);
-        assert_eq!(full.topology.far_memory.map(|f| f.extra_latency), Some(150));
-        assert_eq!(full.topology.tenants, 2);
-        assert!(config_by_label("Dist-DA-IO:0x0").is_err());
-        assert!(config_by_label("Dist-DA-IO:banana").is_err());
     }
 
     #[test]

@@ -453,7 +453,12 @@ fn handle_sweep(writer: &mut impl Write, state: &State, req: SweepRequest) -> st
     };
     let mut configs: Vec<RunConfig> = Vec::with_capacity(config_labels.len());
     for label in &config_labels {
-        match protocol::config_by_label(label) {
+        let cfg = RunConfig::from_label(label).and_then(|cfg| {
+            cfg.validate()
+                .map(|()| cfg)
+                .map_err(|e| format!("invalid config `{label}`: {e}"))
+        });
+        match cfg {
             Ok(cfg) => configs.push(cfg),
             Err(e) => return writeln!(writer, "{}", protocol::render_error(&e)),
         }

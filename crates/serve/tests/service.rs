@@ -234,6 +234,10 @@ fn in_job_duplicates_dedupe_against_each_other() {
         .sweep(&["pch"], &["Giga-DA"], "tiny", true, false)
         .expect_err("unknown config");
     assert!(err.contains("Giga-DA"));
+    let err = client
+        .sweep(&["pch"], &["Dist-DA-IO:0x0"], "tiny", true, false)
+        .expect_err("invalid config");
+    assert!(err.contains("invalid config `Dist-DA-IO:0x0`"), "{err}");
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(dir);

@@ -1,7 +1,7 @@
 //! # distda-sim
 //!
 //! Deterministic, cycle-stepped simulation primitives for the Dist-DA
-//! reproduction: a multi-rate clock model, bounded FIFOs with credit
+//! reproduction: a multi-rate clock model, handshaked channels with credit
 //! semantics, statistics reporting, and a seedable RNG.
 //!
 //! All components in the simulated machine advance on a shared *base tick*
@@ -23,7 +23,6 @@ pub mod arena;
 pub mod component;
 pub mod conformance;
 pub mod env;
-pub mod fifo;
 pub mod port;
 pub mod port_names;
 pub mod profile;
@@ -41,7 +40,6 @@ pub use distda_trace::stats;
 
 pub use arena::{Arena, Handle};
 pub use component::{Component, Instruments, Scheduler, Stop};
-pub use fifo::Fifo;
 pub use port::{Channel, CreditLoop, PortSnapshot, RxPort, TxPort};
 pub use profile::{ProfileSnapshot, Profiler};
 pub use rng::SplitMix64;

@@ -44,34 +44,19 @@ const INTERLEAVED_BASE: u64 = 0x1000_0000;
 /// Interleaved-region bytes reserved per tenant.
 const INTERLEAVED_PER_TENANT: u64 = 0x0200_0000;
 
-/// Allocates every array of `prog` and pins anchored regions in `mem`'s
-/// address map.
-///
-/// # Panics
-///
-/// Panics if an object exceeds the per-cluster slab.
-pub fn allocate(
-    prog: &Program,
-    plans: &[OffloadPlan],
-    clusters: usize,
-    strategy: AllocStrategy,
-    mem: &mut MemSystem,
-) -> Allocation {
-    allocate_for_tenant(prog, plans, clusters, strategy, mem, 0)
-}
-
-/// [`allocate`] on behalf of `tenant`: the tenant gets its own disjoint
-/// address band (interleaved region and per-cluster slabs), its anchored
-/// objects rotate home clusters by the tenant index so co-scheduled
-/// tenants don't all pile onto the same NUCA banks, and the band is
-/// declared to `mem` for per-tenant traffic attribution. Tenant 0
-/// reproduces [`allocate`] exactly.
+/// Allocates every array of `prog` on behalf of `tenant` and pins its
+/// anchored regions in `mem`'s address map. Each tenant gets its own
+/// disjoint address band (interleaved region and per-cluster slabs), its
+/// anchored objects rotate home clusters by the tenant index so
+/// co-scheduled tenants don't all pile onto the same NUCA banks, and
+/// every band but tenant 0's is declared to `mem` for per-tenant traffic
+/// attribution.
 ///
 /// # Panics
 ///
 /// Panics if an object exceeds the per-cluster slab or the interleaved
 /// region overflows its per-tenant band.
-pub fn allocate_for_tenant(
+pub fn allocate(
     prog: &Program,
     plans: &[OffloadPlan],
     clusters: usize,
@@ -178,7 +163,7 @@ mod tests {
     fn interleaved_has_no_homes() {
         let p = prog();
         let mut mem = fresh_mem();
-        let a = allocate(&p, &[], 8, AllocStrategy::Interleaved, &mut mem);
+        let a = allocate(&p, &[], 8, AllocStrategy::Interleaved, &mut mem, 0);
         assert!(a.home.iter().all(|h| h.is_none()));
         assert!(mem.addr_map().regions().is_empty());
     }
@@ -187,7 +172,7 @@ mod tests {
     fn round_robin_spreads_homes() {
         let p = prog();
         let mut mem = fresh_mem();
-        let a = allocate(&p, &[], 8, AllocStrategy::RoundRobin, &mut mem);
+        let a = allocate(&p, &[], 8, AllocStrategy::RoundRobin, &mut mem, 0);
         assert_eq!(a.home, vec![Some(0), Some(1), Some(2)]);
         // Address map agrees with the recorded homes.
         for (i, h) in a.home.iter().enumerate() {
@@ -200,7 +185,7 @@ mod tests {
     fn anchored_objects_are_line_aligned_and_disjoint() {
         let p = prog();
         let mut mem = fresh_mem();
-        let a = allocate(&p, &[], 8, AllocStrategy::RoundRobin, &mut mem);
+        let a = allocate(&p, &[], 8, AllocStrategy::RoundRobin, &mut mem, 0);
         let mut ranges: Vec<(u64, u64)> = (0..3).map(|i| a.layout.range(&p, ArrayId(i))).collect();
         ranges.sort();
         for r in &ranges {

@@ -343,10 +343,14 @@ impl RunConfig {
         }
     }
 
-    /// Resolves a command-line configuration label: the base name matches
-    /// a [`ConfigKind`] label case-insensitively, and any `:`-separated
-    /// topology segments (`4x4`, `b8`, `fm150x4`, `t2`; see
-    /// [`parse_label_extension`]) reshape the machine it runs on.
+    /// Resolves a configuration label, the one grammar `run`, `validate`
+    /// and the serve protocol accept: the base names a paper
+    /// configuration by its kind (`OoO`, `dist-da-f`) or its full display
+    /// label (`Dist-DA-F@1GHz`), or a Figure 14 variant (`Dist-DA-IO+SW`,
+    /// `Dist-DA-F+A@1GHz`), case-insensitively; any `:`-separated topology
+    /// segments (`4x4`, `b8`, `fm150x4`, `t2`; see
+    /// [`parse_label_extension`]) reshape the machine it runs on. Every
+    /// [`RunConfig::label`] parses back to its configuration.
     ///
     /// # Errors
     ///
@@ -354,16 +358,22 @@ impl RunConfig {
     /// segment.
     pub fn from_label(label: &str) -> Result<Self, String> {
         let (base, topo) = parse_label_extension(label)?;
-        let kind = ConfigKind::ALL
-            .into_iter()
-            .find(|k| k.label().eq_ignore_ascii_case(base))
+        let named = ConfigKind::ALL.into_iter().map(Self::named);
+        let variants = [Self::dist_da_io_sw(), Self::dist_da_f_alloc()];
+        let cfg = named
+            .chain(variants)
+            .find(|c| {
+                c.label().eq_ignore_ascii_case(base)
+                    || format!("{}{}", c.kind.label(), c.suffix).eq_ignore_ascii_case(base)
+            })
             .ok_or_else(|| {
                 format!(
-                    "unknown config: {base} (expected one of {})",
+                    "unknown config: {base} (expected one of {}, a full label such as \
+                     Dist-DA-F@1GHz, or a +SW/+A variant)",
                     ConfigKind::ALL.map(|k| k.label()).join(", ")
                 )
             })?;
-        Ok(Self::named(kind).with_topology(topo))
+        Ok(cfg.with_topology(topo))
     }
 
     /// A copy of this configuration on a different machine shape.
@@ -549,6 +559,35 @@ mod tests {
         let label = cfg.with_topology(t).label();
         assert_eq!(label, "Dist-DA-F@1GHz:8x4:b8:fm80x1:t3");
         assert_eq!(parse_label_extension(&label).unwrap().1, t);
+    }
+
+    #[test]
+    fn every_label_parses_back_to_its_config() {
+        let mut wide = Topology::mesh(8, 4);
+        wide.far_memory = Some(FarMemory {
+            extra_latency: 150,
+            bytes_per_cycle: 4,
+        });
+        wide.tenants = 2;
+        let base = ConfigKind::ALL
+            .into_iter()
+            .map(RunConfig::named)
+            .chain([RunConfig::dist_da_io_sw(), RunConfig::dist_da_f_alloc()]);
+        for cfg in base.flat_map(|c| [c.clone(), c.with_topology(wide)]) {
+            assert_eq!(RunConfig::from_label(&cfg.label()), Ok(cfg.clone()));
+        }
+        // Bare kinds and variant names resolve too, case-insensitively.
+        assert_eq!(
+            RunConfig::from_label("dist-da-f"),
+            Ok(RunConfig::named(ConfigKind::DistDAF))
+        );
+        assert_eq!(
+            RunConfig::from_label("Dist-DA-IO+SW:4x4"),
+            Ok(RunConfig::dist_da_io_sw().with_topology(Topology::mesh(4, 4)))
+        );
+        for bad in ["Giga-DA", "Dist-DA-F@2GHz", "Dist-DA-IO:banana"] {
+            assert!(RunConfig::from_label(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

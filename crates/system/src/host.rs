@@ -35,8 +35,6 @@ pub struct HostStats {
 #[derive(Debug)]
 pub struct HostCore {
     clock: ClockDomain,
-    width: u32,
-    rob: usize,
     port: PortId,
     trace: Vec<DynOp>,
     done: Vec<Tick>,
@@ -56,13 +54,15 @@ pub struct HostCore {
 }
 
 impl HostCore {
-    /// Creates a core with the given issue width and reorder window,
-    /// attached to a registered host memory port.
-    pub fn new(clock: ClockDomain, width: u32, rob: usize, port: PortId) -> Self {
+    /// Instructions issued per cycle.
+    pub const WIDTH: u32 = 5;
+    /// Reorder-window entries.
+    pub const ROB: usize = 224;
+
+    /// Creates a core attached to a registered host memory port.
+    pub fn new(clock: ClockDomain, port: PortId) -> Self {
         Self {
             clock,
-            width: width.max(1),
-            rob: rob.max(1),
             port,
             trace: Vec::new(),
             done: Vec::new(),
@@ -217,8 +217,8 @@ impl HostCore {
             // Stores retire into the store buffer at issue, so they do not
             // hold the window open while their miss drains.
             let mut ready: Tick = now;
-            if i >= self.rob {
-                let j = i - self.rob;
+            if i >= Self::ROB {
+                let j = i - Self::ROB;
                 match self.known_time(j) {
                     Some(t) => ready = ready.max(t),
                     None => return,
@@ -236,7 +236,7 @@ impl HostCore {
             // Issue bandwidth.
             let ready_cycle = self.clock.cycles_in(ready) + u64::from(!self.clock.fires_at(ready));
             let mut issue_cycle = ready_cycle.max(self.bw_cycle);
-            if issue_cycle == self.bw_cycle && self.bw_used >= self.width {
+            if issue_cycle == self.bw_cycle && self.bw_used >= Self::WIDTH {
                 issue_cycle += 1;
             }
             if issue_cycle > self.bw_cycle {
@@ -280,7 +280,7 @@ mod tests {
         let clock = ClockDomain::from_ghz(2.0);
         let mut mem = MemSystem::new(MemConfig::default(), clock, 0, 7);
         let port = mem.register_port(PortKind::Host);
-        let host = HostCore::new(clock, 5, 224, port);
+        let host = HostCore::new(clock, port);
         let mesh = distda_noc::Mesh::new(4, 2, distda_noc::NocConfig::default(), clock);
         (host, mem, mesh)
     }

@@ -35,14 +35,14 @@ pub mod netmsg;
 pub mod runner;
 pub mod transform;
 
-pub use alloc::{allocate, allocate_for_tenant, AllocStrategy, Allocation};
+pub use alloc::{allocate, AllocStrategy, Allocation};
 pub use config::{
     parse_label_extension, ConfigKind, FarMemory, RunConfig, Topology, FAR_MEMORY_BYTES_PER_CYCLE,
 };
 pub use error::SimError;
 pub use machine::{Machine, MachineState, PlanHandle, Substrate, CHAN_CAPACITY};
 pub use runner::{
-    mem_config_for, slug, try_simulate, try_simulate_instrumented, CheckPolicy, Run, RunResult,
+    machine_for, slug, try_simulate, try_simulate_instrumented, CheckPolicy, Run, RunResult,
     RunSpec,
 };
 pub use transform::decentralize;

@@ -94,8 +94,8 @@ struct EngineSlot {
     chan_base: usize,
     is_access_node: bool,
     is_cgra: bool,
-    /// Tenant this engine executes for (0 on single-tenant machines).
-    /// Selects the functional image/layout view and tags outbound traffic.
+    /// Tenant this engine executes for: indexes the functional view it
+    /// reads and writes, and tags its outbound traffic.
     tenant: u16,
 }
 
@@ -107,13 +107,13 @@ struct PlanInst {
     /// Carry scalars per engine (for `cp_set_rf` initialization).
     carry_scalars: Vec<Vec<distda_ir::expr::ScalarId>>,
     params: Vec<distda_compiler::affine::Sym>,
-    /// Tenant the plan was configured for (0 on single-tenant machines).
+    /// Tenant the plan was configured for.
     tenant: u16,
 }
 
 /// The shared world state every machine component operates on: the
 /// structural units (mesh, memory hierarchy, host core, engines, operand
-/// channels) plus the functional image and address layout.
+/// channels) plus each tenant's functional image and address layout.
 ///
 /// Run-loop exit conditions receive `&MachineState` (plus the current
 /// tick), so everything a condition might poll is readable here.
@@ -122,8 +122,9 @@ pub struct MachineState {
     mesh: Mesh<NetMsg>,
     mem: MemSystem,
     host: HostCore,
-    memimg: Memory,
-    layout: Layout,
+    /// Functional image + address layout per tenant, indexed by tenant id
+    /// (one entry on a single-tenant machine).
+    views: Vec<(Memory, Layout)>,
     chans: Vec<ChanState>,
     engines: Vec<EngineSlot>,
     plans: Vec<PlanInst>,
@@ -133,9 +134,6 @@ pub struct MachineState {
     net_out: Channel<Packet<NetMsg>>,
     host_node: usize,
     mmio_words: u64,
-    /// Functional image + layout views for tenants 1.. (tenant 0 uses the
-    /// machine's primary `memimg`/`layout`). Index = tenant - 1.
-    tenant_views: Vec<(Memory, Layout)>,
     /// Producer/consumer engine slot per global operand channel
     /// (parallel to `chans` once a plan's configuration completes) — the
     /// blame topology of the `chan{g}` ports, and where their engine
@@ -184,13 +182,18 @@ impl EngineWakes {
         }
     }
 
-    /// Engine `i`'s wake at `now`: the cached entry, or `engine_wake`'s
-    /// answer if a hand-over marked it since.
-    fn wake(&self, i: usize, engines: &[EngineSlot], chans: &[ChanState], now: Tick) -> Tick {
-        if self.marked[i] {
-            engine_wake(&engines[i], chans, now).unwrap_or(NO_WAKE)
-        } else {
+    /// Engine `i`'s wake at `now`: the cached entry, or, if a hand-over
+    /// marked it since, `now` while a response waits at its memory port
+    /// (the stage collects it on its next tick) and `engine_wake`'s answer
+    /// otherwise.
+    fn wake(&self, i: usize, st: &MachineState, now: Tick) -> Tick {
+        let slot = &st.engines[i];
+        if !self.marked[i] {
             self.at[i]
+        } else if st.mem.has_responses(slot.port) {
+            now
+        } else {
+            engine_wake(slot, &st.chans, now).unwrap_or(NO_WAKE)
         }
     }
 }
@@ -202,11 +205,6 @@ impl MachineState {
             .engines
             .iter()
             .all(|&ei| self.engines[ei].eng.is_done())
-    }
-
-    /// The functional memory image.
-    pub fn memimg(&self) -> &Memory {
-        &self.memimg
     }
 
     /// Cycles engine `ei` spent blocked on global operand channel `g` as
@@ -364,6 +362,10 @@ impl Component<MachineState> for HostComp {
     }
 
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
+        // A response waiting at the host's port is collected next tick.
+        if st.mem.has_responses(st.host.port()) {
+            return Some(now);
+        }
         st.host.next_event(now)
     }
 
@@ -552,9 +554,7 @@ impl Component<MachineState> for EngineStage {
             mem,
             chans,
             net_out,
-            memimg,
-            layout,
-            tenant_views,
+            views,
             chan_sink,
             chan_engines,
             skip,
@@ -585,13 +585,7 @@ impl Component<MachineState> for EngineStage {
                 continue;
             }
             // The engine reads and writes its tenant's functional view.
-            let (memimg, layout) = match slot.tenant {
-                0 => (&mut *memimg, &*layout),
-                t => {
-                    let (img, lay) = &mut tenant_views[t as usize - 1];
-                    (img, &*lay)
-                }
-            };
+            let (memimg, layout) = &mut views[slot.tenant as usize];
             let mut ctx = Ctx {
                 now,
                 port: slot.port,
@@ -601,7 +595,7 @@ impl Component<MachineState> for EngineStage {
                 chans,
                 net_out,
                 memimg,
-                layout,
+                layout: &*layout,
                 resp: &mut slot.resp,
                 chan_sink,
                 chan_engines,
@@ -615,10 +609,9 @@ impl Component<MachineState> for EngineStage {
     }
 
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
-        let (engines, chans) = (&st.engines, &st.chans);
         let mut w = NO_WAKE;
-        for i in 0..engines.len() {
-            w = w.min(st.wakes.wake(i, engines, chans, now));
+        for i in 0..st.engines.len() {
+            w = w.min(st.wakes.wake(i, st, now));
             if w == now {
                 break;
             }
@@ -831,21 +824,17 @@ impl Machine {
     /// mesh with one NUCA cluster per node, the host at
     /// `topo.host_node` and the memory controller at `topo.memctrl_node`
     /// ([`Topology::paper`] reproduces Table III's 4x2 shape). The caller
-    /// supplies the (already allocated) memory system, functional image
-    /// and layout.
+    /// supplies the (already allocated) memory system and one functional
+    /// image and layout per tenant, indexed by tenant id
+    /// ([`runner::machine_for`](crate::runner::machine_for) builds both
+    /// from a program and a configuration).
     ///
     /// # Panics
     ///
-    /// Panics if the memory system was built for a different cluster
-    /// count than `topo` describes.
-    pub fn new(
-        mem: MemSystem,
-        memimg: Memory,
-        layout: Layout,
-        host_width: u32,
-        host_rob: usize,
-        topo: &Topology,
-    ) -> Self {
+    /// Panics if `views` is empty or the memory system was built for a
+    /// different cluster count than `topo` describes.
+    pub fn new(mem: MemSystem, views: Vec<(Memory, Layout)>, topo: &Topology) -> Self {
+        assert!(!views.is_empty(), "a machine runs at least one tenant");
         assert_eq!(
             mem.config().clusters,
             topo.clusters(),
@@ -854,23 +843,21 @@ impl Machine {
         let uncore = mem.clock();
         let mut mem = mem;
         let host_port = mem.register_port(PortKind::Host);
-        let host = HostCore::new(uncore, host_width, host_rob, host_port);
+        let host = HostCore::new(uncore, host_port);
         let mut st = MachineState {
             mesh: Mesh::new(topo.mesh_cols, topo.mesh_rows, NocConfig::default(), uncore),
             mem,
             host,
-            memimg,
-            layout,
+            views,
             chans: Vec::new(),
             engines: Vec::new(),
             plans: Vec::new(),
             // Base provisioning covers host MMIO bursts; configuring a
             // plan grows the bound by each remote channel's worst-case
-            // in-flight traffic (see `configure_plan_for_tenant`).
+            // in-flight traffic (see `configure_plan`).
             net_out: Channel::bounded(64.max(2 * topo.clusters())),
             host_node: topo.host_node,
             mmio_words: 0,
-            tenant_views: Vec::new(),
             chan_engines: Vec::new(),
             sink: TraceSink::default(),
             host_sink: TraceSink::default(),
@@ -1091,24 +1078,24 @@ impl Machine {
         &self.st
     }
 
-    /// The functional memory image.
-    pub fn memimg(&self) -> &Memory {
-        &self.st.memimg
+    /// The functional memory image of `tenant`.
+    pub fn memimg(&self, tenant: u16) -> &Memory {
+        &self.st.views[tenant as usize].0
     }
 
-    /// Mutable functional memory (used by the host evaluator).
-    pub fn memimg_mut(&mut self) -> &mut Memory {
-        &mut self.st.memimg
+    /// Mutable [`Machine::memimg`] (the host evaluator executes on it).
+    pub fn memimg_mut(&mut self, tenant: u16) -> &mut Memory {
+        &mut self.st.views[tenant as usize].0
     }
 
-    /// Consumes the machine, returning the final memory image.
-    pub fn into_memimg(self) -> Memory {
-        self.st.memimg
+    /// Consumes the machine, returning tenant 0's final memory image.
+    pub fn into_memimg(mut self) -> Memory {
+        self.st.views.swap_remove(0).0
     }
 
-    /// The address layout.
-    pub fn layout(&self) -> &Layout {
-        &self.st.layout
+    /// The address layout of `tenant`.
+    pub fn layout(&self, tenant: u16) -> &Layout {
+        &self.st.views[tenant as usize].1
     }
 
     /// The memory hierarchy (for statistics).
@@ -1131,53 +1118,6 @@ impl Machine {
         self.st.mmio_words
     }
 
-    /// `cp_config` + `cp_config_stream/random`: allocates engines for a
-    /// plan, placing partition `i` at `placement[i]` with `substrates[i]`.
-    /// Flushes host-cached copies of every accessed object (Section IV-D)
-    /// and charges configuration MMIO.
-    ///
-    /// # Panics
-    ///
-    /// Panics if placements/substrates lengths mismatch the plan.
-    pub fn configure_plan(
-        &mut self,
-        plan: &OffloadPlan,
-        placement: &[usize],
-        substrates: &[Substrate],
-        object_ranges: &[(u64, u64)],
-    ) -> PlanHandle {
-        self.configure_plan_for_tenant(plan, placement, substrates, object_ranges, 0)
-    }
-
-    /// Registers an additional tenant with its own functional image and
-    /// address layout, returning its tenant id. The machine's primary
-    /// image/layout is tenant 0; tenants added here execute through their
-    /// own views while sharing the fabric, NUCA banks and DRAM with
-    /// everyone else.
-    pub fn add_tenant(&mut self, memimg: Memory, layout: Layout) -> u16 {
-        self.st.tenant_views.push((memimg, layout));
-        self.st.tenant_views.len() as u16
-    }
-
-    /// The functional memory image of `tenant` (0 = the primary image).
-    pub fn tenant_memimg(&self, tenant: u16) -> &Memory {
-        if tenant == 0 {
-            &self.st.memimg
-        } else {
-            &self.st.tenant_views[tenant as usize - 1].0
-        }
-    }
-
-    /// Mutable [`Machine::tenant_memimg`], for host-phase execution on a
-    /// tenant's functional view.
-    pub fn tenant_memimg_mut(&mut self, tenant: u16) -> &mut Memory {
-        if tenant == 0 {
-            &mut self.st.memimg
-        } else {
-            &mut self.st.tenant_views[tenant as usize - 1].0
-        }
-    }
-
     /// Per-engine statistics summed over the engines owned by `tenant`.
     pub fn tenant_engine_totals(&self, tenant: u16) -> distda_accel::EngineStats {
         let now = self.now();
@@ -1189,15 +1129,19 @@ impl Machine {
             .sum()
     }
 
-    /// [`Machine::configure_plan`] on behalf of `tenant`: the plan's
-    /// engines read and write the tenant's functional view, and all
-    /// traffic they cause is attributed to the tenant in the NoC stats.
+    /// `cp_config` + `cp_config_stream/random` on behalf of `tenant`:
+    /// allocates engines for a plan, placing partition `i` at
+    /// `placement[i]` with `substrates[i]`. The plan's engines read and
+    /// write the tenant's functional view, and all traffic they cause is
+    /// attributed to the tenant in the NoC stats. Flushes host-cached
+    /// copies of every accessed object (Section IV-D) and charges
+    /// configuration MMIO.
     ///
     /// # Panics
     ///
     /// Panics if placements/substrates lengths mismatch the plan or the
-    /// tenant was never registered.
-    pub fn configure_plan_for_tenant(
+    /// machine has no view for `tenant`.
+    pub fn configure_plan(
         &mut self,
         plan: &OffloadPlan,
         placement: &[usize],
@@ -1206,8 +1150,8 @@ impl Machine {
         tenant: u16,
     ) -> PlanHandle {
         assert!(
-            tenant as usize <= self.st.tenant_views.len(),
-            "tenant {tenant} not registered"
+            (tenant as usize) < self.st.views.len(),
+            "tenant {tenant} has no view"
         );
         assert_eq!(placement.len(), plan.partitions.len());
         assert_eq!(substrates.len(), plan.partitions.len());
@@ -1810,13 +1754,14 @@ mod tests {
             8,
             crate::alloc::AllocStrategy::RoundRobin,
             &mut mem,
+            0,
         );
         let mut img = Memory::for_program(&p);
         for i in 0..n {
             img.array_mut(x)[i] = Value::F(i as f64);
             img.array_mut(y)[i] = Value::F(1.0);
         }
-        let machine = Machine::new(mem, img, alloc.layout, 5, 224, &Topology::paper());
+        let machine = Machine::new(mem, vec![(img, alloc.layout)], &Topology::paper());
         (p, ck, machine, x, y)
     }
 
@@ -1836,11 +1781,11 @@ mod tests {
         let plan = &ck.offloads[0];
         let placement = vec![0usize, 1];
         let subs = vec![io_substrate(false); 2];
-        let h = m.configure_plan(plan, &placement, &subs, &[]);
+        let h = m.configure_plan(plan, &placement, &subs, &[], 0);
         m.launch(h, &[], &[vec![], vec![]], 0, 64, 1);
         m.run_offload(h).unwrap();
         for i in 0..64 {
-            assert_eq!(m.memimg().array(y)[i], Value::F(2.0 * i as f64 + 1.0));
+            assert_eq!(m.memimg(0).array(y)[i], Value::F(2.0 * i as f64 + 1.0));
         }
         // Cross-cluster operand traffic must have used the mesh.
         let stats = m.noc_stats();
@@ -1855,7 +1800,7 @@ mod tests {
         let run = |placement: [usize; 2]| {
             let (_p, ck, mut m, _x, _y) = axpy_setup();
             let plan = &ck.offloads[0];
-            let h = m.configure_plan(plan, &placement, &[io_substrate(false); 2], &[]);
+            let h = m.configure_plan(plan, &placement, &[io_substrate(false); 2], &[], 0);
             m.launch(h, &[], &[vec![], vec![]], 0, 64, 1);
             m.run_offload(h).unwrap();
             m.noc_stats().bytes[TrafficClass::AccData.index()]
@@ -1873,7 +1818,7 @@ mod tests {
         let (_p, ck, mut m, x, _y) = axpy_setup();
         // Host writes x[0..4] first (trace ops), then offload runs.
         use distda_ir::trace::{DynOp, OpKind, NO_DEP};
-        let base = m.layout().base(x);
+        let base = m.layout(0).base(x);
         let ops: Vec<DynOp> = (0..4)
             .map(|i| DynOp {
                 kind: OpKind::Store { addr: base + i * 8 },
@@ -1885,7 +1830,7 @@ mod tests {
         let t_after_host = m.now();
         assert!(t_after_host > 0);
         let plan = &ck.offloads[0];
-        let h = m.configure_plan(plan, &[0, 1], &[io_substrate(false); 2], &[]);
+        let h = m.configure_plan(plan, &[0, 1], &[io_substrate(false); 2], &[], 0);
         m.launch(h, &[], &[vec![], vec![]], 0, 64, 1);
         m.run_offload(h).unwrap();
         assert!(m.now() > t_after_host);
@@ -1910,16 +1855,17 @@ mod tests {
             8,
             crate::alloc::AllocStrategy::RoundRobin,
             &mut mem,
+            0,
         );
         let mut img = Memory::for_program(&p);
         for i in 0..32 {
             img.array_mut(x)[i] = Value::I(i as i64);
         }
-        let mut m = Machine::new(mem, img, alloc.layout, 5, 224, &Topology::paper());
+        let mut m = Machine::new(mem, vec![(img, alloc.layout)], &Topology::paper());
         let plan = &ck.offloads[0];
         let placements: Vec<usize> = (0..plan.partitions.len()).collect();
         let subs = vec![io_substrate(false); plan.partitions.len()];
-        let h = m.configure_plan(plan, &placements, &subs, &[]);
+        let h = m.configure_plan(plan, &placements, &subs, &[], 0);
         let carries: Vec<Vec<Value>> = m
             .plan_carry_scalars(h)
             .iter()
@@ -1936,7 +1882,7 @@ mod tests {
     fn energy_counters_populated() {
         let (_p, ck, mut m, _x, _y) = axpy_setup();
         let plan = &ck.offloads[0];
-        let h = m.configure_plan(plan, &[0, 1], &[io_substrate(false); 2], &[]);
+        let h = m.configure_plan(plan, &[0, 1], &[io_substrate(false); 2], &[], 0);
         m.launch(h, &[], &[vec![], vec![]], 0, 64, 1);
         m.run_offload(h).unwrap();
         m.drain().unwrap();
@@ -1968,7 +1914,7 @@ mod tests {
         let (_p, _ck, mut m, x, _y) = axpy_setup();
         let store = DynOp {
             kind: OpKind::Store {
-                addr: m.layout().base(x),
+                addr: m.layout(0).base(x),
             },
             dep1: NO_DEP,
             dep2: NO_DEP,
@@ -1988,9 +1934,9 @@ mod tests {
             "net-out",
             "noc",
         ];
-        m.configure_plan(&ck.offloads[0], &[0, 1], &[io_substrate(false); 2], &[]);
+        m.configure_plan(&ck.offloads[0], &[0, 1], &[io_substrate(false); 2], &[], 0);
         assert_eq!(component_names(&m), with_engines);
-        m.configure_plan(&ck.offloads[0], &[2, 3], &[io_substrate(false); 2], &[]);
+        m.configure_plan(&ck.offloads[0], &[2, 3], &[io_substrate(false); 2], &[], 0);
         assert_eq!(component_names(&m), with_engines);
         assert_eq!(m.state().engines.len(), 4);
     }
@@ -2021,6 +1967,7 @@ mod tests {
             &placement,
             &[io_substrate(false), slow],
             &[],
+            0,
         );
         for _ in 0..2 {
             m.launch(h, &[], &[vec![], vec![]], 0, N as i64, 1);
@@ -2036,7 +1983,7 @@ mod tests {
                 m.noc_stats(),
                 m.engine_totals(),
                 m.port_report(),
-                m.memimg().array(y),
+                m.memimg(0).array(y),
             )
         );
         (outcome, san.count())
@@ -2082,7 +2029,7 @@ mod tests {
                 sampler: sampler.clone(),
                 ..Instruments::disabled()
             });
-            let h = m.configure_plan(&ck.offloads[0], &[0, 1], &[io_substrate(false); 2], &[]);
+            let h = m.configure_plan(&ck.offloads[0], &[0, 1], &[io_substrate(false); 2], &[], 0);
             m.launch(h, &[], &[vec![], vec![]], 0, 64, 1);
             let err = m.run_until("never", |_, _| false).unwrap_err();
             assert!(matches!(err, SimError::Deadlock { .. }), "got {err:?}");

@@ -3,7 +3,7 @@
 //! invocations), validate against the reference interpreter, and collect
 //! every metric the paper's figures need.
 
-use crate::alloc::{allocate, allocate_for_tenant, Allocation};
+use crate::alloc::{allocate, Allocation};
 use crate::config::{ConfigKind, RunConfig, Topology};
 use crate::error::SimError;
 use crate::hosteval::HostEval;
@@ -257,29 +257,16 @@ pub fn try_simulate(
         }
         ck
     });
-    let plans: Vec<OffloadPlan> = compiled
-        .as_ref()
-        .map(|c| c.offloads.clone())
-        .unwrap_or_default();
-
     let san = if spec.policy.sanitize {
         Sanitizer::enabled()
     } else {
         Sanitizer::disabled()
     };
-    let exec = if cfg.topology.tenants > 1 {
-        let ck = compiled.as_ref().ok_or_else(|| SimError::InvalidConfig {
-            detail: "multi-tenant runs require an offload-capable configuration".to_string(),
-        })?;
-        run_tenants(prog, init, cfg, &plans, ck, spec, &san)?
-    } else {
-        run_single(prog, init, cfg, &plans, compiled, spec, &san)?
-    };
     let Execution {
         machine,
         scalars,
         extra,
-    } = exec;
+    } = execute(prog, init, cfg, compiled.as_ref(), spec, &san)?;
     let eval_scalars = scalars[0].clone();
 
     // Validation: every tenant's memory image and live-out scalars match
@@ -288,7 +275,7 @@ pub fn try_simulate(
     let mut validated = true;
     let mut first_bad = None;
     for t in 0..cfg.topology.tenants as u16 {
-        let img = machine.tenant_memimg(t);
+        let img = machine.memimg(t);
         let mem_ok = (0..prog.arrays.len())
             .all(|a| img.array(distda_ir::ArrayId(a)) == ref_mem.array(distda_ir::ArrayId(a)));
         let scalars_ok = scalars[t as usize] == ref_scalars;
@@ -301,7 +288,7 @@ pub fn try_simulate(
         let t = first_bad.unwrap_or(0);
         let base = mismatch_detail(
             prog,
-            machine.tenant_memimg(t),
+            machine.memimg(t),
             ref_mem,
             &scalars[t as usize],
             ref_scalars,
@@ -621,9 +608,7 @@ fn mismatch_detail(
 /// The memory-hierarchy configuration implied by a topology: cluster and
 /// bank counts follow the mesh shape, and a configured far-memory pool
 /// moves DRAM an extra network hop away (added latency, pool bandwidth).
-/// External drivers building machines by hand (the `bench` case studies)
-/// use this to stay consistent with the runner.
-pub fn mem_config_for(topo: &Topology) -> MemConfig {
+fn mem_config_for(topo: &Topology) -> MemConfig {
     let mut mc = MemConfig::scaled_for_reduced_inputs();
     mc.clusters = topo.clusters();
     mc.banks_per_cluster = topo.banks_per_cluster;
@@ -632,6 +617,40 @@ pub fn mem_config_for(topo: &Topology) -> MemConfig {
         mc.dram_bytes_per_cycle = fm.bytes_per_cycle;
     }
     mc
+}
+
+/// Builds the machine `cfg` describes for `prog`: one memory hierarchy
+/// shaped by `cfg.topology`, and for each of its `tenants` an allocation
+/// of `prog`'s arrays in the tenant's own address band (see [`allocate`];
+/// `plans` steer affinity placement) with a functional image installed by
+/// `init`. Returns the machine and the allocations, indexed by tenant.
+/// The runner and the case-study drivers in `distda-bench` build every
+/// machine through it.
+pub fn machine_for(
+    prog: &Program,
+    init: &dyn Fn(&mut Memory),
+    cfg: &RunConfig,
+    plans: &[OffloadPlan],
+) -> (Machine, Vec<Allocation>) {
+    let topo = &cfg.topology;
+    let mut mem = MemSystem::new(
+        mem_config_for(topo),
+        ClockDomain::from_ghz(2.0),
+        topo.host_node,
+        topo.memctrl_node,
+    );
+    let allocs: Vec<Allocation> = (0..topo.tenants as u16)
+        .map(|t| allocate(prog, plans, topo.clusters(), cfg.alloc, &mut mem, t))
+        .collect();
+    let views = allocs
+        .iter()
+        .map(|a| {
+            let mut img = Memory::for_program(prog);
+            init(&mut img);
+            (img, a.layout.clone())
+        })
+        .collect();
+    (Machine::new(mem, views, topo), allocs)
 }
 
 /// Attaches the run's instrumentation (skip override, tracer, sanitizer,
@@ -648,60 +667,47 @@ fn instrument(machine: &mut Machine, spec: &RunSpec, san: &Sanitizer) {
     });
 }
 
-/// What an execution strategy hands back to the shared metrics/validation
-/// tail: the drained machine, per-tenant live-out scalars (tenant 0
-/// first), and any extra report keys (`tenant.N.*`, `tenancy.*`).
+/// What an execution hands back to the shared metrics/validation tail:
+/// the drained machine, per-tenant live-out scalars (tenant 0 first), and
+/// any extra report keys (`tenant.N.*`, `tenancy.*`).
 struct Execution {
     machine: Machine,
     scalars: Vec<Vec<Value>>,
     extra: Report,
 }
 
-/// The single-tenant execution strategy: the program walker interleaves
-/// host segments with offload invocations exactly as before topology
-/// parametrization.
-fn run_single(
+/// Executes `prog` on the machine [`machine_for`] builds, one [`Walker`]
+/// per tenant. A single tenant walks the whole program; several run
+/// co-scheduled (see [`run_tenants`]).
+fn execute(
     prog: &Program,
     init: &dyn Fn(&mut Memory),
     cfg: &RunConfig,
-    plans: &[OffloadPlan],
-    compiled: Option<CompiledKernel>,
+    compiled: Option<&CompiledKernel>,
     spec: &RunSpec,
     san: &Sanitizer,
 ) -> Result<Execution, SimError> {
-    let topo = &cfg.topology;
-    let uncore = ClockDomain::from_ghz(2.0);
-    let mut mem = MemSystem::new(
-        mem_config_for(topo),
-        uncore,
-        topo.host_node,
-        topo.memctrl_node,
-    );
-    let alloc = allocate(prog, plans, topo.clusters(), cfg.alloc, &mut mem);
-
-    let mut img = Memory::for_program(prog);
-    init(&mut img);
-    let mut machine = Machine::new(mem, img, alloc.layout.clone(), 5, 224, topo);
+    let plans = compiled.map_or(&[][..], |c| &c.offloads);
+    let (mut machine, allocs) = machine_for(prog, init, cfg, plans);
     instrument(&mut machine, spec, san);
-
-    let mut walker = Walker {
-        prog,
-        cfg,
-        machine,
-        eval: HostEval::new(prog, alloc.layout.clone()),
-        compiled,
-        alloc,
-        handles: HashMap::new(),
+    let mut walkers: Vec<Walker> = allocs
+        .into_iter()
+        .enumerate()
+        .map(|(t, alloc)| Walker::new(prog, cfg, compiled, alloc, t as u16))
+        .collect();
+    let done_at = if let [w] = &mut walkers[..] {
+        w.exec_block(&mut machine, &prog.body)?;
+        w.flush(&mut machine)?;
+        None
+    } else {
+        Some(run_tenants(prog, compiled, &mut machine, &mut walkers)?)
     };
-    let body = prog.body.clone();
-    walker.exec_block(&body)?;
-    walker.flush()?;
-    walker.machine.drain()?;
-    let Walker { machine, eval, .. } = walker;
+    machine.drain()?;
+    let extra = done_at.map_or_else(Report::new, |d| tenancy_report(&machine, &d));
     Ok(Execution {
         machine,
-        scalars: vec![eval.scalars],
-        extra: Report::new(),
+        scalars: walkers.into_iter().map(|w| w.eval.scalars).collect(),
+        extra,
     })
 }
 
@@ -712,39 +718,6 @@ fn stmt_contains_loop(s: &Stmt) -> bool {
         Stmt::If(_, t, e) => t.iter().any(stmt_contains_loop) || e.iter().any(stmt_contains_loop),
         _ => false,
     }
-}
-
-/// Functionally executes one loop-free statement against a tenant's view.
-fn exec_scalar_stmt(s: &Stmt, eval: &mut HostEval, mem: &mut Memory) {
-    match s {
-        Stmt::Store(a, idx, val) => eval.store(*a, idx, val, mem),
-        Stmt::SetScalar(sid, e) => eval.set_scalar(*sid, e, mem),
-        Stmt::If(c, t, e) => {
-            let (v, _) = eval.eval(c, mem);
-            let arm = if v.truthy() { t } else { e };
-            for s in arm {
-                exec_scalar_stmt(s, eval, mem);
-            }
-        }
-        Stmt::Loop(_) => unreachable!("host phases are loop-free under tenancy"),
-    }
-}
-
-/// Runs a tenant's loop-free host phase (prologue or epilogue) and charges
-/// the accumulated segment to the shared host core.
-fn run_host_phase(
-    stmts: &[&Stmt],
-    eval: &mut HostEval,
-    machine: &mut Machine,
-    tenant: u16,
-) -> Result<(), SimError> {
-    {
-        let mem = machine.tenant_memimg_mut(tenant);
-        for s in stmts {
-            exec_scalar_stmt(s, eval, mem);
-        }
-    }
-    machine.run_host_segment(eval.take_segment())
 }
 
 /// Jain's fairness index over per-tenant progress rates: 1.0 when every
@@ -758,179 +731,104 @@ fn jain_index(xs: &[f64]) -> f64 {
     s * s / (xs.len() as f64 * s2)
 }
 
-/// The multi-tenant execution strategy: `topology.tenants` identical
-/// copies of the kernel co-scheduled on one fabric. Each tenant gets its
-/// own functional view and a disjoint address band whose anchored objects
-/// rotate home clusters (see [`allocate_for_tenant`]); host phases share
-/// the single host core sequentially, while every tenant's offload runs
-/// concurrently and contends for NUCA banks, mesh links and DRAM. The
-/// kernel must be shaped as `prologue* offloadable-loop epilogue*` with no
-/// loops outside the offload — anything else is rejected rather than
-/// silently serialized.
+/// The multi-tenant execution: one walker per co-scheduled copy of the
+/// kernel, all on one fabric. Each tenant has its own functional view and
+/// a disjoint address band whose anchored objects rotate home clusters
+/// (see [`allocate`]); host phases share the single host core
+/// sequentially, while every tenant's offload runs concurrently and
+/// contends for NUCA banks, mesh links and DRAM. The kernel must be shaped
+/// as `prologue* offloadable-loop epilogue*` with no loops outside the
+/// offload — anything else is rejected rather than silently serialized.
+/// Returns the tick at which each tenant's offload finished.
 fn run_tenants(
     prog: &Program,
-    init: &dyn Fn(&mut Memory),
-    cfg: &RunConfig,
-    plans: &[OffloadPlan],
-    compiled: &CompiledKernel,
-    spec: &RunSpec,
-    san: &Sanitizer,
-) -> Result<Execution, SimError> {
-    let topo = &cfg.topology;
-    let n = topo.tenants;
-
+    compiled: Option<&CompiledKernel>,
+    machine: &mut Machine,
+    walkers: &mut [Walker],
+) -> Result<Vec<Option<Tick>>, SimError> {
+    let invalid = |detail: String| SimError::InvalidConfig { detail };
+    let compiled = compiled.ok_or_else(|| {
+        invalid("multi-tenant runs require an offload-capable configuration".to_string())
+    })?;
     // Shape gate: exactly one top-level loop, offloadable, with loop-free
     // prologue/epilogue around it.
-    let mut pre: Vec<&Stmt> = Vec::new();
-    let mut post: Vec<&Stmt> = Vec::new();
-    let mut the_loop: Option<&distda_ir::Loop> = None;
-    for s in &prog.body {
-        match s {
-            Stmt::Loop(l) => {
-                if the_loop.is_some() {
-                    return Err(SimError::InvalidConfig {
-                        detail: format!(
-                            "kernel {} has multiple top-level loops; multi-tenant runs \
-                             require prologue* offloadable-loop epilogue*",
-                            prog.name
-                        ),
-                    });
-                }
-                the_loop = Some(l);
-            }
-            s if the_loop.is_none() => pre.push(s),
-            s => post.push(s),
+    let mut loops = prog.body.iter().enumerate().filter_map(|(i, s)| match s {
+        Stmt::Loop(l) => Some((i, l)),
+        _ => None,
+    });
+    let (i, l) = match (loops.next(), loops.next()) {
+        (Some(only), None) => only,
+        (None, _) => {
+            return Err(invalid(format!(
+                "kernel {} has no top-level loop to offload",
+                prog.name
+            )))
         }
+        _ => {
+            return Err(invalid(format!(
+                "kernel {} has multiple top-level loops; multi-tenant runs \
+                 require prologue* offloadable-loop epilogue*",
+                prog.name
+            )))
+        }
+    };
+    let (pre, post) = (&prog.body[..i], &prog.body[i + 1..]);
+    if pre.iter().chain(post).any(stmt_contains_loop) {
+        return Err(invalid(format!(
+            "kernel {} has host-side loops outside the offload; multi-tenant \
+             runs require loop-free prologue/epilogue",
+            prog.name
+        )));
     }
-    let l = the_loop.ok_or_else(|| SimError::InvalidConfig {
-        detail: format!("kernel {} has no top-level loop to offload", prog.name),
+    let plan = compiled.plan_for(l.id).ok_or_else(|| {
+        invalid(format!(
+            "kernel {}'s top-level loop is not offloadable under this configuration",
+            prog.name
+        ))
     })?;
-    if pre.iter().chain(post.iter()).any(|s| stmt_contains_loop(s)) {
-        return Err(SimError::InvalidConfig {
-            detail: format!(
-                "kernel {} has host-side loops outside the offload; multi-tenant \
-                 runs require loop-free prologue/epilogue",
-                prog.name
-            ),
-        });
-    }
-    let plan = compiled
-        .plan_for(l.id)
-        .cloned()
-        .ok_or_else(|| SimError::InvalidConfig {
-            detail: format!(
-                "kernel {}'s top-level loop is not offloadable under this configuration",
-                prog.name
-            ),
-        })?;
-
-    // One shared fabric; per-tenant views, layouts and address bands.
-    let uncore = ClockDomain::from_ghz(2.0);
-    let mut mem = MemSystem::new(
-        mem_config_for(topo),
-        uncore,
-        topo.host_node,
-        topo.memctrl_node,
-    );
-    let mut allocs: Vec<Allocation> = Vec::with_capacity(n);
-    let mut imgs: Vec<Memory> = Vec::with_capacity(n);
-    for t in 0..n {
-        allocs.push(allocate_for_tenant(
-            prog,
-            plans,
-            topo.clusters(),
-            cfg.alloc,
-            &mut mem,
-            t as u16,
-        ));
-        let mut img = Memory::for_program(prog);
-        init(&mut img);
-        imgs.push(img);
-    }
-    let mut imgs = imgs.into_iter();
-    let mut machine = Machine::new(
-        mem,
-        imgs.next().expect("tenants >= 1"),
-        allocs[0].layout.clone(),
-        5,
-        224,
-        topo,
-    );
-    for (i, img) in imgs.enumerate() {
-        machine.add_tenant(img, allocs[i + 1].layout.clone());
-    }
-    instrument(&mut machine, spec, san);
-    let mut evals: Vec<HostEval> = allocs
-        .iter()
-        .map(|a| HostEval::new(prog, a.layout.clone()))
-        .collect();
 
     // Host prologues run sequentially: one host core serves all tenants.
-    for (t, eval) in evals.iter_mut().enumerate() {
-        run_host_phase(&pre, eval, &mut machine, t as u16)?;
+    for w in walkers.iter_mut() {
+        w.exec_block(machine, pre)?;
+        w.flush(machine)?;
     }
-
-    // Configure and launch every tenant's offload. Configuration MMIO is
-    // charged sequentially (still one host core), so later tenants launch
-    // while earlier offloads are already in flight — a staggered start,
-    // exactly what co-scheduling looks like.
-    let mut handles: Vec<PlanHandle> = Vec::with_capacity(n);
-    for t in 0..n {
-        let eval = &mut evals[t];
-        let (sv, ev) = {
-            let mem = machine.tenant_memimg_mut(t as u16);
-            let (sv, _) = eval.eval(&l.start, mem);
-            let (ev, _) = eval.eval(&l.end, mem);
-            (sv, ev)
-        };
-        machine.run_host_segment(eval.take_segment())?;
-        let placement = place_partitions(&plan, &allocs[t], cfg.kind, topo.host_node);
-        let substrates = substrates_for(&plan, cfg);
-        let ranges = plan_ranges(prog, &plan, &allocs[t]);
-        let h =
-            machine.configure_plan_for_tenant(&plan, &placement, &substrates, &ranges, t as u16);
-        launch_plan(&mut machine, h, &plan, &evals[t], sv, ev, l.step);
-        handles.push(h);
-    }
-
+    // Configuration MMIO is charged sequentially (still one host core), so
+    // later tenants launch while earlier offloads are already in flight —
+    // a staggered start, exactly what co-scheduling looks like.
+    let handles = walkers
+        .iter_mut()
+        .map(|w| w.launch(machine, l, plan))
+        .collect::<Result<Vec<_>, _>>()?;
     // All offloads in flight: run to joint completion, recording the tick
     // at which each tenant's plan finished.
-    let mut done_at: Vec<Option<Tick>> = vec![None; n];
-    {
-        let hs = handles.clone();
-        machine.run_until("offload", |now, st| {
-            let mut all = true;
-            for (t, &h) in hs.iter().enumerate() {
-                if st.plan_done(h) {
-                    if done_at[t].is_none() {
-                        done_at[t] = Some(now);
-                    }
-                } else {
-                    all = false;
-                }
+    let mut done_at: Vec<Option<Tick>> = vec![None; walkers.len()];
+    machine.run_until("offload", |now, st| {
+        for (t, &h) in handles.iter().enumerate() {
+            if done_at[t].is_none() && st.plan_done(h) {
+                done_at[t] = Some(now);
             }
-            all
-        })?;
-    }
-
+        }
+        done_at.iter().all(Option::is_some)
+    })?;
     // Live-outs back to each tenant's host state, then sequential
     // epilogues.
-    for t in 0..n {
-        for (s, v) in machine.read_liveouts(handles[t]) {
-            evals[t].set_scalar_external(s, v);
-        }
+    for (w, &h) in walkers.iter_mut().zip(&handles) {
+        w.read_liveouts(machine, h);
     }
-    for (t, eval) in evals.iter_mut().enumerate() {
-        run_host_phase(&post, eval, &mut machine, t as u16)?;
+    for w in walkers.iter_mut() {
+        w.exec_block(machine, post)?;
+        w.flush(machine)?;
     }
-    machine.drain()?;
+    Ok(done_at)
+}
 
-    // Per-tenant attribution and the fairness summary. Rates are inverse
-    // completion ticks; under a perfectly fair fabric all tenants finish
-    // together and the index is 1.0.
+/// Per-tenant attribution and the fairness summary of a drained
+/// multi-tenant machine. Rates are inverse completion ticks; under a
+/// perfectly fair fabric all tenants finish together and the index is 1.0.
+fn tenancy_report(machine: &Machine, done_at: &[Option<Tick>]) -> Report {
     let end = machine.now();
     let mut extra = Report::new();
-    let mut rates = Vec::with_capacity(n);
+    let mut rates = Vec::with_capacity(done_at.len());
     for (t, &done) in done_at.iter().enumerate() {
         let ticks_t = done.unwrap_or(end);
         let et = machine.tenant_engine_totals(t as u16);
@@ -946,121 +844,160 @@ fn run_tenants(
         extra.add(format!("tenant.{t}.hop_bytes"), hop as f64);
         rates.push(1.0 / ticks_t.max(1) as f64);
     }
-    extra.add("tenancy.tenants", n as f64);
+    extra.add("tenancy.tenants", done_at.len() as f64);
     extra.add("tenancy.fairness", jain_index(&rates));
-    Ok(Execution {
-        machine,
-        scalars: evals.into_iter().map(|e| e.scalars).collect(),
-        extra,
-    })
+    extra
 }
 
+/// One tenant's host thread: walks the program, executing host code
+/// functionally on the tenant's view while its trace segments run on the
+/// shared host core, and offloads every loop the compiled kernel has a
+/// plan for (configured on the tenant's behalf at first use, reused
+/// after).
 struct Walker<'a> {
     prog: &'a Program,
     cfg: &'a RunConfig,
-    machine: Machine,
+    compiled: Option<&'a CompiledKernel>,
+    tenant: u16,
     eval: HostEval,
-    compiled: Option<CompiledKernel>,
     alloc: Allocation,
     handles: HashMap<LoopId, PlanHandle>,
 }
 
-impl Walker<'_> {
-    fn exec_block(&mut self, stmts: &[Stmt]) -> Result<(), SimError> {
+impl<'a> Walker<'a> {
+    fn new(
+        prog: &'a Program,
+        cfg: &'a RunConfig,
+        compiled: Option<&'a CompiledKernel>,
+        alloc: Allocation,
+        tenant: u16,
+    ) -> Self {
+        Self {
+            prog,
+            cfg,
+            compiled,
+            tenant,
+            eval: HostEval::new(prog, alloc.layout.clone()),
+            alloc,
+            handles: HashMap::new(),
+        }
+    }
+
+    fn exec_block(&mut self, m: &mut Machine, stmts: &[Stmt]) -> Result<(), SimError> {
         for s in stmts {
-            self.exec(s)?;
+            self.exec(m, s)?;
         }
         Ok(())
     }
 
-    fn flush(&mut self) -> Result<(), SimError> {
-        let ops = self.eval.take_segment();
-        self.machine.run_host_segment(ops)
+    /// Runs the accumulated host trace segment on the host core.
+    fn flush(&mut self, m: &mut Machine) -> Result<(), SimError> {
+        m.run_host_segment(self.eval.take_segment())
     }
 
-    fn exec(&mut self, s: &Stmt) -> Result<(), SimError> {
+    fn exec(&mut self, m: &mut Machine, s: &Stmt) -> Result<(), SimError> {
+        let mem = m.memimg_mut(self.tenant);
         match s {
             Stmt::Store(a, idx, val) => {
-                let mem = self.machine.memimg_mut();
                 self.eval.store(*a, idx, val, mem);
                 Ok(())
             }
             Stmt::SetScalar(sid, e) => {
-                let mem = self.machine.memimg_mut();
                 self.eval.set_scalar(*sid, e, mem);
                 Ok(())
             }
             Stmt::If(c, t, e) => {
-                let (v, _) = self.eval.eval(c, self.machine.memimg_mut());
-                if v.truthy() {
-                    self.exec_block(t)
-                } else {
-                    self.exec_block(e)
-                }
+                let (v, _) = self.eval.eval(c, mem);
+                self.exec_block(m, if v.truthy() { t } else { e })
             }
-            Stmt::Loop(l) => {
-                let plan = self
-                    .compiled
-                    .as_ref()
-                    .and_then(|c| c.plan_for(l.id))
-                    .cloned();
-                match plan {
-                    Some(plan) => self.run_offload(l, &plan),
-                    None => self.run_host_loop(l),
+            Stmt::Loop(l) => match self.compiled.and_then(|c| c.plan_for(l.id)) {
+                Some(plan) => {
+                    let h = self.launch(m, l, plan)?;
+                    m.run_offload(h)?;
+                    self.read_liveouts(m, h);
+                    Ok(())
                 }
-            }
+                None => self.run_host_loop(m, l),
+            },
         }
     }
 
-    fn run_host_loop(&mut self, l: &distda_ir::Loop) -> Result<(), SimError> {
-        let (sv, _) = self.eval.eval(&l.start, self.machine.memimg_mut());
-        let (ev, _) = self.eval.eval(&l.end, self.machine.memimg_mut());
+    /// The loop's start and end, evaluated by the host (they may read
+    /// memory, e.g. CSR row pointers).
+    fn bounds(&mut self, m: &mut Machine, l: &distda_ir::Loop) -> (Value, Value) {
+        let mem = m.memimg_mut(self.tenant);
+        let (sv, _) = self.eval.eval(&l.start, mem);
+        let (ev, _) = self.eval.eval(&l.end, mem);
+        (sv, ev)
+    }
+
+    fn run_host_loop(&mut self, m: &mut Machine, l: &distda_ir::Loop) -> Result<(), SimError> {
+        let (sv, ev) = self.bounds(m, l);
         let (start, end) = (sv.as_i64(), ev.as_i64());
         let mut i = start;
         while (l.step > 0 && i < end) || (l.step < 0 && i > end) {
             self.eval.loop_vars[l.var.0] = i;
             self.eval.emit_loop_overhead();
-            self.exec_block(&l.body)?;
+            self.exec_block(m, &l.body)?;
             if self.eval.segment_len() > SEGMENT_FLUSH_OPS {
-                self.flush()?;
+                self.flush(m)?;
             }
             i += l.step;
         }
         Ok(())
     }
 
-    fn run_offload(&mut self, l: &distda_ir::Loop, plan: &OffloadPlan) -> Result<(), SimError> {
-        // Host evaluates bounds (may read memory, e.g. CSR row pointers).
-        let (sv, _) = self.eval.eval(&l.start, self.machine.memimg_mut());
-        let (ev, _) = self.eval.eval(&l.end, self.machine.memimg_mut());
-        self.flush()?;
-        let handle = match self.handles.get(&l.id) {
+    /// Offloads `l` without waiting for it: evaluates its bounds, runs the
+    /// pending host segment, configures `plan` on first use, and launches
+    /// it with its parameters and carried scalars read from the host
+    /// state. Returns the plan's handle.
+    fn launch(
+        &mut self,
+        m: &mut Machine,
+        l: &distda_ir::Loop,
+        plan: &OffloadPlan,
+    ) -> Result<PlanHandle, SimError> {
+        let (sv, ev) = self.bounds(m, l);
+        self.flush(m)?;
+        let h = match self.handles.get(&l.id) {
             Some(&h) => h,
             None => {
-                let h = self.configure(plan);
+                let h = self.configure(m, plan);
                 self.handles.insert(l.id, h);
                 h
             }
         };
-        launch_plan(&mut self.machine, handle, plan, &self.eval, sv, ev, l.step);
-        self.machine.run_offload(handle)?;
-        for (s, v) in self.machine.read_liveouts(handle) {
-            self.eval.set_scalar_external(s, v);
-        }
-        Ok(())
+        let eval = &self.eval;
+        let params: Vec<Value> = plan
+            .params
+            .iter()
+            .map(|sym| match sym {
+                Sym::Var(lv) => Value::I(eval.loop_vars[lv.0]),
+                Sym::Scalar(s) => eval.scalars[s.0],
+            })
+            .collect();
+        let carries: Vec<Vec<Value>> = m
+            .plan_carry_scalars(h)
+            .iter()
+            .map(|ss| ss.iter().map(|s| eval.scalars[s.0]).collect())
+            .collect();
+        m.launch(h, &params, &carries, sv.as_i64(), ev.as_i64(), l.step);
+        Ok(h)
     }
 
-    fn configure(&mut self, plan: &OffloadPlan) -> PlanHandle {
-        let placement = place_partitions(
-            plan,
-            &self.alloc,
-            self.cfg.kind,
-            self.cfg.topology.host_node,
-        );
+    /// `cp_load_rf` of a finished plan into the host state.
+    fn read_liveouts(&mut self, m: &mut Machine, h: PlanHandle) {
+        for (s, v) in m.read_liveouts(h) {
+            self.eval.set_scalar_external(s, v);
+        }
+    }
+
+    fn configure(&self, m: &mut Machine, plan: &OffloadPlan) -> PlanHandle {
+        let topo = &self.cfg.topology;
+        let placement = place_partitions(plan, &self.alloc, self.cfg.kind, topo.host_node);
         let substrates = substrates_for(plan, self.cfg);
         let ranges = plan_ranges(self.prog, plan, &self.alloc);
-        self.machine
-            .configure_plan(plan, &placement, &substrates, &ranges)
+        m.configure_plan(plan, &placement, &substrates, &ranges, self.tenant)
     }
 }
 
@@ -1078,33 +1015,6 @@ fn plan_ranges(prog: &Program, plan: &OffloadPlan, alloc: &Allocation) -> Vec<(u
         .into_iter()
         .map(|a| alloc.layout.range(prog, a))
         .collect()
-}
-
-/// Launches the configured plan `h` over `start..end` by `step`, with its
-/// parameters and carried scalars read from the host state `eval`.
-fn launch_plan(
-    machine: &mut Machine,
-    h: PlanHandle,
-    plan: &OffloadPlan,
-    eval: &HostEval,
-    start: Value,
-    end: Value,
-    step: i64,
-) {
-    let params: Vec<Value> = plan
-        .params
-        .iter()
-        .map(|sym| match sym {
-            Sym::Var(lv) => Value::I(eval.loop_vars[lv.0]),
-            Sym::Scalar(s) => eval.scalars[s.0],
-        })
-        .collect();
-    let carries: Vec<Vec<Value>> = machine
-        .plan_carry_scalars(h)
-        .iter()
-        .map(|ss| ss.iter().map(|s| eval.scalars[s.0]).collect())
-        .collect();
-    machine.launch(h, &params, &carries, start.as_i64(), end.as_i64(), step);
 }
 
 /// Horizontal placement (paper Section V-A step 4): anchored partitions go

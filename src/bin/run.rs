@@ -132,7 +132,7 @@ fn run_one(args: &Args, w: &Workload, cfg: &RunConfig) -> Result<(), String> {
     let t0 = Instant::now();
     let run = w
         .try_simulate_with(cfg, spec)
-        .map_err(|e| format!("{} / {}: {e}", w.name, cfg.kind.label()))?;
+        .map_err(|e| format!("{} / {}: {e}", w.name, cfg.label()))?;
     let host_secs = t0.elapsed().as_secs_f64();
     let r = &run.result;
     println!(

@@ -50,12 +50,13 @@ fn scaled_setup_on(
         topo.clusters(),
         AllocStrategy::RoundRobin,
         &mut mem,
+        0,
     );
     let mut img = Memory::for_program(&p);
     for i in 0..n {
         img.array_mut(x)[i] = Value::F(i as f64);
     }
-    let machine = Machine::new(mem, img, alloc.layout, 5, 224, topo);
+    let machine = Machine::new(mem, vec![(img, alloc.layout)], topo);
     (p, ck, machine, y)
 }
 
@@ -86,7 +87,7 @@ fn machine_components_conform_across_random_configs() {
             m.set_skip(skip);
             let plan = &ck.offloads[0];
             let subs = vec![io_substrate(ghz); plan.partitions.len()];
-            let h = m.configure_plan(plan, &[p0, p1], &subs, &[]);
+            let h = m.configure_plan(plan, &[p0, p1], &subs, &[], 0);
             m.launch(h, &[], &[vec![], vec![]], 0, n as i64, 1);
             let v = m.run_conformance(10_000_000);
             assert!(
@@ -99,7 +100,7 @@ fn machine_components_conform_across_random_configs() {
             );
             assert!(m.plan_done(h));
             for i in 0..n {
-                assert_eq!(m.memimg().array(y)[i], Value::F(3.0 * i as f64));
+                assert_eq!(m.memimg(0).array(y)[i], Value::F(3.0 * i as f64));
             }
             finish.push(m.now());
         }
@@ -114,7 +115,7 @@ fn machine_components_conform_across_random_configs() {
 fn host_segment_completion_jump_conforms() {
     let (_p, ck, mut m, _y) = scaled_setup(64);
     use distda::ir::trace::{DynOp, OpKind, NO_DEP};
-    let base = m.layout().base(ArrayId(0));
+    let base = m.layout(0).base(ArrayId(0));
     let ops: Vec<DynOp> = (0..16)
         .map(|i| DynOp {
             kind: OpKind::Store { addr: base + i * 8 },
@@ -125,7 +126,7 @@ fn host_segment_completion_jump_conforms() {
     m.run_host_segment(ops).unwrap();
     let plan = &ck.offloads[0];
     let subs = vec![io_substrate(2.0); plan.partitions.len()];
-    let h = m.configure_plan(plan, &[0, 1], &subs, &[]);
+    let h = m.configure_plan(plan, &[0, 1], &subs, &[], 0);
     m.launch(h, &[], &[vec![], vec![]], 0, 64, 1);
     let v = m.run_conformance(10_000_000);
     assert!(v.is_empty(), "{v:?}");
@@ -174,7 +175,7 @@ fn ports_conform_across_random_topologies() {
         let (_p, ck, mut m, y) = scaled_setup_on(n, &topo);
         let plan = &ck.offloads[0];
         let subs = vec![io_substrate(2.0); plan.partitions.len()];
-        let h = m.configure_plan(plan, &[p0, p1], &subs, &[]);
+        let h = m.configure_plan(plan, &[p0, p1], &subs, &[], 0);
         m.launch(h, &[], &[vec![], vec![]], 0, n as i64, 1);
         let v = m.run_conformance(10_000_000);
         assert!(
@@ -201,17 +202,22 @@ fn ports_conform_across_random_topologies() {
                 .join("\n")
         );
         for i in 0..n {
-            assert_eq!(m.memimg().array(y)[i], Value::F(3.0 * i as f64));
+            assert_eq!(m.memimg(0).array(y)[i], Value::F(3.0 * i as f64));
         }
     }
 }
 
 /// The harness catches the liveness bug the drain loop exists to prevent:
-/// a memory system whose responses nobody ever collects reports either an
-/// eventless-active component or a failure to reach quiescence.
+/// a memory system whose responses nobody ever collects is an
+/// eventless-active component. Waiting responses are their requester's
+/// work, so the hierarchy reports no event for them, and the drain stops
+/// at once instead of burning its budget.
 #[test]
 fn uncollected_memory_responses_are_flagged() {
-    let mut mem = MemSystem::new(MemConfig::default(), ClockDomain::from_ghz(2.0), 0, 7);
+    // Host and memory controller share node 0, and every line is homed
+    // at cluster 0 (8-way line interleaving), so the whole protocol runs
+    // without a mesh and only the responses are left over.
+    let mut mem = MemSystem::new(MemConfig::default(), ClockDomain::from_ghz(2.0), 0, 0);
     let port = mem.register_port(PortKind::Host);
     for id in 0..4 {
         mem.try_request(
@@ -219,7 +225,7 @@ fn uncollected_memory_responses_are_flagged() {
             MemRequest {
                 port,
                 id,
-                addr: 64 * id,
+                addr: 64 * 8 * id,
                 write: false,
             },
         )
@@ -229,8 +235,7 @@ fn uncollected_memory_responses_are_flagged() {
     sched.register(0, Box::new(mem), &mut ());
     let v = run_to_quiescence(&mut sched, &mut (), 100_000);
     assert!(
-        v.iter()
-            .any(|x| x.invariant == "eventless-active" || x.invariant == "no-quiescence"),
-        "expected the stranded responses to be flagged, got {v:?}"
+        v.iter().any(|x| x.invariant == "eventless-active"),
+        "expected the stranded responses to be flagged eventless-active, got {v:?}"
     );
 }

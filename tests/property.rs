@@ -10,38 +10,9 @@ use distda::mem::cache::{Cache, Lookup};
 use distda::mem::params::CacheParams;
 use distda::noc::{Mesh, NocConfig, Packet, TrafficClass};
 use distda::sim::time::ClockDomain;
-use distda::sim::{Channel, CreditLoop, Fifo, SplitMix64};
+use distda::sim::{Channel, CreditLoop, SplitMix64};
 use distda::system::{try_simulate, ConfigKind, RunConfig, RunSpec};
 use std::collections::HashSet;
-
-/// FIFO preserves order and never exceeds capacity.
-#[test]
-fn fifo_is_order_preserving() {
-    let mut rng = SplitMix64::new(0xF1F0);
-    for _case in 0..64 {
-        let cap = 1 + rng.below(15) as usize;
-        let n_ops = 1 + rng.below(199) as usize;
-        let mut f = Fifo::new(cap);
-        let mut model = std::collections::VecDeque::new();
-        let mut next = 0u32;
-        for _ in 0..n_ops {
-            if rng.below(3) < 2 {
-                // push
-                if f.try_push(next).is_ok() {
-                    model.push_back(next);
-                }
-                next += 1;
-            } else {
-                assert_eq!(f.pop(), model.pop_front());
-            }
-            assert!(f.len() <= cap);
-            assert_eq!(f.len(), model.len());
-        }
-        while let Some(v) = f.pop() {
-            assert_eq!(Some(v), model.pop_front());
-        }
-    }
-}
 
 /// The handshaked channel behaves exactly like a FIFO model under random
 /// offer/accept interleavings: order-preserving, lossless, and
