@@ -4,9 +4,11 @@
 //! Two extremes bracket the tick loop's behavior:
 //!
 //! - **busy**: every component reports an event on every tick, so
-//!   skip-ahead never fires. This times raw dispatch plus the stage-order
-//!   wake probe's `== now` early exit — the path a saturated machine
-//!   lives on.
+//!   skip-ahead never fires and every component is due on every tick.
+//!   This times raw dispatch, each component's due test and the
+//!   stage-order wake probe's `== now` early exit — the path a saturated
+//!   machine lives on, paying for the wake cache's bookkeeping with no
+//!   tick to skip.
 //! - **idle**: components wake once per ~100 ticks, so ~99% of simulated
 //!   time is jumped over. This times the skip-ahead path, whose cost is
 //!   dominated by how fast the wake fold finds the next event.
@@ -16,7 +18,7 @@
 //! dispatch win on the busy path and a skip-ahead win on the idle path
 //! cannot mask each other in one blended figure.
 
-use distda_sim::component::{Component, Instruments, Scheduler};
+use distda_sim::component::{Component, Instruments, Scheduler, Ticked};
 use distda_sim::time::Tick;
 use std::time::Instant;
 
@@ -43,8 +45,9 @@ impl Component<KWorld> for Busy {
     fn name(&self) -> &str {
         "bench.busy"
     }
-    fn tick(&mut self, _now: Tick, world: &mut KWorld, _instr: &mut Instruments) {
+    fn tick(&mut self, _now: Tick, world: &mut KWorld, _instr: &mut Instruments) -> Ticked {
         world.work = world.work.wrapping_add(1);
+        Ticked::NOTHING
     }
     fn next_event(&self, now: Tick, _world: &KWorld) -> Option<Tick> {
         Some(now)
@@ -65,10 +68,11 @@ impl Component<KWorld> for Idle {
     fn name(&self) -> &str {
         "bench.idle"
     }
-    fn tick(&mut self, now: Tick, world: &mut KWorld, _instr: &mut Instruments) {
+    fn tick(&mut self, now: Tick, world: &mut KWorld, _instr: &mut Instruments) -> Ticked {
         if (now + self.phase).is_multiple_of(self.period) {
             world.work = world.work.wrapping_add(1);
         }
+        Ticked::NOTHING
     }
     fn next_event(&self, now: Tick, _world: &KWorld) -> Option<Tick> {
         Some(now + (self.period - (now + self.phase) % self.period) % self.period)
@@ -169,8 +173,8 @@ mod tests {
                 &mut world,
             );
         }
-        // One component has work every 10 ticks; each executed tick runs
-        // all four but only one counts.
+        // One component has work every 10 ticks, and each executed tick
+        // runs only that one.
         sched.advance_ticks(&mut world, 400);
         assert_eq!(world.work, 400 / 10);
     }

@@ -1282,8 +1282,15 @@ impl<W> distda_sim::Component<W> for MemSystem {
         self.set_sanitizer(instr.san.clone());
     }
 
-    fn tick(&mut self, now: Tick, _world: &mut W, _instr: &mut distda_sim::Instruments) {
+    fn tick(
+        &mut self,
+        now: Tick,
+        _world: &mut W,
+        _instr: &mut distda_sim::Instruments,
+    ) -> distda_sim::Ticked {
+        // Self-contained: no other component reads the hierarchy.
         MemSystem::tick(self, now);
+        distda_sim::Ticked::NOTHING
     }
 
     fn next_event(&self, now: Tick, _world: &W) -> Option<Tick> {

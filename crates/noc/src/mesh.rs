@@ -493,11 +493,10 @@ impl<P> Mesh<P> {
     /// A head packet that is already ready must be re-examined on every
     /// clock edge (a blocked head charges `stall_cycles` per edge); a head
     /// that becomes ready at `t` first matters at the edge at or after `t`.
-    /// Undrained inboxes demand an immediate tick by the owner.
+    /// Packets waiting in an inbox are the consumer's work, not the
+    /// mesh's (see [`Mesh::has_inbox_pending`]): inboxes are unbounded, so
+    /// draining them never changes what the mesh can do.
     pub fn next_event(&self, now: Tick) -> Option<Tick> {
-        if self.inbox_count > 0 {
-            return Some(now);
-        }
         if self.in_flight == 0 {
             return None;
         }
@@ -634,11 +633,22 @@ impl<W, P> distda_sim::Component<W> for Mesh<P> {
         self.set_sanitizer(instr.san.clone());
     }
 
-    fn tick(&mut self, now: Tick, _world: &mut W, _instr: &mut distda_sim::Instruments) {
+    fn tick(
+        &mut self,
+        now: Tick,
+        _world: &mut W,
+        _instr: &mut distda_sim::Instruments,
+    ) -> distda_sim::Ticked {
+        // Self-contained: no other component reads the mesh.
         Mesh::tick(self, now);
+        distda_sim::Ticked::NOTHING
     }
 
     fn next_event(&self, now: Tick, _world: &W) -> Option<Tick> {
+        // Standalone, the mesh is also the owner that drains its inboxes.
+        if self.has_inbox_pending() {
+            return Some(now);
+        }
         Mesh::next_event(self, now)
     }
 

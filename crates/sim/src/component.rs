@@ -31,20 +31,46 @@
 //!
 //! - [`Component::tick`] does one base tick of work. Components gate
 //!   internally on their own [`ClockDomain`](crate::time::ClockDomain)
-//!   edges; the scheduler always calls every component on every simulated
-//!   tick, in registration *stage* order.
+//!   edges. With skip-ahead off the scheduler calls every component on
+//!   every simulated tick, in registration *stage* order; with it on, only
+//!   the components that are due (see "Stage wake cache" below). A tick
+//!   returns a [`Ticked`]: the stages it handed work to, and optionally
+//!   its own next wake.
 //! - [`Component::next_event`] reports the earliest tick `>= now` at
 //!   which the component could do observable work, or `None` when only
 //!   external input (another component's action) can wake it. Reporting
 //!   too early costs time; reporting too late breaks bit-identity between
-//!   skipping and non-skipping runs. The scheduler (with the sanitizer
-//!   on) flags wake times in the past.
+//!   skipping and non-skipping runs. A tick at any tick before that wake
+//!   must be a no-op. The scheduler (with the sanitizer on) flags wake
+//!   times in the past.
 //! - [`Component::is_quiescent`] holds when the component has no in-flight
 //!   work at all — the machine may stop when every component is quiescent.
 //! - [`Component::audit_drained`] asserts conservation invariants of the
 //!   drained state against the [`Sanitizer`].
 //! - [`Component::sample`] contributes the component's ports and counters
 //!   to an explain window record; the run loop calls it, never a wake.
+//!
+//! ## Stage wake cache
+//!
+//! The scheduler keeps each component's wake as last reported and asks
+//! `next_event` again only when the component ticked (unless the tick
+//! reported its own wake) or another component *marked* it: a tick marks
+//! every stage whose `next_event` its hand-overs can change (a request
+//! queued, a response pushed, a packet injected or delivered). An
+//! unmarked entry equals what `next_event` would report at any tick up to
+//! the entry itself, because only the component's own tick or a marked
+//! hand-over moves its inputs, and a wake does not move while the clock
+//! approaches it. With skip-ahead on, a component ticks only when its
+//! entry is due, tested right before its turn in stage order so that
+//! hand-overs made earlier in the same tick count, and the wake probe is
+//! a minimum over the entries. A cached wake that is too early costs a
+//! no-op tick; one that is too late changes results, so the marks must
+//! cover every hand-over that can move a wake earlier (extra marks are
+//! allowed). Everything that changes the world between runs (entering a
+//! run loop, a public [`Scheduler::tick`], registering a component, new
+//! instruments, the skip setting) marks every stage. With the sanitizer
+//! on, each probe checks every unmarked entry against a fresh
+//! `next_event` (`stage-wake-cache`).
 
 use crate::port::PortSnapshot;
 use crate::profile::Profiler;
@@ -83,6 +109,50 @@ impl Instruments {
     }
 }
 
+/// A cache entry for a component that only external input can wake.
+const NO_WAKE: Tick = Tick::MAX;
+
+/// The [`Ticked::wake`] of a tick that leaves the wake to `next_event`. A
+/// reported wake is later than the tick that reports it, so it is never 0.
+const ASK: Tick = 0;
+
+/// What one [`Component::tick`] hands back to the scheduler: the stages it
+/// handed work to (its *marks*, see the module docs), and the component's
+/// own next wake when it knows it without a `next_event` call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[must_use]
+pub struct Ticked {
+    /// Bit `s` set: the tick handed work to the components at stage `s`.
+    marks: u64,
+    /// The self-reported wake ([`NO_WAKE`] for none), or [`ASK`].
+    wake: Tick,
+}
+
+impl Ticked {
+    /// Nothing handed over; the scheduler asks `next_event` for the wake.
+    pub const NOTHING: Self = Self {
+        marks: 0,
+        wake: ASK,
+    };
+
+    /// Marks every component at `stage` when `handed` holds: its
+    /// `next_event` is asked again before its next due test.
+    #[inline]
+    pub fn mark_if(mut self, handed: bool, stage: u32) -> Self {
+        debug_assert!(stage < 64, "stage {stage} outside the 64-bit mark set");
+        self.marks |= u64::from(handed) << stage;
+        self
+    }
+
+    /// Reports the ticking component's own wake: what its `next_event`
+    /// would answer from the next tick on, absent further hand-overs.
+    #[inline]
+    pub fn wake(mut self, wake: Option<Tick>) -> Self {
+        self.wake = wake.unwrap_or(NO_WAKE);
+        self
+    }
+}
+
 /// One structural unit of the simulated machine. See the module docs for
 /// the protocol contract; `W` is the shared world state.
 pub trait Component<W> {
@@ -94,8 +164,9 @@ pub trait Component<W> {
     /// that hold trace sinks or sanitizer handles refresh them here.
     fn attach(&mut self, _world: &mut W, _instr: &Instruments) {}
 
-    /// Advances one base tick of work at `now`.
-    fn tick(&mut self, now: Tick, world: &mut W, instr: &mut Instruments);
+    /// Advances one base tick of work at `now`, and reports the stages
+    /// it handed work to (see [`Ticked`]).
+    fn tick(&mut self, now: Tick, world: &mut W, instr: &mut Instruments) -> Ticked;
 
     /// Earliest tick `>= now` at which this component could do observable
     /// work, `None` if only external input can wake it.
@@ -178,9 +249,13 @@ struct Slot<W> {
     /// Tick-phase ordering key; ties broken by registration order.
     stage: u32,
     comp: Box<dyn Component<W>>,
-    /// Profiled host ns inside `tick()` and wakes chosen, not yet added
-    /// to the profiler.
+    /// The component's cached wake ([`NO_WAKE`] for `None`); exact while
+    /// the slot is unmarked.
+    at: Tick,
+    /// Profiled host ns inside `tick()`, ticks run and wakes chosen, not
+    /// yet added to the profiler.
     host_ns: u64,
+    ran: u64,
     wakes: u64,
 }
 
@@ -210,8 +285,13 @@ pub struct Scheduler<W> {
     /// Indices into `comps`, sorted by (stage, registration order).
     tick_order: Vec<usize>,
     /// `tick_order` minus passive components: the indices whose `tick()`
-    /// is actually called each simulated tick.
+    /// the scheduler calls.
     active_order: Vec<usize>,
+    /// Bit `k` set: component `k` (registration order) was marked or
+    /// ticked since its cached wake was last asked.
+    marked: u64,
+    /// Per stage number, the bits of the components registered at it.
+    stage_slots: [u64; 64],
     /// Base ticks executed; the other `now - executed` were skipped.
     executed: u64,
     /// Skip-ahead jumps taken.
@@ -255,6 +335,8 @@ impl<W> Scheduler<W> {
             comps: Vec::new(),
             tick_order: Vec::new(),
             active_order: Vec::new(),
+            marked: 0,
+            stage_slots: [0; 64],
             executed: 0,
             skip_spans: 0,
             probes: 0,
@@ -277,6 +359,12 @@ impl<W> Scheduler<W> {
     /// bit-identical either way.
     pub fn set_skip(&mut self, on: bool) {
         self.skip = on;
+        self.mark_all();
+    }
+
+    /// Marks every component: their cached wakes are asked again.
+    fn mark_all(&mut self) {
+        self.marked = u64::MAX >> (64 - self.comps.len().max(1));
     }
 
     /// The current instrumentation bundle.
@@ -294,23 +382,37 @@ impl<W> Scheduler<W> {
         for slot in &mut self.comps {
             slot.comp.attach(world, &self.instr);
         }
+        self.mark_all();
     }
 
     /// Registers a component at tick-phase `stage` and attaches the
     /// current instruments to it. Registration is the *only* step needed
     /// to include a component in the tick loop, the wake probe, the drain
     /// predicate and the drain audit.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 64 components or at a stage number of 64 or more: the
+    /// wake cache's marks are 64-bit sets.
     pub fn register(&mut self, stage: u32, mut comp: Box<dyn Component<W>>, world: &mut W) {
+        let idx = self.comps.len();
+        assert!(
+            idx < 64 && stage < 64,
+            "marks cover 64 components and stages"
+        );
         // The profiler counts the newcomer from here.
         self.flush_profile();
         comp.attach(world, &self.instr);
-        let idx = self.comps.len();
         self.comps.push(Slot {
             stage,
             comp,
+            at: NO_WAKE,
             host_ns: 0,
+            ran: 0,
             wakes: 0,
         });
+        self.stage_slots[stage as usize] |= 1 << idx;
+        self.mark_all();
         let pos = self
             .tick_order
             .partition_point(|&i| self.comps[i].stage <= stage);
@@ -328,28 +430,60 @@ impl<W> Scheduler<W> {
         self.tick_order.iter().map(|&i| &*self.comps[i].comp)
     }
 
-    /// One base tick: every non-passive component, in stage order, then
-    /// advance the clock and record a window boundary the tick closed.
-    /// With the self-profiler on, each component's `tick()` is timed
-    /// against the host monotonic clock, and the counts are added to the
-    /// profiler on return; profiling never changes what components do.
+    /// One base tick: every non-passive component that is due (every one
+    /// with skip-ahead off), in stage order, then advance the clock and
+    /// record a window boundary the tick closed. With the self-profiler
+    /// on, each `tick()` that runs is timed against the host monotonic
+    /// clock, and the counts are added to the profiler on return;
+    /// profiling never changes what components do.
     pub fn tick(&mut self, world: &mut W) {
+        self.mark_all();
         self.step(world);
         self.flush_profile();
     }
 
-    /// [`Scheduler::tick`] without adding to the profiler.
+    /// [`Scheduler::tick`] without marking or adding to the profiler.
+    ///
+    /// With skip-ahead on, each component's due test is made right before
+    /// its turn: a marked entry is asked again, and the component ticks
+    /// only if its entry is `now`. A component that ticked is marked
+    /// unless it reported its own wake; its marks are added.
     fn step(&mut self, world: &mut W) {
         let now = self.now;
         let prof = self.instr.prof.on();
         for k in 0..self.active_order.len() {
-            let slot = &mut self.comps[self.active_order[k]];
-            if prof {
+            let i = self.active_order[k];
+            let bit = 1u64 << i;
+            let slot = &mut self.comps[i];
+            if self.skip {
+                if self.marked & bit != 0 {
+                    self.marked &= !bit;
+                    slot.at = slot.comp.next_event(now, world).unwrap_or(NO_WAKE);
+                }
+                if slot.at > now {
+                    continue;
+                }
+            }
+            let t = if prof {
                 let t0 = Instant::now();
-                slot.comp.tick(now, world, &mut self.instr);
+                let t = slot.comp.tick(now, world, &mut self.instr);
                 slot.host_ns += t0.elapsed().as_nanos() as u64;
+                slot.ran += 1;
+                t
             } else {
-                slot.comp.tick(now, world, &mut self.instr);
+                slot.comp.tick(now, world, &mut self.instr)
+            };
+            if t.wake == ASK {
+                self.marked |= bit;
+            } else {
+                debug_assert!(t.wake > now, "{} reported a wake <= now", slot.comp.name());
+                slot.at = t.wake;
+                self.marked &= !bit;
+            }
+            let mut stages = t.marks;
+            while stages != 0 {
+                self.marked |= self.stage_slots[stages.trailing_zeros() as usize];
+                stages &= stages - 1;
             }
         }
         self.executed += 1;
@@ -358,8 +492,7 @@ impl<W> Scheduler<W> {
     }
 
     /// Adds the counts since the last call to the profiler, if any, by
-    /// component name: every component registered then was active on each
-    /// tick executed since, unless it is passive.
+    /// component name.
     fn flush_profile(&mut self) {
         let (now, executed, spans) = (self.now, self.executed, self.skip_spans);
         let (t0, e0, s0) = std::mem::replace(&mut self.flushed, (now, executed, spans));
@@ -376,9 +509,7 @@ impl<W> Scheduler<W> {
                 let c = p.comp_mut(slot.comp.name());
                 c.host_ns += std::mem::take(&mut slot.host_ns);
                 c.wakes += std::mem::take(&mut slot.wakes);
-                if !slot.comp.passive() {
-                    c.active_ticks += executed - e0;
-                }
+                c.active_ticks += std::mem::take(&mut slot.ran);
             }
         });
     }
@@ -405,14 +536,14 @@ impl<W> Scheduler<W> {
     /// observable work, `None` if no component will ever act again
     /// without new input.
     ///
-    /// The fold visits components in stage order. Every candidate is
-    /// contractually `>= now`, so a component reporting `now` is already
-    /// the global minimum and the bare fold stops there: while the machine
-    /// is busy, where skipping cannot pay for itself, the probe asks only
-    /// the components up to the first one due. With the sanitizer on the
-    /// fold visits every component and checks each candidate for a wake
-    /// in the past; the minimum is the same. The profiler times the probe
-    /// and counts a wake for the component the fold settles on.
+    /// The fold is a minimum over the cached wakes in stage order; a
+    /// marked entry is asked again first. Every candidate is contractually
+    /// `>= now`, so an entry equal to `now` is already the global minimum
+    /// and the bare fold stops there. With the sanitizer on the fold
+    /// visits every component, asks each a fresh `next_event`, and checks
+    /// it for a wake in the past and, unmarked, against the cached entry
+    /// (`stage-wake-cache`); the minimum is the same. The profiler times
+    /// the probe and counts a wake for the component the fold settles on.
     pub fn next_wake(&mut self, world: &W) -> Option<Tick> {
         if !self.instr.prof.on() {
             return self.wake_fold(world).0;
@@ -429,32 +560,49 @@ impl<W> Scheduler<W> {
 
     /// [`Scheduler::next_wake`] without the profiler: the minimum and the
     /// component it came from (first wins on ties).
-    fn wake_fold(&self, world: &W) -> (Option<Tick>, Option<usize>) {
-        let san = self.instr.san.on();
+    fn wake_fold(&mut self, world: &W) -> (Option<Tick>, Option<usize>) {
+        let san = &self.instr.san;
         let now = self.now;
-        let mut w: Option<Tick> = None;
+        let mut w = NO_WAKE;
         let mut argmin: Option<usize> = None;
         for &k in &self.tick_order {
-            let slot = &self.comps[k];
-            let Some(c) = slot.comp.next_event(now, world) else {
-                continue;
-            };
-            if san {
-                self.instr
-                    .san
-                    .check(c >= now, slot.comp.name(), "wake-in-past", now, || {
-                        format!("next_event reported {c} < now {now}")
-                    });
+            let slot = &mut self.comps[k];
+            let bit = 1u64 << k;
+            if self.marked & bit != 0 || san.on() {
+                let fresh = slot.comp.next_event(now, world).unwrap_or(NO_WAKE);
+                if san.on() {
+                    Self::check_wake(san, slot, self.marked & bit != 0, fresh, now);
+                }
+                slot.at = fresh;
+                self.marked &= !bit;
             }
-            if w.is_none_or(|cur| c < cur) {
-                w = Some(c);
+            if slot.at < w {
+                w = slot.at;
                 argmin = Some(k);
             }
-            if w == Some(now) && !san {
+            if w == now && !san.on() {
                 break;
             }
         }
-        (w, argmin)
+        ((w != NO_WAKE).then_some(w), argmin)
+    }
+
+    /// The sanitizer's wake rules for one component: its fresh wake is not
+    /// in the past (`wake-in-past`), and, unless it was marked, equals its
+    /// cached entry (`stage-wake-cache`). The component is named only on
+    /// a violation: this runs for every component at every sanitized
+    /// probe.
+    fn check_wake(san: &Sanitizer, slot: &Slot<W>, marked: bool, fresh: Tick, now: Tick) {
+        if fresh < now {
+            let detail = format!("next_event reported {fresh} < now {now}");
+            san.flag(slot.comp.name(), "wake-in-past", now, detail);
+        }
+        if !marked && fresh != slot.at {
+            let show = |t: Tick| (t != NO_WAKE).then_some(t);
+            let (cached, fresh) = (show(slot.at), show(fresh));
+            let detail = format!("unmarked: cached wake {cached:?}, next_event {fresh:?}");
+            san.flag(slot.comp.name(), "stage-wake-cache", now, detail);
+        }
     }
 
     /// Whether every registered component is quiescent.
@@ -539,6 +687,8 @@ impl<W> Scheduler<W> {
         target: Option<Tick>,
         done: impl FnMut(&Self, &W) -> bool,
     ) -> Result<(), Stop> {
+        // The world may have changed since the last run.
+        self.mark_all();
         let r = self.run_loop(world, target, done);
         self.flush_profile();
         r
@@ -562,7 +712,7 @@ impl<W> Scheduler<W> {
             }
             if promised == Some(self.now) {
                 promised = None;
-                self.check_stale_wake(world);
+                self.check_stale_wake(world, false);
             } else if promised.is_none() && (self.skip || san) {
                 let wake = if self.skip {
                     self.next_wake(world)
@@ -602,7 +752,7 @@ impl<W> Scheduler<W> {
                         return r;
                     }
                     if san {
-                        self.check_stale_wake(world);
+                        self.check_stale_wake(world, true);
                     }
                 }
             }
@@ -611,15 +761,25 @@ impl<W> Scheduler<W> {
     }
 
     /// At a promised wake the run did not stop at, a re-probe must find
-    /// the promise kept (or the world quiescent).
-    fn check_stale_wake(&self, world: &W) {
-        let (now, re) = (self.now, self.wake_fold(world).0);
+    /// the promise kept (or the world quiescent). After a jump nothing has
+    /// ticked since the sanitized probe checked every cached wake, so only
+    /// the components whose entry is the promised tick are asked again.
+    fn check_stale_wake(&mut self, world: &W, jumped: bool) {
+        let now = self.now;
+        let kept = if jumped {
+            self.tick_order.iter().any(|&k| {
+                let slot = &self.comps[k];
+                slot.at == now && slot.comp.next_event(now, world) == Some(now)
+            })
+        } else {
+            self.wake_fold(world).0 == Some(now)
+        };
         self.instr.san.check(
-            re == Some(now) || self.quiescent(world),
+            kept || self.quiescent(world),
             "scheduler",
             "stale-wake",
             now,
-            || format!("re-probe at the promised wake says {re:?}, world not quiescent"),
+            || "re-probe at the promised wake finds no work there, world not quiescent".into(),
         );
     }
 
@@ -694,11 +854,13 @@ mod tests {
         fn name(&self) -> &str {
             "producer"
         }
-        fn tick(&mut self, now: Tick, world: &mut World, _instr: &mut Instruments) {
-            if self.remaining > 0 && self.clock.fires_at(now) {
+        fn tick(&mut self, now: Tick, world: &mut World, _instr: &mut Instruments) -> Ticked {
+            let fire = self.remaining > 0 && self.clock.fires_at(now);
+            if fire {
                 self.remaining -= 1;
                 world.queue.push(now);
             }
+            Ticked::NOTHING.mark_if(fire, CONSUMER)
         }
         fn next_event(&self, now: Tick, _world: &World) -> Option<Tick> {
             (self.remaining > 0).then(|| self.clock.next_edge(now))
@@ -723,14 +885,18 @@ mod tests {
     /// Consumes queued items; wakes only when the queue is non-empty.
     struct Consumer;
 
+    /// The consumer's stage, which the producer marks when it queues.
+    const CONSUMER: u32 = 10;
+
     impl Component<World> for Consumer {
         fn name(&self) -> &str {
             "consumer"
         }
-        fn tick(&mut self, _now: Tick, world: &mut World, _instr: &mut Instruments) {
+        fn tick(&mut self, _now: Tick, world: &mut World, _instr: &mut Instruments) -> Ticked {
             if world.queue.pop().is_some() {
                 world.finished += 1;
             }
+            Ticked::NOTHING
         }
         fn next_event(&self, now: Tick, world: &World) -> Option<Tick> {
             (!world.queue.is_empty()).then_some(now)
@@ -769,7 +935,7 @@ mod tests {
             }),
             &mut world,
         );
-        sched.register(10, Box::new(Consumer), &mut world);
+        sched.register(CONSUMER, Box::new(Consumer), &mut world);
         (sched, world)
     }
 
@@ -897,8 +1063,9 @@ mod tests {
             fn name(&self) -> &str {
                 self.0
             }
-            fn tick(&mut self, _: Tick, w: &mut Vec<&'static str>, _: &mut Instruments) {
+            fn tick(&mut self, _: Tick, w: &mut Vec<&'static str>, _: &mut Instruments) -> Ticked {
                 w.push(self.0);
+                Ticked::NOTHING
             }
             fn next_event(&self, _: Tick, _: &Vec<&'static str>) -> Option<Tick> {
                 None
@@ -943,6 +1110,100 @@ mod tests {
     }
 
     #[test]
+    fn only_due_components_tick_with_skip_on() {
+        // Skip-ahead on: the producer ticks on its five edges and the
+        // consumer only on the ticks the producer marked it. Tick by
+        // tick, both tick on each of the 25 ticks, with the same result.
+        for (skip, executed) in [(true, 5), (false, 25)] {
+            let (mut sched, mut world) = make(10_000, skip, 5);
+            let [_, san, prof] = every_instrument();
+            sched.set_instruments(
+                &mut world,
+                Instruments {
+                    prof: prof.prof,
+                    ..san
+                },
+            );
+            sched.run_until(&mut world, |_, w| w.finished == 5).unwrap();
+            assert_eq!(sched.now(), 25);
+            let snap = sched.instruments().prof.snapshot_at(0).unwrap();
+            assert_eq!(snap.ticks_executed, executed);
+            let active: Vec<u64> = snap.comps.iter().map(|c| c.active_ticks).collect();
+            assert_eq!(active, [executed; 2], "skip {skip}");
+            assert_eq!(sched.instruments().san.count(), 0);
+        }
+    }
+
+    /// Runs `comp` after a producer of 5 items, sanitized with skip-ahead
+    /// on, and returns the sanitizer's report.
+    fn sanitized_with(producer: Box<dyn Component<World>>) -> String {
+        let mut sched = Scheduler::new(10_000, true);
+        let mut world = World::default();
+        sched.register(0, producer, &mut world);
+        sched.register(CONSUMER, Box::new(Consumer), &mut world);
+        sched.set_instruments(&mut world, every_instrument()[1].clone());
+        let _ = sched.run_until(&mut world, |_, w| w.finished == 5);
+        sched.instruments().san.render()
+    }
+
+    fn producer() -> Producer {
+        Producer {
+            clock: ClockDomain::from_ghz(1.0),
+            remaining: 5,
+        }
+    }
+
+    #[test]
+    fn a_missing_mark_is_flagged() {
+        // Queues work for the consumer without marking it: the consumer's
+        // cached `None` is stale at the next sanitized probe.
+        struct Forgetful(Producer);
+        impl Component<World> for Forgetful {
+            fn name(&self) -> &str {
+                "forgetful"
+            }
+            fn tick(&mut self, now: Tick, world: &mut World, instr: &mut Instruments) -> Ticked {
+                let _ = self.0.tick(now, world, instr);
+                Ticked::NOTHING
+            }
+            fn next_event(&self, now: Tick, world: &World) -> Option<Tick> {
+                self.0.next_event(now, world)
+            }
+            fn is_quiescent(&self, now: Tick, world: &World) -> bool {
+                self.0.is_quiescent(now, world)
+            }
+        }
+        assert_eq!(sanitized_with(Box::new(producer())), "");
+        let report = sanitized_with(Box::new(Forgetful(producer())));
+        assert!(report.contains("stage-wake-cache"), "{report}");
+        assert!(report.contains("consumer"), "{report}");
+    }
+
+    #[test]
+    fn a_wrong_self_reported_wake_is_flagged() {
+        // Reports its wake one tick after each tick instead of at its
+        // next edge; its `next_event` disagrees at the next probe.
+        struct Hasty(Producer);
+        impl Component<World> for Hasty {
+            fn name(&self) -> &str {
+                "hasty"
+            }
+            fn tick(&mut self, now: Tick, world: &mut World, instr: &mut Instruments) -> Ticked {
+                self.0.tick(now, world, instr).wake(Some(now + 1))
+            }
+            fn next_event(&self, now: Tick, world: &World) -> Option<Tick> {
+                self.0.next_event(now, world)
+            }
+            fn is_quiescent(&self, now: Tick, world: &World) -> bool {
+                self.0.is_quiescent(now, world)
+            }
+        }
+        let report = sanitized_with(Box::new(Hasty(producer())));
+        assert!(report.contains("stage-wake-cache"), "{report}");
+        assert!(report.contains("hasty"), "{report}");
+    }
+
+    #[test]
     fn profiler_does_not_perturb_results() {
         let (mut plain, mut wp) = make(1_000_000, true, 9);
         let (mut prof, mut wq) = make(1_000_000, true, 9);
@@ -972,8 +1233,9 @@ mod tests {
             fn passive(&self) -> bool {
                 true
             }
-            fn tick(&mut self, _: Tick, _: &mut World, _: &mut Instruments) {
+            fn tick(&mut self, _: Tick, _: &mut World, _: &mut Instruments) -> Ticked {
                 self.ticked.set(true);
+                Ticked::NOTHING
             }
             fn next_event(&self, _: Tick, _: &World) -> Option<Tick> {
                 None
@@ -1091,7 +1353,9 @@ mod tests {
             fn name(&self) -> &str {
                 "flake"
             }
-            fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) {}
+            fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) -> Ticked {
+                Ticked::NOTHING
+            }
             fn next_event(&self, now: Tick, _: &()) -> Option<Tick> {
                 Some(now + 3)
             }
@@ -1123,7 +1387,9 @@ mod tests {
             fn name(&self) -> &str {
                 "stuck"
             }
-            fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) {}
+            fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) -> Ticked {
+                Ticked::NOTHING
+            }
             fn next_event(&self, _: Tick, _: &()) -> Option<Tick> {
                 None
             }
@@ -1153,7 +1419,9 @@ mod tests {
             fn name(&self) -> &str {
                 "rogue"
             }
-            fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) {}
+            fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) -> Ticked {
+                Ticked::NOTHING
+            }
             fn next_event(&self, now: Tick, _: &()) -> Option<Tick> {
                 (self.0)(now)
             }
@@ -1196,7 +1464,9 @@ mod tests {
             fn name(&self) -> &str {
                 "liar"
             }
-            fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) {}
+            fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) -> Ticked {
+                Ticked::NOTHING
+            }
             fn next_event(&self, _now: Tick, _: &()) -> Option<Tick> {
                 Some(0)
             }

@@ -14,7 +14,11 @@
 //! - **stale-wake** — after jumping to the promised global wake tick `w`,
 //!   a re-probe must report `Some(w)` again (some component really does
 //!   have observable work there), *unless* the jump stopped the run or
-//!   every component is quiescent.
+//!   every component is quiescent. After a jump the re-probe asks the
+//!   components whose cached wake is `w`; nothing ticked since the
+//!   probe that cached it.
+//! - **stage-wake-cache** — every cached wake the scheduler has not
+//!   marked equals a fresh [`Component::next_event`] at each probe.
 //! - **eventless-active** — when the global wake fold returns `None` (no
 //!   component will ever act again without input), every component must be
 //!   quiescent; a non-quiescent component with no scheduled event is a
@@ -147,7 +151,7 @@ pub fn check_ports(ports: &[PortSnapshot], now: Tick, drained: bool) -> Vec<Viol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::{Component, Instruments};
+    use crate::component::{Component, Instruments, Ticked};
     use crate::time::ClockDomain;
 
     /// Well-behaved clocked counter: fires on every edge `n` times.
@@ -160,10 +164,11 @@ mod tests {
         fn name(&self) -> &str {
             "counter"
         }
-        fn tick(&mut self, now: Tick, _w: &mut (), _i: &mut Instruments) {
+        fn tick(&mut self, now: Tick, _w: &mut (), _i: &mut Instruments) -> Ticked {
             if self.remaining > 0 && self.clock.fires_at(now) {
                 self.remaining -= 1;
             }
+            Ticked::NOTHING
         }
         fn next_event(&self, now: Tick, _w: &()) -> Option<Tick> {
             (self.remaining > 0).then(|| self.clock.next_edge(now))
@@ -181,7 +186,9 @@ mod tests {
         fn name(&self) -> &str {
             "stuck"
         }
-        fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) {}
+        fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) -> Ticked {
+            Ticked::NOTHING
+        }
         fn next_event(&self, _: Tick, _: &()) -> Option<Tick> {
             None
         }
@@ -200,7 +207,9 @@ mod tests {
         fn name(&self) -> &str {
             "tardy"
         }
-        fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) {}
+        fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) -> Ticked {
+            Ticked::NOTHING
+        }
         fn next_event(&self, now: Tick, _: &()) -> Option<Tick> {
             Some(now.saturating_sub(1))
         }
@@ -219,7 +228,9 @@ mod tests {
         fn name(&self) -> &str {
             "flake"
         }
-        fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) {}
+        fn tick(&mut self, _: Tick, _: &mut (), _: &mut Instruments) -> Ticked {
+            Ticked::NOTHING
+        }
         fn next_event(&self, now: Tick, _: &()) -> Option<Tick> {
             // next_edge of now+1: always strictly in the future, so a
             // jump to the promise finds it has moved.

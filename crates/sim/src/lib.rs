@@ -39,7 +39,7 @@ pub mod time;
 pub use distda_trace::stats;
 
 pub use arena::{Arena, Handle};
-pub use component::{Component, Instruments, Scheduler, Stop};
+pub use component::{Component, Instruments, Scheduler, Stop, Ticked};
 pub use port::{Channel, CreditLoop, PortSnapshot, RxPort, TxPort};
 pub use profile::{ProfileSnapshot, Profiler};
 pub use rng::SplitMix64;

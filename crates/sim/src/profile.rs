@@ -3,8 +3,8 @@
 //! The tracer ([`distda_trace`]) answers "where does simulated time go";
 //! this module answers the complementary fleet-telemetry question — which
 //! component of the machine the *simulator itself* spends host nanoseconds
-//! in, how many executed (non-skipped) ticks each component was scheduled
-//! for, which component's `next_event` kept waking the machine, and how
+//! in, on how many executed (non-skipped) ticks each component actually
+//! ran, which component's `next_event` kept waking the machine, and how
 //! much simulated time the skip-ahead fast path jumped over.
 //!
 //! A [`Profiler`] is one member of the scheduler's
@@ -12,8 +12,8 @@
 //! tracer, the sanitizer and the explain sampler. It holds no counters of
 //! its own: the [`Scheduler`](crate::component::Scheduler) counts executed
 //! and skipped ticks whether or not anyone profiles it, and with a
-//! profiler attached (via `DISTDA_OBS` or programmatically) also times
-//! every component's `tick()` and every wake probe with the host
+//! profiler attached (via `DISTDA_OBS` or programmatically) also counts
+//! and times every `tick()` that runs and every wake probe with the host
 //! monotonic clock, in plain fields. It adds those counts to the shared
 //! [`ProfileSnapshot`] once, when a run loop or a public `tick` returns
 //! (and before a component registers or the instruments change), so the
@@ -26,13 +26,22 @@
 //! observability determinism tests).
 //!
 //! The snapshot renders as a "perf top"-style table
-//! ([`render_table`]):
+//! ([`render_table`]). With skip-ahead on, a component runs only on the
+//! executed ticks it is due, so each `active_ticks` is below the executed
+//! count and `ns/tick` is host time per tick that ran (bfs on
+//! Dist-DA-F at tiny scale):
 //!
 //! ```text
-//! component         host_ms  host%   active_ticks   wakes  ns/tick
-//! mesh               812.41  41.2%       1203441   88123     675
-//! engine.all         401.77  20.4%        903441   41021     444
-//! ...
+//! component             host_ms  host%   active_ticks      wakes  ns/tick
+//! noc                    15.140  73.4%          12633       4003     1198
+//! engine.all              3.327  16.1%          10276       9589      323
+//! mem                     1.022   5.0%           3572       1206      286
+//! delivery                0.606   2.9%           5692       5692      106
+//! net-out                 0.354   1.7%           3584         88       98
+//! host                    0.170   0.8%           1113       1113      153
+//! machine.chan            0.000   0.0%              0          0        0
+//! ticks: 21605 executed + 52850 skipped in 14682 spans = 74455 total (71.0% skipped)
+//! wake probes: 21692 taking 2.024 ms host
 //! ```
 
 use crate::time::Tick;
@@ -47,7 +56,9 @@ pub struct ComponentProfile {
     pub name: String,
     /// Host nanoseconds spent inside this component's `tick()`.
     pub host_ns: u64,
-    /// Executed (non-skipped) base ticks this component was scheduled for.
+    /// Base ticks on which this component's `tick()` ran: every executed
+    /// tick with skip-ahead off, only the ticks it was due with it on
+    /// (never, for a passive component).
     pub active_ticks: u64,
     /// Times this component's `next_event` was the scheduler's chosen wake
     /// target (it was the unit keeping the machine busy or waking it next).

@@ -34,11 +34,12 @@ use distda_ir::trace::{DynOp, Layout};
 use distda_ir::value::Value;
 use distda_mem::{MemRequest, MemSystem, PortId, PortKind};
 use distda_noc::{Mesh, NocConfig, Packet, TrafficClass};
-use distda_sim::component::{Component, Instruments, Scheduler, Stop};
+use distda_sim::component::{Component, Instruments, Scheduler, Stop, Ticked};
 use distda_sim::port::{Channel, PortSnapshot};
 use distda_sim::port_names;
 use distda_sim::time::{ClockDomain, Tick};
 use distda_trace::{EventKind, TraceSink};
+use std::cell::Cell;
 
 /// Operand slots per channel buffer.
 pub const CHAN_CAPACITY: usize = 64;
@@ -173,13 +174,18 @@ impl EngineWakes {
         self.marked.fill(true);
     }
 
-    /// Marks every engine with a response waiting at its memory port.
-    /// Callers run it when the hierarchy's response count moved across a
-    /// hand-over into it (`mem.deliver`, `mem.tick`).
-    fn mark_responded(&mut self, engines: &[EngineSlot], mem: &MemSystem) {
+    /// Marks every engine with a response waiting at its memory port,
+    /// and says whether there was one. Callers run it when the
+    /// hierarchy's response count moved across a hand-over into it
+    /// (`mem.deliver`, `mem.tick`).
+    fn mark_responded(&mut self, engines: &[EngineSlot], mem: &MemSystem) -> bool {
+        let mut any = false;
         for (marked, slot) in self.marked.iter_mut().zip(engines) {
-            *marked |= mem.has_responses(slot.port);
+            let waiting = mem.has_responses(slot.port);
+            *marked |= waiting;
+            any |= waiting;
         }
+        any
     }
 
     /// Engine `i`'s wake at `now`: the cached entry, or, if a hand-over
@@ -196,6 +202,24 @@ impl EngineWakes {
             engine_wake(slot, &st.chans, now).unwrap_or(NO_WAKE)
         }
     }
+}
+
+/// The marks for responses the hierarchy pushed across a hand-over that
+/// moved its response count from `before`: the host if one waits at its
+/// port, the engine stage if one waits at an engine's (which it marks).
+fn responded(
+    before: u64,
+    mem: &MemSystem,
+    host: &HostCore,
+    engines: &[EngineSlot],
+    wakes: &mut EngineWakes,
+) -> Ticked {
+    if mem.sys_stats().responses == before {
+        return Ticked::NOTHING;
+    }
+    Ticked::NOTHING
+        .mark_if(mem.has_responses(host.port()), stage::HOST)
+        .mark_if(wakes.mark_responded(engines, mem), stage::ENGINE)
 }
 
 impl MachineState {
@@ -254,7 +278,10 @@ impl MachineState {
 /// owners — memory-protocol messages to the hierarchy, operands and
 /// credits to the channel buffers (checking credit conservation), MMIO
 /// packets to nobody (their effect was applied at issue; the packet
-/// exists for traffic accounting).
+/// exists for traffic accounting). Marks the hierarchy for a memory
+/// message, the engine stage for an operand or credit, and the requesters
+/// of any response `mem.deliver` pushed. Draining the inboxes is no
+/// hand-over: the mesh's wake does not read them.
 struct DeliveryComp;
 
 impl Component<MachineState> for DeliveryComp {
@@ -262,11 +289,12 @@ impl Component<MachineState> for DeliveryComp {
         "delivery"
     }
 
-    fn tick(&mut self, now: Tick, st: &mut MachineState, instr: &mut Instruments) {
+    fn tick(&mut self, now: Tick, st: &mut MachineState, instr: &mut Instruments) -> Ticked {
         let san = &instr.san;
         let MachineState {
             mesh,
             mem,
+            host,
             chans,
             engines,
             chan_engines,
@@ -274,15 +302,18 @@ impl Component<MachineState> for DeliveryComp {
             ..
         } = st;
         let responses = mem.sys_stats().responses;
+        let (mut to_mem, mut to_engines) = (false, false);
         mesh.for_each_delivered(|_node, pkt| {
             match pkt.payload {
                 NetMsg::Mem(m) => {
                     let wrapped = Packet::new(pkt.src, pkt.dst, pkt.bytes, pkt.class, m)
                         .with_tenant(pkt.tenant);
                     mem.deliver(now, wrapped);
+                    to_mem = true;
                 }
                 NetMsg::ChanData { chan, v } => {
                     wakes.marked[chan_engines[chan as usize].1] = true;
+                    to_engines = true;
                     if chans[chan as usize].queue.tx().offer(v).is_err() {
                         // Credits bound occupancy; an arrival beyond
                         // capacity means a credit was double-issued.
@@ -306,6 +337,7 @@ impl Component<MachineState> for DeliveryComp {
                 }
                 NetMsg::ChanCredit { chan, n } => {
                     wakes.marked[chan_engines[chan as usize].0] = true;
+                    to_engines = true;
                     chans[chan as usize].flow.grant(n as usize);
                     if san.on() {
                         let ch = &chans[chan as usize];
@@ -329,9 +361,9 @@ impl Component<MachineState> for DeliveryComp {
                 NetMsg::Mmio => {}
             }
         });
-        if mem.sys_stats().responses != responses {
-            wakes.mark_responded(engines, mem);
-        }
+        responded(responses, mem, host, engines, wakes)
+            .mark_if(to_mem, stage::MEM)
+            .mark_if(to_engines, stage::ENGINE)
     }
 
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
@@ -344,7 +376,7 @@ impl Component<MachineState> for DeliveryComp {
 }
 
 /// Stage [`stage::HOST`]: the out-of-order host core collects memory
-/// responses and issues into the hierarchy.
+/// responses and issues into the hierarchy, which it marks when it did.
 struct HostComp;
 
 impl Component<MachineState> for HostComp {
@@ -356,9 +388,11 @@ impl Component<MachineState> for HostComp {
         st.host_sink = instr.tracer.sink("host");
     }
 
-    fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) {
+    fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) -> Ticked {
         let MachineState { host, mem, .. } = st;
+        let requests = mem.sys_stats().requests;
         host.tick(now, mem);
+        Ticked::NOTHING.mark_if(mem.sys_stats().requests != requests, stage::MEM)
     }
 
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
@@ -395,7 +429,9 @@ impl Component<MachineState> for ChannelsComp {
         st.chan_sink = instr.tracer.sink("machine.chan");
     }
 
-    fn tick(&mut self, _now: Tick, _st: &mut MachineState, _instr: &mut Instruments) {}
+    fn tick(&mut self, _now: Tick, _st: &mut MachineState, _instr: &mut Instruments) -> Ticked {
+        Ticked::NOTHING
+    }
 
     fn passive(&self) -> bool {
         true
@@ -500,10 +536,16 @@ fn engine_wake(slot: &EngineSlot, chans: &[ChanState], now: Tick) -> Option<Tick
 /// The stage probes and ticks from [`MachineState::wakes`]: an engine's
 /// wake is recomputed only after it ran an edge or when a hand-over marked
 /// it, so an engine that waits on a channel or a memory response costs one
-/// compare per probe and per executed tick.
+/// compare per probe and per executed tick. A tick marks the hierarchy
+/// when an engine issued a request and the injection port when one pushed
+/// a packet, and reports the stage's own wake, the minimum cached entry,
+/// unless an engine is left marked.
 #[derive(Default)]
 struct EngineStage {
     san: Sanitizer,
+    /// The tick `engine-wake-cache` was last checked at, plus one (0 for
+    /// never): the scheduler may ask `next_event` several times a tick.
+    checked: Cell<Tick>,
 }
 
 impl EngineStage {
@@ -543,12 +585,13 @@ impl Component<MachineState> for EngineStage {
 
     fn attach(&mut self, st: &mut MachineState, instr: &Instruments) {
         self.san = instr.san.clone();
+        self.checked.set(0);
         for (i, slot) in st.engines.iter_mut().enumerate() {
             slot.eng.set_sink(instr.tracer.sink(&port_names::engine(i)));
         }
     }
 
-    fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) {
+    fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) -> Ticked {
         let MachineState {
             engines,
             mem,
@@ -561,6 +604,7 @@ impl Component<MachineState> for EngineStage {
             wakes,
             ..
         } = st;
+        let (requests, pushed) = (mem.sys_stats().requests, net_out.len());
         for (i, slot) in engines.iter_mut().enumerate() {
             if wakes.marked[i] {
                 let mut rx = mem.responses(slot.port).rx();
@@ -606,6 +650,15 @@ impl Component<MachineState> for EngineStage {
             wakes.at[i] = engine_wake(slot, chans, now + 1).unwrap_or(NO_WAKE);
             wakes.marked[i] = false;
         }
+        // Engines only add to the injection port; net-out drains it later.
+        let t = Ticked::NOTHING
+            .mark_if(mem.sys_stats().requests != requests, stage::MEM)
+            .mark_if(net_out.len() != pushed, stage::NET_OUT);
+        if wakes.marked.contains(&true) {
+            return t;
+        }
+        let w = wakes.at.iter().copied().min().unwrap_or(NO_WAKE);
+        t.wake((w != NO_WAKE).then_some(w))
     }
 
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
@@ -616,7 +669,9 @@ impl Component<MachineState> for EngineStage {
                 break;
             }
         }
-        if self.san.on() {
+        // Once a tick: a hand-over later in the tick that misses a mark
+        // leaves the entry stale until the next tick's check.
+        if self.san.on() && self.checked.replace(now + 1) != now + 1 {
             self.check_wakes(now, st);
         }
         (w != NO_WAKE).then_some(w)
@@ -679,7 +734,10 @@ impl Component<MachineState> for EngineStage {
 
 /// Stage [`stage::MEM`]: the memory hierarchy advances, then injects its
 /// outgoing protocol packets into the mesh (back-pressured: a refused
-/// packet returns to the front of the queue).
+/// packet returns to the front of the queue). Marks the mesh when it
+/// injected and the requesters of any response it pushed. While an
+/// injection is refused the hierarchy's `next_event` is `now`, so the
+/// stall is charged on every tick, as tick by tick.
 struct MemComp;
 
 impl Component<MachineState> for MemComp {
@@ -692,30 +750,33 @@ impl Component<MachineState> for MemComp {
         st.mem.set_sanitizer(instr.san.clone());
     }
 
-    fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) {
-        // With no queued action, DRAM burst or outgoing packet, both the
-        // hierarchy tick and the injection loop below are no-ops
-        // (undrained responses are the requester's job, not ours).
-        if !st.mem.is_active() {
-            return;
-        }
-        let responses = st.mem.sys_stats().responses;
-        st.mem.tick(now);
-        if st.mem.sys_stats().responses != responses {
-            st.wakes.mark_responded(&st.engines, &st.mem);
-        }
+    fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) -> Ticked {
+        let MachineState {
+            mem,
+            mesh,
+            host,
+            engines,
+            wakes,
+            ..
+        } = st;
+        let responses = mem.sys_stats().responses;
+        mem.tick(now);
+        let t = responded(responses, mem, host, engines, wakes);
         // Peek-then-accept: the packet leaves the memory system's port
         // only once the mesh accepts it, so a refused injection leaves
         // the exact same packet at the head (stable data).
-        while let Some(&p) = st.mem.outgoing().front() {
+        let mut injected = false;
+        while let Some(&p) = mem.outgoing().front() {
             let wrapped = Packet::new(p.src, p.dst, p.bytes, p.class, NetMsg::Mem(p.payload))
                 .with_tenant(p.tenant);
-            if st.mesh.try_inject(now, wrapped).is_err() {
-                st.mem.outgoing().note_stalls(1);
+            if mesh.try_inject(now, wrapped).is_err() {
+                mem.outgoing().note_stalls(1);
                 break;
             }
-            st.mem.outgoing().rx().accept();
+            mem.outgoing().rx().accept();
+            injected = true;
         }
+        t.mark_if(injected, stage::MESH)
     }
 
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
@@ -739,7 +800,9 @@ impl Component<MachineState> for MemComp {
 
 /// Stage [`stage::NET_OUT`]: machine-level packets (channel operands,
 /// credits, MMIO) inject into the mesh, back-pressured like memory
-/// traffic.
+/// traffic. Marks the mesh when it injected; while an injection is
+/// refused the port is non-empty and `next_event` is `now`, so the stall
+/// is charged on every tick, as tick by tick.
 struct NetOutComp;
 
 impl Component<MachineState> for NetOutComp {
@@ -747,17 +810,20 @@ impl Component<MachineState> for NetOutComp {
         "net-out"
     }
 
-    fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) {
+    fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) -> Ticked {
         // Peek-then-accept, as in [`MemComp`]: a refused injection leaves
         // the packet at the head unchanged and charges an injection-stall
         // cycle to the port.
+        let mut injected = false;
         while let Some(&p) = st.net_out.front() {
             if st.mesh.try_inject(now, p).is_err() {
                 st.net_out.note_stalls(1);
                 break;
             }
             st.net_out.rx().accept();
+            injected = true;
         }
+        Ticked::NOTHING.mark_if(injected, stage::MESH)
     }
 
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
@@ -774,7 +840,8 @@ impl Component<MachineState> for NetOutComp {
     }
 }
 
-/// Stage [`stage::MESH`]: the mesh routes in-flight packets.
+/// Stage [`stage::MESH`]: the mesh routes in-flight packets, and marks
+/// the delivery stage when packets arrived at an inbox.
 struct MeshComp;
 
 impl Component<MachineState> for MeshComp {
@@ -787,8 +854,10 @@ impl Component<MachineState> for MeshComp {
         st.mesh.set_sanitizer(instr.san.clone());
     }
 
-    fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) {
+    fn tick(&mut self, now: Tick, st: &mut MachineState, _instr: &mut Instruments) -> Ticked {
         st.mesh.tick(now);
+        // The delivery stage drains every inbox before the mesh's turn.
+        Ticked::NOTHING.mark_if(st.mesh.has_inbox_pending(), stage::DELIVERY)
     }
 
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
@@ -1989,13 +2058,57 @@ mod tests {
         (outcome, san.count())
     }
 
-    /// The engine stage's cached wakes under the sanitizer's
-    /// `engine-wake-cache` rule: with skip-ahead on, no violation, and the
-    /// same results as the tick-by-tick run.
-    fn wake_cache_holds(placement: [usize; 2]) {
-        let (skipped, violations) = sanitized_axpy(placement, true);
+    /// Runs a host segment over both of axpy's arrays to a drained
+    /// machine, with the sanitizer attached: a load of each `x` line
+    /// (cluster 0, the host's node), then a store to each `y` line
+    /// (cluster 1, over the mesh), each store dependent on the load
+    /// before it. Returns what [`sanitized_axpy`] returns.
+    fn sanitized_host_segment(skip: bool) -> (String, usize) {
+        use distda_ir::trace::{DynOp, OpKind, NO_DEP};
+        const LINES: u64 = 64;
+        let (_p, _ck, mut m, x, y) = axpy_machine(8 * LINES as usize);
+        m.set_skip(skip);
+        let san = Sanitizer::enabled();
+        m.set_instruments(Instruments {
+            san: san.clone(),
+            ..Instruments::disabled()
+        });
+        let (xs, ys) = (m.layout(0).base(x), m.layout(0).base(y));
+        let mut ops = Vec::new();
+        for i in 0..LINES {
+            ops.push(DynOp {
+                kind: OpKind::Load { addr: xs + 64 * i },
+                dep1: NO_DEP,
+                dep2: NO_DEP,
+            });
+            ops.push(DynOp {
+                kind: OpKind::Store { addr: ys + 64 * i },
+                dep1: ops.len() as u32 - 1,
+                dep2: NO_DEP,
+            });
+        }
+        m.run_host_segment(ops).unwrap();
+        m.drain().unwrap();
+        let outcome = format!(
+            "{:?}",
+            (
+                m.now(),
+                m.energy_counters(),
+                m.noc_stats(),
+                m.host_stats(),
+                m.port_report(),
+            )
+        );
+        (outcome, san.count())
+    }
+
+    /// The wake caches under the sanitizer's `stage-wake-cache` and
+    /// `engine-wake-cache` rules: with skip-ahead on, no violation, and
+    /// the same results as the tick-by-tick run.
+    fn wake_cache_holds(run: impl Fn(bool) -> (String, usize)) {
+        let (skipped, violations) = run(true);
         assert_eq!(violations, 0);
-        let (reference, violations) = sanitized_axpy(placement, false);
+        let (reference, violations) = run(false);
         assert_eq!(violations, 0);
         assert_eq!(skipped, reference);
     }
@@ -2008,14 +2121,23 @@ mod tests {
     fn wake_cache_holds_on_a_local_channel() {
         // Co-located partitions: local sends and receives mark the engine
         // at the other end of the channel.
-        wake_cache_holds([1, 1]);
+        wake_cache_holds(|skip| sanitized_axpy([1, 1], skip));
     }
 
     #[test]
     fn wake_cache_holds_on_a_remote_channel() {
         // Partitions at their data: delivered operands and credits mark
-        // the engine at the other end.
-        wake_cache_holds([0, 1]);
+        // the engine at the other end, and the operand and credit packets
+        // mark the injection port, the mesh and the delivery stage.
+        wake_cache_holds(|skip| sanitized_axpy([0, 1], skip));
+    }
+
+    #[test]
+    fn wake_cache_holds_on_a_host_segment() {
+        // The host's requests mark the hierarchy, its remote lines mark
+        // the mesh, the delivery stage and the hierarchy again, and the
+        // responses mark the host.
+        wake_cache_holds(sanitized_host_segment);
     }
 
     #[test]
