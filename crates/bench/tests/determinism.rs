@@ -104,12 +104,13 @@ fn tiny_suite_ticks_are_pinned() {
     assert_eq!(ticks, 1_697_725);
 }
 
-/// The randomized micro suite (seed 20220231) under the two tenant
-/// configurations of CI's rack/tenant slice: per cell, the run's ticks and
-/// an FNV-1a digest of every `tenant.*`/`tenancy.*` report entry (key and
-/// value bits, in key order). Any change to how co-scheduled tenants are
-/// set up, launched or attributed moves a value; only a deliberate model
-/// change may update them.
+/// The randomized micro suite (seed 20220231) and the tiny-scale suite
+/// under the two tenant configurations of CI's rack/tenant slice: per
+/// cell, the run's ticks and an FNV-1a digest of every
+/// `tenant.*`/`tenancy.*` report entry (key and value bits, in key order).
+/// Any change to how co-scheduled tenants are set up, launched or
+/// attributed moves a value; only a deliberate model change may update
+/// them.
 #[test]
 fn tenant_runs_are_pinned() {
     let configs =
@@ -127,7 +128,11 @@ fn tenant_runs_are_pinned() {
         }
         h
     };
-    let (sweep, failures) = try_run_matrix(&micro::suite(20220231), &configs);
+    let workloads: Vec<_> = micro::suite(20220231)
+        .into_iter()
+        .chain(suite(&Scale::tiny()))
+        .collect();
+    let (sweep, failures) = try_run_matrix(&workloads, &configs);
     assert!(failures.is_empty(), "failed cells: {failures:?}");
     let want = [
         ("micro-saxpy", &t2, 6157, 9542501023816091010),
@@ -138,6 +143,30 @@ fn tenant_runs_are_pinned() {
         ("micro-gather", &t4, 37642, 10993918617871840745),
         ("micro-stencil3", &t2, 13951, 18210532072460516175),
         ("micro-stencil3", &t4, 24877, 16803991757583088772),
+        ("disparity", &t2, 100120, 4933138015149052480),
+        ("disparity", &t4, 107143, 15613605794805497207),
+        ("tracking", &t2, 42803, 3607476414700845823),
+        ("tracking", &t4, 82331, 15263719967282549198),
+        ("fdtd-2d", &t2, 75703, 7092070440296547294),
+        ("fdtd-2d", &t4, 102025, 3945677162024331280),
+        ("cholesky", &t2, 32996, 16706930599258400784),
+        ("cholesky", &t4, 69800, 6035407967945160408),
+        ("adi", &t2, 83914, 11766015109097606936),
+        ("adi", &t4, 79351, 18403255006113384508),
+        ("seidel-2d", &t2, 50557, 1416540195191261322),
+        ("seidel-2d", &t4, 38689, 1753061439722029581),
+        ("pathfinder", &t2, 23263, 14288221781333785725),
+        ("pathfinder", &t4, 51715, 1134402136170126136),
+        ("nw", &t2, 34415, 10006921007210528901),
+        ("nw", &t4, 65513, 17904801461632209460),
+        ("bfs", &t2, 97180, 2016399645939231640),
+        ("bfs", &t4, 198451, 9267291246193096869),
+        ("pagerank", &t2, 90523, 18446326237008987096),
+        ("pagerank", &t4, 170746, 445338585936047096),
+        ("pointer-chase", &t2, 83505, 16713465898642285093),
+        ("pointer-chase", &t4, 155505, 9034619969623843053),
+        ("pca", &t2, 125900, 18146141748586808633),
+        ("pca", &t4, 125204, 6062831648775742623),
     ];
     assert_eq!(sweep.results.len(), want.len());
     for (k, c, ticks, d) in want {

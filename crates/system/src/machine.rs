@@ -40,6 +40,7 @@ use distda_sim::port_names;
 use distda_sim::time::{ClockDomain, Tick};
 use distda_trace::{EventKind, TraceSink};
 use std::cell::Cell;
+use std::ops::Range;
 
 /// Operand slots per channel buffer.
 pub const CHAN_CAPACITY: usize = 64;
@@ -103,6 +104,8 @@ struct EngineSlot {
 #[derive(Debug)]
 struct PlanInst {
     engines: Vec<usize>,
+    /// The plan's operand channels: a range of the machine's channels.
+    chans: Range<usize>,
     /// Live-outs: (scalar, engine slot index, carry register).
     liveouts: Vec<(distda_ir::expr::ScalarId, usize, u16)>,
     /// Carry scalars per engine (for `cp_set_rf` initialization).
@@ -1317,6 +1320,7 @@ impl Machine {
         let engine_count = engine_ids.len() as u32;
         self.st.plans.push(PlanInst {
             engines: engine_ids,
+            chans: chan_base..self.st.chans.len(),
             liveouts,
             carry_scalars,
             params: plan.params.clone(),
@@ -1423,9 +1427,12 @@ impl Machine {
         end: i64,
         step: i64,
     ) {
-        // Between invocations all queues have drained; restore any credits
-        // still batched on the consumer side.
-        for ch in &mut self.st.chans {
+        // Between invocations the plan's own queues have drained; restore
+        // any credits still batched on their consumer side. Other plans'
+        // channels are left alone: another plan may be in flight, and its
+        // credits return by message.
+        let chans = self.st.plans[handle].chans.clone();
+        for ch in &mut self.st.chans[chans] {
             ch.flow.restore();
         }
         self.st.wakes.mark_all();
@@ -1859,6 +1866,31 @@ mod tests {
         // Cross-cluster operand traffic must have used the mesh.
         let stats = m.noc_stats();
         assert!(stats.bytes[TrafficClass::AccData.index()] > 0);
+    }
+
+    #[test]
+    fn launch_restores_only_its_own_plans_credits() {
+        let (_p, ck, mut m, _x, _y) = axpy_setup();
+        let plan = &ck.offloads[0];
+        let subs = [io_substrate(false); 2];
+        let a = m.configure_plan(plan, &[0, 1], &subs, &[], 0);
+        let b = m.configure_plan(plan, &[2, 3], &subs, &[], 0);
+        let debt = |m: &Machine| -> Vec<usize> {
+            let chans = m.st.plans[a].chans.clone();
+            m.st.chans[chans].iter().map(|c| c.flow.debt()).collect()
+        };
+        m.launch(a, &[], &[vec![], vec![]], 0, 64, 1);
+        let mut ticks = 0;
+        while debt(&m).iter().all(|&d| d == 0) {
+            assert!(ticks < 100_000, "plan A's consumer never held debt");
+            m.advance_ticks(1);
+            ticks += 1;
+        }
+        // Plan A is in flight with credits batched on its consumer side;
+        // launching plan B must not hand them back without a message.
+        let before = debt(&m);
+        m.launch(b, &[], &[vec![], vec![]], 0, 64, 1);
+        assert_eq!(debt(&m), before);
     }
 
     #[test]

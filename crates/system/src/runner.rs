@@ -677,8 +677,19 @@ struct Execution {
 }
 
 /// Executes `prog` on the machine [`machine_for`] builds, one [`Walker`]
-/// per tenant. A single tenant walks the whole program; several run
-/// co-scheduled (see [`run_tenants`]).
+/// per tenant, in rounds:
+/// 1. every walker, in tenant order, runs its host code up to its next
+///    offload (one host core serves the tenants in turn);
+/// 2. every walker that reached one launches it. Configuration MMIO is
+///    charged in tenant order, so later tenants launch while earlier
+///    offloads are already in flight: a staggered start;
+/// 3. the machine runs until every launched plan finishes, recording the
+///    tick at which each tenant's plan did. The tenants' offloads contend
+///    for NUCA banks, mesh links and DRAM;
+/// 4. the live-outs flow back to each tenant's host state.
+///
+/// With one tenant this is the program's sequential walk, machine call
+/// for machine call. The rounds end when no walker reached an offload.
 fn execute(
     prog: &Program,
     init: &dyn Fn(&mut Memory),
@@ -695,29 +706,47 @@ fn execute(
         .enumerate()
         .map(|(t, alloc)| Walker::new(prog, cfg, compiled, alloc, t as u16))
         .collect();
-    let done_at = if let [w] = &mut walkers[..] {
-        w.exec_block(&mut machine, &prog.body)?;
-        w.flush(&mut machine)?;
-        None
-    } else {
-        Some(run_tenants(prog, compiled, &mut machine, &mut walkers)?)
-    };
+    let mut done_at: Vec<Option<Tick>> = vec![None; walkers.len()];
+    let (mut offloads, mut launched) = (Vec::new(), Vec::new());
+    loop {
+        for (t, w) in walkers.iter_mut().enumerate() {
+            if let Some(o) = w.advance(&mut machine)? {
+                offloads.push((t, o));
+            }
+        }
+        if offloads.is_empty() {
+            break;
+        }
+        launched.clear();
+        for (t, o) in offloads.drain(..) {
+            launched.push((t, walkers[t].launch(&mut machine, &o)));
+            done_at[t] = None;
+        }
+        machine.run_until("offload", |now, st| {
+            let mut all = true;
+            for &(t, h) in &launched {
+                if done_at[t].is_none() && st.plan_done(h) {
+                    done_at[t] = Some(now);
+                }
+                all &= done_at[t].is_some();
+            }
+            all
+        })?;
+        for &(t, h) in &launched {
+            walkers[t].read_liveouts(&mut machine, h);
+        }
+    }
     machine.drain()?;
-    let extra = done_at.map_or_else(Report::new, |d| tenancy_report(&machine, &d));
+    let extra = if walkers.len() > 1 {
+        tenancy_report(&machine, &done_at)
+    } else {
+        Report::new()
+    };
     Ok(Execution {
         machine,
         scalars: walkers.into_iter().map(|w| w.eval.scalars).collect(),
         extra,
     })
-}
-
-/// Whether a statement (transitively) contains a loop.
-fn stmt_contains_loop(s: &Stmt) -> bool {
-    match s {
-        Stmt::Loop(_) => true,
-        Stmt::If(_, t, e) => t.iter().any(stmt_contains_loop) || e.iter().any(stmt_contains_loop),
-        _ => false,
-    }
 }
 
 /// Jain's fairness index over per-tenant progress rates: 1.0 when every
@@ -731,100 +760,11 @@ fn jain_index(xs: &[f64]) -> f64 {
     s * s / (xs.len() as f64 * s2)
 }
 
-/// The multi-tenant execution: one walker per co-scheduled copy of the
-/// kernel, all on one fabric. Each tenant has its own functional view and
-/// a disjoint address band whose anchored objects rotate home clusters
-/// (see [`allocate`]); host phases share the single host core
-/// sequentially, while every tenant's offload runs concurrently and
-/// contends for NUCA banks, mesh links and DRAM. The kernel must be shaped
-/// as `prologue* offloadable-loop epilogue*` with no loops outside the
-/// offload — anything else is rejected rather than silently serialized.
-/// Returns the tick at which each tenant's offload finished.
-fn run_tenants(
-    prog: &Program,
-    compiled: Option<&CompiledKernel>,
-    machine: &mut Machine,
-    walkers: &mut [Walker],
-) -> Result<Vec<Option<Tick>>, SimError> {
-    let invalid = |detail: String| SimError::InvalidConfig { detail };
-    let compiled = compiled.ok_or_else(|| {
-        invalid("multi-tenant runs require an offload-capable configuration".to_string())
-    })?;
-    // Shape gate: exactly one top-level loop, offloadable, with loop-free
-    // prologue/epilogue around it.
-    let mut loops = prog.body.iter().enumerate().filter_map(|(i, s)| match s {
-        Stmt::Loop(l) => Some((i, l)),
-        _ => None,
-    });
-    let (i, l) = match (loops.next(), loops.next()) {
-        (Some(only), None) => only,
-        (None, _) => {
-            return Err(invalid(format!(
-                "kernel {} has no top-level loop to offload",
-                prog.name
-            )))
-        }
-        _ => {
-            return Err(invalid(format!(
-                "kernel {} has multiple top-level loops; multi-tenant runs \
-                 require prologue* offloadable-loop epilogue*",
-                prog.name
-            )))
-        }
-    };
-    let (pre, post) = (&prog.body[..i], &prog.body[i + 1..]);
-    if pre.iter().chain(post).any(stmt_contains_loop) {
-        return Err(invalid(format!(
-            "kernel {} has host-side loops outside the offload; multi-tenant \
-             runs require loop-free prologue/epilogue",
-            prog.name
-        )));
-    }
-    let plan = compiled.plan_for(l.id).ok_or_else(|| {
-        invalid(format!(
-            "kernel {}'s top-level loop is not offloadable under this configuration",
-            prog.name
-        ))
-    })?;
-
-    // Host prologues run sequentially: one host core serves all tenants.
-    for w in walkers.iter_mut() {
-        w.exec_block(machine, pre)?;
-        w.flush(machine)?;
-    }
-    // Configuration MMIO is charged sequentially (still one host core), so
-    // later tenants launch while earlier offloads are already in flight —
-    // a staggered start, exactly what co-scheduling looks like.
-    let handles = walkers
-        .iter_mut()
-        .map(|w| w.launch(machine, l, plan))
-        .collect::<Result<Vec<_>, _>>()?;
-    // All offloads in flight: run to joint completion, recording the tick
-    // at which each tenant's plan finished.
-    let mut done_at: Vec<Option<Tick>> = vec![None; walkers.len()];
-    machine.run_until("offload", |now, st| {
-        for (t, &h) in handles.iter().enumerate() {
-            if done_at[t].is_none() && st.plan_done(h) {
-                done_at[t] = Some(now);
-            }
-        }
-        done_at.iter().all(Option::is_some)
-    })?;
-    // Live-outs back to each tenant's host state, then sequential
-    // epilogues.
-    for (w, &h) in walkers.iter_mut().zip(&handles) {
-        w.read_liveouts(machine, h);
-    }
-    for w in walkers.iter_mut() {
-        w.exec_block(machine, post)?;
-        w.flush(machine)?;
-    }
-    Ok(done_at)
-}
-
 /// Per-tenant attribution and the fairness summary of a drained
-/// multi-tenant machine. Rates are inverse completion ticks; under a
-/// perfectly fair fabric all tenants finish together and the index is 1.0.
+/// multi-tenant machine. A tenant's ticks are the completion tick of its
+/// last offload (the end of the run if it never offloaded); rates are
+/// their inverses, so under a perfectly fair fabric all tenants finish
+/// together and the index is 1.0.
 fn tenancy_report(machine: &Machine, done_at: &[Option<Tick>]) -> Report {
     let end = machine.now();
     let mut extra = Report::new();
@@ -853,7 +793,9 @@ fn tenancy_report(machine: &Machine, done_at: &[Option<Tick>]) -> Report {
 /// functionally on the tenant's view while its trace segments run on the
 /// shared host core, and offloads every loop the compiled kernel has a
 /// plan for (configured on the tenant's behalf at first use, reused
-/// after).
+/// after). The walk is resumable: an explicit frame stack records where
+/// it stands, so [`Walker::advance`] can stop at an offload and let the
+/// other tenants take their turn.
 struct Walker<'a> {
     prog: &'a Program,
     cfg: &'a RunConfig,
@@ -862,6 +804,27 @@ struct Walker<'a> {
     eval: HostEval,
     alloc: Allocation,
     handles: HashMap<LoopId, PlanHandle>,
+    frames: Vec<Frame<'a>>,
+}
+
+/// Where a walk stands: a block and the index of its next statement, or a
+/// host loop with its next iteration and end.
+enum Frame<'a> {
+    Block(&'a [Stmt], usize),
+    Loop {
+        l: &'a distda_ir::Loop,
+        next: i64,
+        end: i64,
+    },
+}
+
+/// A loop with an offload plan that a walk reached, with the bounds the
+/// host evaluated for it.
+struct Offload<'a> {
+    l: &'a distda_ir::Loop,
+    plan: &'a OffloadPlan,
+    start: i64,
+    end: i64,
 }
 
 impl<'a> Walker<'a> {
@@ -880,14 +843,8 @@ impl<'a> Walker<'a> {
             eval: HostEval::new(prog, alloc.layout.clone()),
             alloc,
             handles: HashMap::new(),
+            frames: vec![Frame::Block(&prog.body, 0)],
         }
-    }
-
-    fn exec_block(&mut self, m: &mut Machine, stmts: &[Stmt]) -> Result<(), SimError> {
-        for s in stmts {
-            self.exec(m, s)?;
-        }
-        Ok(())
     }
 
     /// Runs the accumulated host trace segment on the host core.
@@ -895,80 +852,99 @@ impl<'a> Walker<'a> {
         m.run_host_segment(self.eval.take_segment())
     }
 
-    fn exec(&mut self, m: &mut Machine, s: &Stmt) -> Result<(), SimError> {
-        let mem = m.memimg_mut(self.tenant);
-        match s {
-            Stmt::Store(a, idx, val) => {
-                self.eval.store(*a, idx, val, mem);
-                Ok(())
-            }
-            Stmt::SetScalar(sid, e) => {
-                self.eval.set_scalar(*sid, e, mem);
-                Ok(())
-            }
-            Stmt::If(c, t, e) => {
-                let (v, _) = self.eval.eval(c, mem);
-                self.exec_block(m, if v.truthy() { t } else { e })
-            }
-            Stmt::Loop(l) => match self.compiled.and_then(|c| c.plan_for(l.id)) {
-                Some(plan) => {
-                    let h = self.launch(m, l, plan)?;
-                    m.run_offload(h)?;
-                    self.read_liveouts(m, h);
-                    Ok(())
+    /// Runs host statements up to the next loop that has a plan, evaluates
+    /// that loop's bounds, runs the pending host segment and returns the
+    /// offload. The bounds come before the flush so that their host ops
+    /// join the segment of the code before the loop. At the end of the
+    /// program it runs the last segment and returns `None`, as it does on
+    /// every later call.
+    fn advance(&mut self, m: &mut Machine) -> Result<Option<Offload<'a>>, SimError> {
+        while let Some(top) = self.frames.last_mut() {
+            match top {
+                Frame::Block(stmts, i) => {
+                    let Some(s) = stmts.get(*i) else {
+                        self.frames.pop();
+                        // A finished loop body ends one host iteration.
+                        if matches!(self.frames.last(), Some(Frame::Loop { .. }))
+                            && self.eval.segment_len() > SEGMENT_FLUSH_OPS
+                        {
+                            self.flush(m)?;
+                        }
+                        continue;
+                    };
+                    *i += 1;
+                    let mem = m.memimg_mut(self.tenant);
+                    match s {
+                        Stmt::Store(a, idx, val) => self.eval.store(*a, idx, val, mem),
+                        Stmt::SetScalar(sid, e) => self.eval.set_scalar(*sid, e, mem),
+                        Stmt::If(c, t, e) => {
+                            let (v, _) = self.eval.eval(c, mem);
+                            let branch = if v.truthy() { t } else { e };
+                            self.frames.push(Frame::Block(branch, 0));
+                        }
+                        Stmt::Loop(l) => {
+                            let (start, end) = self.bounds(m, l);
+                            match self.compiled.and_then(|c| c.plan_for(l.id)) {
+                                Some(plan) => {
+                                    self.flush(m)?;
+                                    return Ok(Some(Offload {
+                                        l,
+                                        plan,
+                                        start,
+                                        end,
+                                    }));
+                                }
+                                None => self.frames.push(Frame::Loop {
+                                    l,
+                                    next: start,
+                                    end,
+                                }),
+                            }
+                        }
+                    }
                 }
-                None => self.run_host_loop(m, l),
-            },
+                Frame::Loop { l, next, end } => {
+                    let (l, i) = (*l, *next);
+                    if (l.step > 0 && i < *end) || (l.step < 0 && i > *end) {
+                        *next += l.step;
+                        self.eval.loop_vars[l.var.0] = i;
+                        self.eval.emit_loop_overhead();
+                        self.frames.push(Frame::Block(&l.body, 0));
+                    } else {
+                        self.frames.pop();
+                    }
+                }
+            }
         }
+        self.flush(m)?;
+        Ok(None)
     }
 
     /// The loop's start and end, evaluated by the host (they may read
     /// memory, e.g. CSR row pointers).
-    fn bounds(&mut self, m: &mut Machine, l: &distda_ir::Loop) -> (Value, Value) {
+    fn bounds(&mut self, m: &mut Machine, l: &distda_ir::Loop) -> (i64, i64) {
         let mem = m.memimg_mut(self.tenant);
         let (sv, _) = self.eval.eval(&l.start, mem);
         let (ev, _) = self.eval.eval(&l.end, mem);
-        (sv, ev)
+        (sv.as_i64(), ev.as_i64())
     }
 
-    fn run_host_loop(&mut self, m: &mut Machine, l: &distda_ir::Loop) -> Result<(), SimError> {
-        let (sv, ev) = self.bounds(m, l);
-        let (start, end) = (sv.as_i64(), ev.as_i64());
-        let mut i = start;
-        while (l.step > 0 && i < end) || (l.step < 0 && i > end) {
-            self.eval.loop_vars[l.var.0] = i;
-            self.eval.emit_loop_overhead();
-            self.exec_block(m, &l.body)?;
-            if self.eval.segment_len() > SEGMENT_FLUSH_OPS {
-                self.flush(m)?;
-            }
-            i += l.step;
-        }
-        Ok(())
-    }
-
-    /// Offloads `l` without waiting for it: evaluates its bounds, runs the
-    /// pending host segment, configures `plan` on first use, and launches
-    /// it with its parameters and carried scalars read from the host
-    /// state. Returns the plan's handle.
-    fn launch(
-        &mut self,
-        m: &mut Machine,
-        l: &distda_ir::Loop,
-        plan: &OffloadPlan,
-    ) -> Result<PlanHandle, SimError> {
-        let (sv, ev) = self.bounds(m, l);
-        self.flush(m)?;
-        let h = match self.handles.get(&l.id) {
+    /// Launches an offload [`Walker::advance`] reached without waiting for
+    /// it: configures its plan on first use, then starts it with its
+    /// parameters and carried scalars read from the host state. Returns
+    /// the plan's handle.
+    fn launch(&mut self, m: &mut Machine, o: &Offload) -> PlanHandle {
+        let h = match self.handles.get(&o.l.id) {
             Some(&h) => h,
             None => {
-                let h = self.configure(m, plan);
-                self.handles.insert(l.id, h);
+                let h = self.configure(m, o.plan);
+                self.handles.insert(o.l.id, h);
                 h
             }
         };
         let eval = &self.eval;
-        let params: Vec<Value> = plan
+        let params: Vec<Value> = o
+            .plan
             .params
             .iter()
             .map(|sym| match sym {
@@ -981,8 +957,8 @@ impl<'a> Walker<'a> {
             .iter()
             .map(|ss| ss.iter().map(|s| eval.scalars[s.0]).collect())
             .collect();
-        m.launch(h, &params, &carries, sv.as_i64(), ev.as_i64(), l.step);
-        Ok(h)
+        m.launch(h, &params, &carries, o.start, o.end, o.l.step);
+        h
     }
 
     /// `cp_load_rf` of a finished plan into the host state.
@@ -1292,7 +1268,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_tenant_rejects_host_side_loops() {
+    fn multi_tenant_runs_every_offload_of_a_two_loop_kernel() {
         let mut b = ProgramBuilder::new("two-loops");
         let x = b.array_f64("x", 32);
         b.for_(0, 32, 1, |b, i| {
@@ -1305,8 +1281,20 @@ mod tests {
         let mut topo = Topology::paper();
         topo.tenants = 2;
         let cfg = RunConfig::named(ConfigKind::DistDAIO).with_topology(topo);
-        let err = try_simulate(&p, &|_| {}, &cfg, &RunSpec::from_env()).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        let r = run(&p, &|_| {}, &cfg);
+        assert!(r.validated, "{} failed validation", r.config);
+        // Each tenant ran both loops; its ticks are its last offload's
+        // completion tick.
+        for t in 0..2 {
+            let ticks = r.report.get(&format!("tenant.{t}.ticks")).unwrap();
+            assert!(
+                ticks > 0.0 && ticks <= r.ticks as f64,
+                "tenant {t}: {ticks}"
+            );
+        }
+        let it0 = r.report.get("tenant.0.iterations").unwrap();
+        assert_eq!(it0, 64.0);
+        assert_eq!(Some(it0), r.report.get("tenant.1.iterations"));
     }
 
     #[test]
