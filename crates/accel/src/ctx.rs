@@ -57,6 +57,8 @@ pub struct MockCtx {
     pub inflight: Vec<(u64, u32)>,
     /// Polls a request takes to complete.
     pub mem_delay: u32,
+    /// Read issues still to refuse, as a busy port would.
+    pub refuse_reads: u32,
     /// Functional memory.
     pub mem: std::collections::HashMap<(usize, i64), Value>,
     /// Reads issued.
@@ -97,6 +99,10 @@ impl EngineCtx for MockCtx {
     }
 
     fn mem_read(&mut self, req_id: u64, _addr: u64) -> bool {
+        if self.refuse_reads > 0 {
+            self.refuse_reads -= 1;
+            return false;
+        }
         self.reads += 1;
         self.inflight.push((req_id, self.mem_delay));
         true

@@ -121,26 +121,21 @@ enum Pending {
     WriteAck,
 }
 
-/// The engine's next internally-scheduled wake-up, reported after every
-/// processed clock edge. This is the engine's half of the system-wide
-/// `next_event` protocol: the machine may skip every base tick on which no
-/// component has scheduled work, and skips this engine's own edges until it
-/// is due, so `Wake` must name the earliest edge at which this engine could
-/// act — erring early is safe, erring late breaks bit-exactness with the
-/// tick-by-tick simulation.
+/// The engine's own wake, computed after every processed clock edge;
+/// [`PartitionEngine::next_wake`] turns it into a tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Wake {
+enum Wake {
     /// The engine can make progress on its very next clock edge.
     NextEdge,
     /// Internally idle until the given tick (dependence stall, CGRA
     /// initiation interval); the first edge at or after it matters.
     At(Tick),
-    /// Blocked on an external event: a memory response (`None`) or a
-    /// channel becoming ready (`Some((local_chan, is_send))` — a send
-    /// waits for credit, a receive for data).
-    External(Option<(u16, bool)>),
-    /// Nothing can happen until the engine is reconfigured (`cp_run`).
-    Never,
+    /// Blocked on local channel `chan`: a send waits for credit, a
+    /// receive for data.
+    Chan { chan: u16, send: bool },
+    /// Only outside input can wake it: a memory response, or a new
+    /// invocation (`cp_run`).
+    Input,
 }
 
 /// Executes one accelerator definition. See the module docs.
@@ -191,9 +186,13 @@ pub struct PartitionEngine {
     wake: Wake,
     /// Last clock edge actually processed (for bulk stall accounting).
     last_edge: Option<Tick>,
-    /// Set when a ctx memory issue failed this edge (port busy): the
-    /// failure is time-dependent, so the next edge must be simulated.
-    attempted: bool,
+    /// Set on the current edge where a handshake fired or was refused: a
+    /// completion handled, a request offered to the memory port (or a
+    /// write queued for retry), the prefetcher advanced, an operand
+    /// dependence moved `busy_until`, a new wait, or an iteration
+    /// retired. An edge that sets none would repeat itself on the next
+    /// edge, so only outside input can change what the engine does.
+    progress: bool,
 
     /// Charged counters. `stall_chan` is not kept here: channel stalls
     /// live per channel in `chan_stalls`, and [`Self::stats_at`] sums
@@ -267,9 +266,9 @@ impl PartitionEngine {
             outstanding_reads: 0,
             outstanding_writes: 0,
             wb_retry: Vec::new(),
-            wake: Wake::Never,
+            wake: Wake::Input,
             last_edge: None,
-            attempted: false,
+            progress: false,
             stats: EngineStats::default(),
             chan_stalls: vec![0; n_chans],
             sink: TraceSink::default(),
@@ -363,7 +362,6 @@ impl PartitionEngine {
         self.iter_start = now;
         self.wake = Wake::NextEdge;
         self.last_edge = None;
-        self.attempted = false;
         if let Some((t0, c0)) = self.wait_since.take() {
             self.sink
                 .span(t0, now, EventKind::EngineStall { cause: c0 });
@@ -378,10 +376,30 @@ impl PartitionEngine {
         };
     }
 
-    /// The engine's next internally-scheduled wake-up, as of the last
-    /// processed clock edge. See [`Wake`].
-    pub fn wake(&self) -> Wake {
-        self.wake
+    /// The earliest edge at or after `now` on which the engine can act, as
+    /// of its last processed edge; `None` when only outside input can wake
+    /// it. It is the next edge when a memory response waits at the
+    /// engine's port (`responded`) or the local channel it blocks on is
+    /// ready (`ready(chan, send)`: credit for a send, data for a receive),
+    /// and its own internal wake otherwise. The engine is due at `now` iff
+    /// this is `Some(now)`. This is the engine's half of the system-wide
+    /// `next_event` protocol: the machine skips this engine's edges until
+    /// it is due, so erring early costs a no-op edge, and erring late
+    /// breaks bit-exactness with the tick-by-tick simulation.
+    pub fn next_wake(
+        &self,
+        now: Tick,
+        responded: bool,
+        ready: impl FnOnce(u16, bool) -> bool,
+    ) -> Option<Tick> {
+        let at = match self.wake {
+            _ if responded => now,
+            Wake::NextEdge => now,
+            Wake::At(t) => t.max(now),
+            Wake::Chan { chan, send } if ready(chan, send) => now,
+            Wake::Chan { .. } | Wake::Input => return None,
+        };
+        Some(self.clock.next_edge(at))
     }
 
     /// One-line description of what the engine is doing, for deadlock
@@ -477,6 +495,7 @@ impl PartitionEngine {
         if self.outstanding_reads >= self.max_reads || self.pending_lines.contains(&line) {
             return self.pending_lines.contains(&line);
         }
+        self.progress = true;
         let h = self.pending.alloc(Pending::Fill { line });
         if ctx.mem_read(h.to_bits(), line * LINE_BYTES) {
             self.next_req += 1;
@@ -485,12 +504,12 @@ impl PartitionEngine {
             true
         } else {
             self.pending.take(h);
-            self.attempted = true;
             false
         }
     }
 
     fn issue_write(&mut self, ctx: &mut dyn EngineCtx, line_addr: u64) {
+        self.progress = true;
         if self.outstanding_writes >= self.max_writes {
             self.wb_retry.push(line_addr);
             return;
@@ -502,7 +521,6 @@ impl PartitionEngine {
             self.stats.da_bytes += LINE_BYTES;
         } else {
             self.pending.take(h);
-            self.attempted = true;
             self.wb_retry.push(line_addr);
         }
     }
@@ -511,6 +529,7 @@ impl PartitionEngine {
         while let Some(id) = ctx.poll_mem() {
             match self.pending.take(Handle::from_bits(id)) {
                 Some(Pending::Fill { line }) => {
+                    self.progress = true;
                     self.outstanding_reads -= 1;
                     self.pending_lines.remove(&line);
                     self.stats.da_bytes += LINE_BYTES;
@@ -519,6 +538,7 @@ impl PartitionEngine {
                     }
                 }
                 Some(Pending::WriteAck) => {
+                    self.progress = true;
                     self.outstanding_writes -= 1;
                 }
                 None => {}
@@ -572,43 +592,9 @@ impl PartitionEngine {
                     break;
                 }
                 self.stream_pf[a] = v + self.step;
+                self.progress = true;
             }
         }
-    }
-
-    /// Cheap copy of every field that can change on an edge with no memory
-    /// response and no channel event; used to detect quiescence. `stream_pf`
-    /// is folded in because the prefetcher can advance past buffer-resident
-    /// lines without issuing any request.
-    #[allow(clippy::type_complexity)]
-    fn snapshot(
-        &self,
-    ) -> (
-        State,
-        usize,
-        i64,
-        Option<Wait>,
-        Tick,
-        u64,
-        u32,
-        u32,
-        usize,
-        usize,
-        i64,
-    ) {
-        (
-            self.state,
-            self.pc,
-            self.inner,
-            self.wait,
-            self.busy_until,
-            self.next_req,
-            self.outstanding_reads,
-            self.outstanding_writes,
-            self.wb_retry.len(),
-            self.pending_lines.len(),
-            self.stream_pf.iter().fold(0i64, |a, &v| a.wrapping_add(v)),
-        )
     }
 
     /// Charges `n` stall cycles of `wait` to the ledger entry of the port
@@ -641,26 +627,26 @@ impl PartitionEngine {
         (end > first).then(|| (w, (end - 1 - first) / period + 1))
     }
 
-    fn compute_wake(&self, now: Tick, progress: bool) -> Wake {
+    fn compute_wake(&self, now: Tick) -> Wake {
         match self.state {
-            State::Idle | State::Done => Wake::Never,
+            State::Idle | State::Done => Wake::Input,
             // Still draining after the retry pass ran: write acks are in
             // flight, and only their responses can move things along.
             State::Draining => {
-                if progress || self.attempted {
+                if self.progress {
                     Wake::NextEdge
                 } else {
-                    Wake::External(None)
+                    Wake::Input
                 }
             }
             State::Running => {
-                if progress || self.attempted {
+                if self.progress {
                     return Wake::NextEdge;
                 }
                 if let Some(w) = self.wait {
                     return match w {
-                        Wait::Line { .. } | Wait::WriteCap { .. } => Wake::External(None),
-                        Wait::Chan { chan, send } => Wake::External(Some((chan, send))),
+                        Wait::Line { .. } | Wait::WriteCap { .. } => Wake::Input,
+                        Wait::Chan { chan, send } => Wake::Chan { chan, send },
                     };
                 }
                 if self.busy_until > now {
@@ -680,8 +666,7 @@ impl PartitionEngine {
         if let Some((w, n)) = self.skipped_stall_edges(now) {
             self.charge_stalls(w, n);
         }
-        let before = self.snapshot();
-        self.attempted = false;
+        self.progress = false;
         self.handle_completions(ctx);
         self.prefetch_streams(ctx);
         match self.state {
@@ -709,8 +694,7 @@ impl PartitionEngine {
         if self.sink.on() {
             self.trace_wait_transition(now);
         }
-        let progress = self.snapshot() != before;
-        self.wake = self.compute_wake(now, progress);
+        self.wake = self.compute_wake(now);
         self.last_edge = Some(now);
     }
 
@@ -751,6 +735,7 @@ impl PartitionEngine {
                 let dep_ready = self.operands_ready(self.pc);
                 if dep_ready > now {
                     self.busy_until = dep_ready;
+                    self.progress = true;
                     if issued > 0 {
                         self.stats.busy_cycles += 1;
                     }
@@ -761,7 +746,10 @@ impl PartitionEngine {
                 Ok(lat) => {
                     // Any completed step invalidates a pending wait record
                     // (a resolved channel wait is not cleared by the Recv /
-                    // Send arms themselves).
+                    // Send arms themselves). A step needs no progress
+                    // flag: with the wait cleared and `busy_until` not
+                    // ahead, an edge that flags nothing after it still
+                    // wakes on the next edge.
                     self.wait = None;
                     issued += 1;
                     self.ready[self.pc] = now + self.clock.ticks_for_cycles(lat.max(1));
@@ -769,6 +757,7 @@ impl PartitionEngine {
                 }
                 Err(wait) => {
                     self.charge_stalls(wait, 1);
+                    self.progress |= self.wait != Some(wait);
                     self.wait = Some(wait);
                     if issued > 0 {
                         self.stats.busy_cycles += 1;
@@ -805,6 +794,7 @@ impl PartitionEngine {
     }
 
     fn finish_iteration(&mut self, now: Tick) {
+        self.progress = true;
         self.stats.iterations += 1;
         self.pc = 0;
         self.inner += self.step;
@@ -1172,22 +1162,9 @@ mod tests {
     /// whose channels hold `cap` operands and whose memory answers on the
     /// next poll.
     fn due(e: &PartitionEngine, ctx: &MockCtx, cap: usize, now: Tick) -> bool {
-        let clock = e.clock();
         let len = |c: u16| ctx.channels.get(&c).map_or(0, |q| q.len());
-        let wake = if !ctx.inflight.is_empty() {
-            Some(clock.next_edge(now))
-        } else {
-            match e.wake() {
-                Wake::Never | Wake::External(None) => None,
-                Wake::NextEdge => Some(clock.next_edge(now)),
-                Wake::At(t) => Some(clock.next_edge(t.max(now))),
-                Wake::External(Some((c, is_send))) => {
-                    let ready = if is_send { len(c) < cap } else { len(c) > 0 };
-                    ready.then(|| clock.next_edge(now))
-                }
-            }
-        };
-        wake == Some(now)
+        let ready = |c, send| if send { len(c) < cap } else { len(c) > 0 };
+        e.next_wake(now, !ctx.inflight.is_empty(), ready) == Some(now)
     }
 
     #[test]
@@ -1232,7 +1209,7 @@ mod tests {
                 if t == MID {
                     if gated {
                         assert!(
-                            matches!(e.wake(), Wake::External(Some(_))),
+                            matches!(e.wake, Wake::Chan { .. }),
                             "mid-wait: {}",
                             e.stall_debug()
                         );

@@ -19,4 +19,4 @@ pub mod engine;
 pub use buffer::ObjectBuffer;
 pub use cgra::{map as cgra_map, CgraConfig, CgraMapping};
 pub use ctx::{EngineCtx, MockCtx};
-pub use engine::{EngineStats, IssueModel, PartitionEngine, Wake};
+pub use engine::{EngineStats, IssueModel, PartitionEngine};

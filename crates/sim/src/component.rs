@@ -175,17 +175,6 @@ pub trait Component<W> {
     /// Whether the component holds no in-flight work at all.
     fn is_quiescent(&self, now: Tick, world: &W) -> bool;
 
-    /// Whether this component's [`Component::tick`] is a no-op (a pure
-    /// audit/bookkeeping component that only participates in the wake
-    /// probe, the quiescence predicate and the drain audit). The
-    /// scheduler skips calling `tick()` on passive components, removing
-    /// their virtual dispatch from the hot loop; everything else about
-    /// the protocol still applies. Must be constant for the component's
-    /// lifetime.
-    fn passive(&self) -> bool {
-        false
-    }
-
     /// Audits the drained state against conservation invariants. Only
     /// called once the whole machine is quiescent, and only with the
     /// sanitizer enabled.
@@ -284,9 +273,6 @@ pub struct Scheduler<W> {
     comps: Vec<Slot<W>>,
     /// Indices into `comps`, sorted by (stage, registration order).
     tick_order: Vec<usize>,
-    /// `tick_order` minus passive components: the indices whose `tick()`
-    /// the scheduler calls.
-    active_order: Vec<usize>,
     /// Bit `k` set: component `k` (registration order) was marked or
     /// ticked since its cached wake was last asked.
     marked: u64,
@@ -334,7 +320,6 @@ impl<W> Scheduler<W> {
             sample_at: Tick::MAX,
             comps: Vec::new(),
             tick_order: Vec::new(),
-            active_order: Vec::new(),
             marked: 0,
             stage_slots: [0; 64],
             executed: 0,
@@ -417,12 +402,6 @@ impl<W> Scheduler<W> {
             .tick_order
             .partition_point(|&i| self.comps[i].stage <= stage);
         self.tick_order.insert(pos, idx);
-        self.active_order = self
-            .tick_order
-            .iter()
-            .copied()
-            .filter(|&i| !self.comps[i].comp.passive())
-            .collect();
     }
 
     /// Registered components in tick (stage) order.
@@ -430,8 +409,8 @@ impl<W> Scheduler<W> {
         self.tick_order.iter().map(|&i| &*self.comps[i].comp)
     }
 
-    /// One base tick: every non-passive component that is due (every one
-    /// with skip-ahead off), in stage order, then advance the clock and
+    /// One base tick: every component that is due (every one with
+    /// skip-ahead off), in stage order, then advance the clock and
     /// record a window boundary the tick closed. With the self-profiler
     /// on, each `tick()` that runs is timed against the host monotonic
     /// clock, and the counts are added to the profiler on return;
@@ -451,8 +430,8 @@ impl<W> Scheduler<W> {
     fn step(&mut self, world: &mut W) {
         let now = self.now;
         let prof = self.instr.prof.on();
-        for k in 0..self.active_order.len() {
-            let i = self.active_order[k];
+        for k in 0..self.tick_order.len() {
+            let i = self.tick_order[k];
             let bit = 1u64 << i;
             let slot = &mut self.comps[i];
             if self.skip {
@@ -1217,11 +1196,12 @@ mod tests {
     }
 
     #[test]
-    fn passive_components_are_probed_and_audited_but_never_ticked() {
+    fn wakeless_components_are_audited_but_never_ticked() {
         use std::cell::Cell;
         use std::rc::Rc;
 
-        /// Pure bookkeeping component: ticking it would be a bug.
+        /// Pure bookkeeping component that never reports a wake: with
+        /// skip-ahead on it is never due, so ticking it would be a bug.
         struct Auditor {
             ticked: Rc<Cell<bool>>,
             audited: Rc<Cell<bool>>,
@@ -1229,9 +1209,6 @@ mod tests {
         impl Component<World> for Auditor {
             fn name(&self) -> &str {
                 "auditor"
-            }
-            fn passive(&self) -> bool {
-                true
             }
             fn tick(&mut self, _: Tick, _: &mut World, _: &mut Instruments) -> Ticked {
                 self.ticked.set(true);
@@ -1264,8 +1241,8 @@ mod tests {
         sched.set_instruments(&mut world, instr);
         sched.drain(&mut world).unwrap();
         assert_eq!(world.finished, 4);
-        assert!(!ticked.get(), "passive component's tick() was called");
-        assert!(audited.get(), "passive component was left out of the audit");
+        assert!(!ticked.get(), "a never-due component's tick() was called");
+        assert!(audited.get(), "a wakeless component was not audited");
         // It still shows up in the component enumeration.
         assert!(sched.components().any(|c| c.name() == "auditor"));
     }

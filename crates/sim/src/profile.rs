@@ -58,7 +58,7 @@ pub struct ComponentProfile {
     pub host_ns: u64,
     /// Base ticks on which this component's `tick()` ran: every executed
     /// tick with skip-ahead off, only the ticks it was due with it on
-    /// (never, for a passive component).
+    /// (never, for one that never reports a wake).
     pub active_ticks: u64,
     /// Times this component's `next_event` was the scheduler's chosen wake
     /// target (it was the unit keeping the machine busy or waking it next).

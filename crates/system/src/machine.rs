@@ -24,7 +24,7 @@ use crate::config::Topology;
 use crate::error::SimError;
 use crate::host::HostCore;
 use crate::netmsg::{ChanState, NetMsg};
-use distda_accel::{EngineCtx, IssueModel, PartitionEngine, Wake};
+use distda_accel::{EngineCtx, IssueModel, PartitionEngine};
 use distda_check::Sanitizer;
 use distda_compiler::plan::OffloadPlan;
 use distda_energy::EnergyCounters;
@@ -65,6 +65,10 @@ mod stage {
     pub const NET_OUT: u32 = 40;
     /// Mesh routes.
     pub const MESH: u32 = 50;
+    /// The operand-channel audit, which no hand-over marks: with
+    /// skip-ahead on it is asked its (empty) wake once per run entry and
+    /// never ticks.
+    pub const CHAN: u32 = 60;
 }
 
 /// Handle to a configured offload plan.
@@ -415,12 +419,14 @@ impl Component<MachineState> for HostComp {
     }
 }
 
-/// Passive component owning the operand-channel *audit*: channels are
+/// Stage [`stage::CHAN`], owning the operand-channel *audit*: channels are
 /// advanced by the engines (producer/consumer sides) and the delivery
 /// stage, never tick on their own, and were never part of the machine's
 /// exit conditions — but a drained machine must leave every queue empty
 /// and every credit conserved, which this component asserts. It also
-/// supplies the machine's explain record at each sampler boundary.
+/// supplies the machine's explain record at each sampler boundary. Its
+/// tick is a no-op and it never reports a wake, so with skip-ahead on it
+/// never ticks.
 struct ChannelsComp;
 
 impl Component<MachineState> for ChannelsComp {
@@ -434,10 +440,6 @@ impl Component<MachineState> for ChannelsComp {
 
     fn tick(&mut self, _now: Tick, _st: &mut MachineState, _instr: &mut Instruments) -> Ticked {
         Ticked::NOTHING
-    }
-
-    fn passive(&self) -> bool {
-        true
     }
 
     fn next_event(&self, _now: Tick, _st: &MachineState) -> Option<Tick> {
@@ -500,36 +502,17 @@ impl Component<MachineState> for ChannelsComp {
     }
 }
 
-/// The earliest edge at or after `now` on which the engine in `slot` can
-/// act: its next edge if a memory response is waiting at its port or its
-/// blocking channel became ready, its reported internal wake otherwise.
-/// The engine is due at `now` iff this is `Some(now)`.
+/// [`PartitionEngine::next_wake`] of the engine in `slot`, given the
+/// responses collected at its port and the state of its channels.
 fn engine_wake(slot: &EngineSlot, chans: &[ChanState], now: Tick) -> Option<Tick> {
-    let clock = slot.eng.clock();
-    if !slot.resp.is_empty() {
-        // A response is waiting at the engine's port; it must be
-        // handed over on the engine's next edge.
-        return Some(clock.next_edge(now));
-    }
-    match slot.eng.wake() {
-        Wake::Never => None,
-        Wake::NextEdge => Some(clock.next_edge(now)),
-        Wake::At(t) => Some(clock.next_edge(t.max(now))),
-        Wake::External(chan) => {
-            let ready = match chan {
-                Some((c, is_send)) => {
-                    let ch = &chans[slot.chan_base + c as usize];
-                    if is_send {
-                        ch.flow.credits() > 0
-                    } else {
-                        !ch.queue.is_empty()
-                    }
-                }
-                None => false,
-            };
-            ready.then(|| clock.next_edge(now))
+    slot.eng.next_wake(now, !slot.resp.is_empty(), |c, send| {
+        let ch = &chans[slot.chan_base + c as usize];
+        if send {
+            ch.flow.credits() > 0
+        } else {
+            !ch.queue.is_empty()
         }
-    }
+    })
 }
 
 /// Stage [`stage::ENGINE`], one for every configured engine: collects
@@ -942,7 +925,7 @@ impl Machine {
         // track IDs); stages give the intra-tick phase order.
         sched.register(stage::DELIVERY, Box::new(DeliveryComp), &mut st);
         sched.register(stage::HOST, Box::new(HostComp), &mut st);
-        sched.register(stage::NET_OUT, Box::new(ChannelsComp), &mut st);
+        sched.register(stage::CHAN, Box::new(ChannelsComp), &mut st);
         sched.register(stage::MEM, Box::new(MemComp), &mut st);
         sched.register(stage::NET_OUT, Box::new(NetOutComp), &mut st);
         sched.register(stage::MESH, Box::new(MeshComp), &mut st);
@@ -2022,7 +2005,7 @@ mod tests {
         };
         m.run_host_segment(vec![store]).unwrap();
         m.drain().unwrap();
-        let host_only = ["delivery", "host", "mem", "machine.chan", "net-out", "noc"];
+        let host_only = ["delivery", "host", "mem", "net-out", "noc", "machine.chan"];
         assert_eq!(component_names(&m), host_only);
 
         let (_p, ck, mut m, _x, _y) = axpy_setup();
@@ -2031,9 +2014,9 @@ mod tests {
             "host",
             "engine.all",
             "mem",
-            "machine.chan",
             "net-out",
             "noc",
+            "machine.chan",
         ];
         m.configure_plan(&ck.offloads[0], &[0, 1], &[io_substrate(false); 2], &[], 0);
         assert_eq!(component_names(&m), with_engines);
