@@ -24,11 +24,13 @@ pub trait EngineCtx {
     /// Attempts to consume a value from a channel.
     fn try_recv(&mut self, chan: u16) -> Option<Value>;
 
-    /// Issues a line read at `addr` through the ACP; `false` = retry later.
-    fn mem_read(&mut self, req_id: u64, addr: u64) -> bool;
+    /// Issues a line read at `addr` through the ACP, which always accepts
+    /// it: the engine bounds its own outstanding requests.
+    fn mem_read(&mut self, req_id: u64, addr: u64);
 
-    /// Issues a line write at `addr` through the ACP; `false` = retry later.
-    fn mem_write(&mut self, req_id: u64, addr: u64) -> bool;
+    /// Issues a line write at `addr` through the ACP, which always accepts
+    /// it.
+    fn mem_write(&mut self, req_id: u64, addr: u64);
 
     /// Polls one completed memory request id, if any.
     fn poll_mem(&mut self) -> Option<u64>;
@@ -57,14 +59,8 @@ pub struct MockCtx {
     pub inflight: Vec<(u64, u32)>,
     /// Polls a request takes to complete.
     pub mem_delay: u32,
-    /// Read issues still to refuse, as a busy port would.
-    pub refuse_reads: u32,
     /// Functional memory.
     pub mem: std::collections::HashMap<(usize, i64), Value>,
-    /// Reads issued.
-    pub reads: u64,
-    /// Writes issued.
-    pub writes: u64,
 }
 
 impl MockCtx {
@@ -98,20 +94,12 @@ impl EngineCtx for MockCtx {
         self.channels.get_mut(&chan)?.pop_front()
     }
 
-    fn mem_read(&mut self, req_id: u64, _addr: u64) -> bool {
-        if self.refuse_reads > 0 {
-            self.refuse_reads -= 1;
-            return false;
-        }
-        self.reads += 1;
+    fn mem_read(&mut self, req_id: u64, _addr: u64) {
         self.inflight.push((req_id, self.mem_delay));
-        true
     }
 
-    fn mem_write(&mut self, req_id: u64, _addr: u64) -> bool {
-        self.writes += 1;
+    fn mem_write(&mut self, req_id: u64, _addr: u64) {
         self.inflight.push((req_id, self.mem_delay));
-        true
     }
 
     fn poll_mem(&mut self) -> Option<u64> {
@@ -165,7 +153,7 @@ mod tests {
     #[test]
     fn mock_memory_completes_after_delay() {
         let mut m = MockCtx::new(2);
-        assert!(m.mem_read(42, 0x100));
+        m.mem_read(42, 0x100);
         assert_eq!(m.poll_mem(), None);
         assert_eq!(m.poll_mem(), Some(42));
         assert_eq!(m.poll_mem(), None);

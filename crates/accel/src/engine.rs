@@ -177,7 +177,6 @@ pub struct PartitionEngine {
     pf_ahead: u64,
     max_reads: u32,
     max_writes: u32,
-    next_req: u64,
     outstanding_reads: u32,
     outstanding_writes: u32,
     wb_retry: Vec<u64>,
@@ -187,7 +186,7 @@ pub struct PartitionEngine {
     /// Last clock edge actually processed (for bulk stall accounting).
     last_edge: Option<Tick>,
     /// Set on the current edge where a handshake fired or was refused: a
-    /// completion handled, a request offered to the memory port (or a
+    /// completion handled, a request issued to the memory port (or a
     /// write queued for retry), the prefetcher advanced, an operand
     /// dependence moved `busy_until`, a new wait, or an iteration
     /// retired. An edge that sets none would repeat itself on the next
@@ -262,7 +261,6 @@ impl PartitionEngine {
             pf_ahead: PF_AHEAD_LINES,
             max_reads: MAX_READS,
             max_writes: MAX_WRITES,
-            next_req: 0,
             outstanding_reads: 0,
             outstanding_writes: 0,
             wb_retry: Vec::new(),
@@ -491,21 +489,17 @@ impl PartitionEngine {
         self.access_base[access] + inner_val * self.stride_of(access)
     }
 
-    fn issue_read(&mut self, ctx: &mut dyn EngineCtx, line: u64) -> bool {
+    /// Issues a fill of `line` unless one is in flight or the read
+    /// window is full.
+    fn issue_read(&mut self, ctx: &mut dyn EngineCtx, line: u64) {
         if self.outstanding_reads >= self.max_reads || self.pending_lines.contains(&line) {
-            return self.pending_lines.contains(&line);
+            return;
         }
         self.progress = true;
         let h = self.pending.alloc(Pending::Fill { line });
-        if ctx.mem_read(h.to_bits(), line * LINE_BYTES) {
-            self.next_req += 1;
-            self.outstanding_reads += 1;
-            self.pending_lines.insert(line);
-            true
-        } else {
-            self.pending.take(h);
-            false
-        }
+        ctx.mem_read(h.to_bits(), line * LINE_BYTES);
+        self.outstanding_reads += 1;
+        self.pending_lines.insert(line);
     }
 
     fn issue_write(&mut self, ctx: &mut dyn EngineCtx, line_addr: u64) {
@@ -515,14 +509,9 @@ impl PartitionEngine {
             return;
         }
         let h = self.pending.alloc(Pending::WriteAck);
-        if ctx.mem_write(h.to_bits(), line_addr) {
-            self.next_req += 1;
-            self.outstanding_writes += 1;
-            self.stats.da_bytes += LINE_BYTES;
-        } else {
-            self.pending.take(h);
-            self.wb_retry.push(line_addr);
-        }
+        ctx.mem_write(h.to_bits(), line_addr);
+        self.outstanding_writes += 1;
+        self.stats.da_bytes += LINE_BYTES;
     }
 
     fn handle_completions(&mut self, ctx: &mut dyn EngineCtx) {
@@ -568,7 +557,7 @@ impl PartitionEngine {
                 let elem = self.elem_of_stream(a, self.inner);
                 let line = ctx.addr_of(def.array, elem) / LINE_BYTES;
                 if !self.buffer.present(line) && !self.pending_lines.contains(&line) {
-                    let _ = self.issue_read(ctx, line);
+                    self.issue_read(ctx, line);
                 }
                 continue;
             }
@@ -588,8 +577,8 @@ impl PartitionEngine {
                 if line.abs_diff(cur_line) > self.pf_ahead {
                     break;
                 }
-                if !self.buffer.present(line) && !self.issue_read(ctx, line) {
-                    break;
+                if !self.buffer.present(line) {
+                    self.issue_read(ctx, line);
                 }
                 self.stream_pf[a] = v + self.step;
                 self.progress = true;
@@ -835,7 +824,7 @@ impl PartitionEngine {
                     // demand fetch or we wait forever.
                     let line = line_addr / LINE_BYTES;
                     if !self.pending_lines.contains(&line) {
-                        let _ = self.issue_read(ctx, line);
+                        self.issue_read(ctx, line);
                     }
                     return Err(Wait::Line {
                         line_addr,
@@ -875,7 +864,7 @@ impl PartitionEngine {
                         let line = addr / LINE_BYTES;
                         if !self.buffer.access(line) {
                             // Demand fetch (prefetcher may be behind).
-                            let _ = self.issue_read(ctx, line);
+                            self.issue_read(ctx, line);
                             return Err(Wait::Line {
                                 line_addr: line * LINE_BYTES,
                                 pc,
@@ -902,7 +891,7 @@ impl PartitionEngine {
                         let byte = ctx.addr_of(array, elem);
                         let line = byte / LINE_BYTES;
                         if !self.buffer.access(line) {
-                            let _ = self.issue_read(ctx, line);
+                            self.issue_read(ctx, line);
                             return Err(Wait::Line {
                                 line_addr: line * LINE_BYTES,
                                 pc,

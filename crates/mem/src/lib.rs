@@ -17,7 +17,7 @@
 //!
 //! let mut ms = MemSystem::new(MemConfig::default(), ClockDomain::from_ghz(2.0), 0, 7);
 //! let port = ms.register_port(PortKind::Host);
-//! ms.try_request(0, MemRequest { port, id: 1, addr: 0x40, write: false }).unwrap();
+//! ms.request(0, MemRequest { port, id: 1, addr: 0x40, write: false });
 //! assert!(ms.is_active());
 //! ```
 

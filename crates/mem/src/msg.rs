@@ -27,7 +27,7 @@ pub enum PortKind {
     },
 }
 
-/// A memory request presented to [`crate::system::MemSystem::try_request`].
+/// A memory request presented to [`crate::system::MemSystem::request`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Issuing port.

@@ -317,7 +317,7 @@ impl MemSystem {
     /// # Panics
     ///
     /// Panics if the port was never registered.
-    pub fn try_request(&mut self, now: Tick, req: MemRequest) -> Result<(), MemRequest> {
+    pub fn request(&mut self, now: Tick, req: MemRequest) {
         let kind = *self
             .ports
             .get(req.port.0 as usize)
@@ -327,7 +327,6 @@ impl MemSystem {
             PortKind::Host => self.schedule(now, Action::L1Access(req)),
             PortKind::Acp { .. } => self.schedule(now + self.cy(1), Action::AcpAccess(req)),
         }
-        Ok(())
     }
 
     /// The response port of one requester: completed responses arrive
@@ -1365,17 +1364,15 @@ mod tests {
     fn host_read_miss_reaches_dram_and_returns() {
         let mut rig = Rig::new();
         let p = rig.ms.register_port(PortKind::Host);
-        rig.ms
-            .try_request(
-                0,
-                MemRequest {
-                    port: p,
-                    id: 1,
-                    addr: 0x1000,
-                    write: false,
-                },
-            )
-            .unwrap();
+        rig.ms.request(
+            0,
+            MemRequest {
+                port: p,
+                id: 1,
+                addr: 0x1000,
+                write: false,
+            },
+        );
         let (resps, lat) = rig.run_until_response(p, 100_000);
         assert_eq!(resps.len(), 1);
         assert_eq!(resps[0].id, 1);
@@ -1389,30 +1386,26 @@ mod tests {
     fn second_access_hits_l1_fast() {
         let mut rig = Rig::new();
         let p = rig.ms.register_port(PortKind::Host);
-        rig.ms
-            .try_request(
-                0,
-                MemRequest {
-                    port: p,
-                    id: 1,
-                    addr: 0x40,
-                    write: false,
-                },
-            )
-            .unwrap();
+        rig.ms.request(
+            0,
+            MemRequest {
+                port: p,
+                id: 1,
+                addr: 0x40,
+                write: false,
+            },
+        );
         let (_, cold) = rig.run_until_response(p, 100_000);
         let t = rig.now;
-        rig.ms
-            .try_request(
-                t,
-                MemRequest {
-                    port: p,
-                    id: 2,
-                    addr: 0x40,
-                    write: false,
-                },
-            )
-            .unwrap();
+        rig.ms.request(
+            t,
+            MemRequest {
+                port: p,
+                id: 2,
+                addr: 0x40,
+                write: false,
+            },
+        );
         let (resps, warm) = rig.run_until_response(p, 10_000);
         assert_eq!(resps[0].id, 2);
         assert!(warm < cold / 4, "warm {warm} vs cold {cold}");
@@ -1427,59 +1420,51 @@ mod tests {
         rig.ms.addr_map_mut().pin_region(0x20000, 0x30000, 5);
         let p = rig.ms.register_port(PortKind::Acp { cluster: 2 });
 
-        rig.ms
-            .try_request(
-                0,
-                MemRequest {
-                    port: p,
-                    id: 1,
-                    addr: 0x10000,
-                    write: false,
-                },
-            )
-            .unwrap();
+        rig.ms.request(
+            0,
+            MemRequest {
+                port: p,
+                id: 1,
+                addr: 0x10000,
+                write: false,
+            },
+        );
         let (_, cold_local) = rig.run_until_response(p, 100_000);
         // Warm them up (first accesses go to DRAM).
         let t = rig.now;
-        rig.ms
-            .try_request(
-                t,
-                MemRequest {
-                    port: p,
-                    id: 2,
-                    addr: 0x20000,
-                    write: false,
-                },
-            )
-            .unwrap();
+        rig.ms.request(
+            t,
+            MemRequest {
+                port: p,
+                id: 2,
+                addr: 0x20000,
+                write: false,
+            },
+        );
         let (_, _cold_remote) = rig.run_until_response(p, 100_000);
 
         // Warm accesses: local L3 hit vs remote L3 hit.
         let t = rig.now;
-        rig.ms
-            .try_request(
-                t,
-                MemRequest {
-                    port: p,
-                    id: 3,
-                    addr: 0x10000,
-                    write: false,
-                },
-            )
-            .unwrap();
+        rig.ms.request(
+            t,
+            MemRequest {
+                port: p,
+                id: 3,
+                addr: 0x10000,
+                write: false,
+            },
+        );
         let (_, warm_local) = rig.run_until_response(p, 100_000);
         let t = rig.now;
-        rig.ms
-            .try_request(
-                t,
-                MemRequest {
-                    port: p,
-                    id: 4,
-                    addr: 0x20000,
-                    write: false,
-                },
-            )
-            .unwrap();
+        rig.ms.request(
+            t,
+            MemRequest {
+                port: p,
+                id: 4,
+                addr: 0x20000,
+                write: false,
+            },
+        );
         let (_, warm_remote) = rig.run_until_response(p, 100_000);
         assert!(
             warm_remote > warm_local,
@@ -1494,17 +1479,15 @@ mod tests {
         let p = rig.ms.register_port(PortKind::Host);
         for i in 0..32u64 {
             let id = i + 1;
-            rig.ms
-                .try_request(
-                    rig.now,
-                    MemRequest {
-                        port: p,
-                        id,
-                        addr: i * LINE_BYTES,
-                        write: false,
-                    },
-                )
-                .unwrap();
+            rig.ms.request(
+                rig.now,
+                MemRequest {
+                    port: p,
+                    id,
+                    addr: i * LINE_BYTES,
+                    write: false,
+                },
+            );
             rig.run_until_response(p, 200_000);
         }
         assert!(rig.ms.sys_stats().prefetch_issued > 0, "prefetcher silent");
@@ -1515,17 +1498,15 @@ mod tests {
     fn write_then_flush_counts_dirty_lines() {
         let mut rig = Rig::new();
         let p = rig.ms.register_port(PortKind::Host);
-        rig.ms
-            .try_request(
-                0,
-                MemRequest {
-                    port: p,
-                    id: 1,
-                    addr: 0x80,
-                    write: true,
-                },
-            )
-            .unwrap();
+        rig.ms.request(
+            0,
+            MemRequest {
+                port: p,
+                id: 1,
+                addr: 0x80,
+                write: true,
+            },
+        );
         rig.run_until_response(p, 100_000);
         let dirty = rig.ms.flush_host_range(0x80, 0xC0);
         assert_eq!(dirty, 1);
@@ -1546,17 +1527,15 @@ mod tests {
                 id += 1;
                 let addr = rng.below(1 << 20) & !7;
                 let write = rng.below(2) == 0;
-                rig.ms
-                    .try_request(
-                        rig.now,
-                        MemRequest {
-                            port: p,
-                            id,
-                            addr,
-                            write,
-                        },
-                    )
-                    .unwrap();
+                rig.ms.request(
+                    rig.now,
+                    MemRequest {
+                        port: p,
+                        id,
+                        addr,
+                        write,
+                    },
+                );
                 sent += 1;
             }
             rig.step();
@@ -1571,17 +1550,15 @@ mod tests {
     fn acp_write_gets_acknowledged() {
         let mut rig = Rig::new();
         let p = rig.ms.register_port(PortKind::Acp { cluster: 3 });
-        rig.ms
-            .try_request(
-                0,
-                MemRequest {
-                    port: p,
-                    id: 9,
-                    addr: 0x40 * 3,
-                    write: true,
-                },
-            )
-            .unwrap();
+        rig.ms.request(
+            0,
+            MemRequest {
+                port: p,
+                id: 9,
+                addr: 0x40 * 3,
+                write: true,
+            },
+        );
         let (resps, _) = rig.run_until_response(p, 200_000);
         assert!(resps[0].write);
         assert_eq!(resps[0].id, 9);
@@ -1596,17 +1573,15 @@ mod tests {
         let stride = 128 * LINE_BYTES;
         for i in 0..64u64 {
             let id = i + 1;
-            rig.ms
-                .try_request(
-                    rig.now,
-                    MemRequest {
-                        port: p,
-                        id,
-                        addr: i * stride,
-                        write: true,
-                    },
-                )
-                .unwrap();
+            rig.ms.request(
+                rig.now,
+                MemRequest {
+                    port: p,
+                    id,
+                    addr: i * stride,
+                    write: true,
+                },
+            );
             rig.run_until_response(p, 400_000);
         }
         assert!(

@@ -33,7 +33,7 @@
 //!   internally on their own [`ClockDomain`](crate::time::ClockDomain)
 //!   edges. With skip-ahead off the scheduler calls every component on
 //!   every simulated tick, in registration *stage* order; with it on, only
-//!   the components that are due (see "Stage wake cache" below). A tick
+//!   the components that are due (see "Stage wakes" below). A tick
 //!   returns a [`Ticked`]: the stages it handed work to, and optionally
 //!   its own next wake.
 //! - [`Component::next_event`] reports the earliest tick `>= now` at
@@ -50,32 +50,28 @@
 //! - [`Component::sample`] contributes the component's ports and counters
 //!   to an explain window record; the run loop calls it, never a wake.
 //!
-//! ## Stage wake cache
+//! ## Stage wakes
 //!
-//! The scheduler keeps each component's wake as last reported and asks
+//! The scheduler keeps each component's wake in a [`WakeCache`] (whose
+//! docs give the argument that an unmarked entry is exact) and asks
 //! `next_event` again only when the component ticked (unless the tick
 //! reported its own wake) or another component *marked* it: a tick marks
 //! every stage whose `next_event` its hand-overs can change (a request
-//! queued, a response pushed, a packet injected or delivered). An
-//! unmarked entry equals what `next_event` would report at any tick up to
-//! the entry itself, because only the component's own tick or a marked
-//! hand-over moves its inputs, and a wake does not move while the clock
-//! approaches it. With skip-ahead on, a component ticks only when its
-//! entry is due, tested right before its turn in stage order so that
-//! hand-overs made earlier in the same tick count, and the wake probe is
-//! a minimum over the entries. A cached wake that is too early costs a
-//! no-op tick; one that is too late changes results, so the marks must
-//! cover every hand-over that can move a wake earlier (extra marks are
-//! allowed). Everything that changes the world between runs (entering a
-//! run loop, a public [`Scheduler::tick`], registering a component, new
+//! queued, a response pushed, a packet injected or delivered). With
+//! skip-ahead on, a component ticks only when its entry is due, tested
+//! right before its turn in stage order so that hand-overs made earlier
+//! in the same tick count, and the wake probe is the cache's minimum
+//! fold. Everything that changes the world between runs (entering a run
+//! loop, a public [`Scheduler::tick`], registering a component, new
 //! instruments, the skip setting) marks every stage. With the sanitizer
 //! on, each probe checks every unmarked entry against a fresh
-//! `next_event` (`stage-wake-cache`).
+//! `next_event` (`wake-cache`, level `stage`).
 
 use crate::port::PortSnapshot;
 use crate::profile::Profiler;
 use crate::sample::Sampler;
 use crate::time::Tick;
+use crate::wake::{WakeCache, NO_WAKE};
 use distda_check::Sanitizer;
 use distda_trace::Tracer;
 use std::time::Instant;
@@ -108,9 +104,6 @@ impl Instruments {
         Self::default()
     }
 }
-
-/// A cache entry for a component that only external input can wake.
-const NO_WAKE: Tick = Tick::MAX;
 
 /// The [`Ticked::wake`] of a tick that leaves the wake to `next_event`. A
 /// reported wake is later than the tick that reports it, so it is never 0.
@@ -238,9 +231,6 @@ struct Slot<W> {
     /// Tick-phase ordering key; ties broken by registration order.
     stage: u32,
     comp: Box<dyn Component<W>>,
-    /// The component's cached wake ([`NO_WAKE`] for `None`); exact while
-    /// the slot is unmarked.
-    at: Tick,
     /// Profiled host ns inside `tick()`, ticks run and wakes chosen, not
     /// yet added to the profiler.
     host_ns: u64,
@@ -273,9 +263,10 @@ pub struct Scheduler<W> {
     comps: Vec<Slot<W>>,
     /// Indices into `comps`, sorted by (stage, registration order).
     tick_order: Vec<usize>,
-    /// Bit `k` set: component `k` (registration order) was marked or
-    /// ticked since its cached wake was last asked.
-    marked: u64,
+    /// Each component's cached wake, by registration order; an entry is
+    /// marked when the component was marked or ticked since its wake was
+    /// last asked.
+    wakes: WakeCache,
     /// Per stage number, the bits of the components registered at it.
     stage_slots: [u64; 64],
     /// Base ticks executed; the other `now - executed` were skipped.
@@ -320,7 +311,7 @@ impl<W> Scheduler<W> {
             sample_at: Tick::MAX,
             comps: Vec::new(),
             tick_order: Vec::new(),
-            marked: 0,
+            wakes: WakeCache::new("stage"),
             stage_slots: [0; 64],
             executed: 0,
             skip_spans: 0,
@@ -344,12 +335,7 @@ impl<W> Scheduler<W> {
     /// bit-identical either way.
     pub fn set_skip(&mut self, on: bool) {
         self.skip = on;
-        self.mark_all();
-    }
-
-    /// Marks every component: their cached wakes are asked again.
-    fn mark_all(&mut self) {
-        self.marked = u64::MAX >> (64 - self.comps.len().max(1));
+        self.wakes.mark_all();
     }
 
     /// The current instrumentation bundle.
@@ -367,7 +353,7 @@ impl<W> Scheduler<W> {
         for slot in &mut self.comps {
             slot.comp.attach(world, &self.instr);
         }
-        self.mark_all();
+        self.wakes.mark_all();
     }
 
     /// Registers a component at tick-phase `stage` and attaches the
@@ -391,13 +377,13 @@ impl<W> Scheduler<W> {
         self.comps.push(Slot {
             stage,
             comp,
-            at: NO_WAKE,
             host_ns: 0,
             ran: 0,
             wakes: 0,
         });
         self.stage_slots[stage as usize] |= 1 << idx;
-        self.mark_all();
+        self.wakes.push();
+        self.wakes.mark_all();
         let pos = self
             .tick_order
             .partition_point(|&i| self.comps[i].stage <= stage);
@@ -416,7 +402,7 @@ impl<W> Scheduler<W> {
     /// clock, and the counts are added to the profiler on return;
     /// profiling never changes what components do.
     pub fn tick(&mut self, world: &mut W) {
-        self.mark_all();
+        self.wakes.mark_all();
         self.step(world);
         self.flush_profile();
     }
@@ -432,16 +418,10 @@ impl<W> Scheduler<W> {
         let prof = self.instr.prof.on();
         for k in 0..self.tick_order.len() {
             let i = self.tick_order[k];
-            let bit = 1u64 << i;
             let slot = &mut self.comps[i];
-            if self.skip {
-                if self.marked & bit != 0 {
-                    self.marked &= !bit;
-                    slot.at = slot.comp.next_event(now, world).unwrap_or(NO_WAKE);
-                }
-                if slot.at > now {
-                    continue;
-                }
+            let ask = || slot.comp.next_event(now, world).unwrap_or(NO_WAKE);
+            if self.skip && !self.wakes.due(i, now, ask) {
+                continue;
             }
             let t = if prof {
                 let t0 = Instant::now();
@@ -453,15 +433,15 @@ impl<W> Scheduler<W> {
                 slot.comp.tick(now, world, &mut self.instr)
             };
             if t.wake == ASK {
-                self.marked |= bit;
+                self.wakes.mark(i);
             } else {
                 debug_assert!(t.wake > now, "{} reported a wake <= now", slot.comp.name());
-                slot.at = t.wake;
-                self.marked &= !bit;
+                self.wakes.set(i, t.wake);
             }
             let mut stages = t.marks;
             while stages != 0 {
-                self.marked |= self.stage_slots[stages.trailing_zeros() as usize];
+                let s = stages.trailing_zeros() as usize;
+                self.wakes.mark_bits(self.stage_slots[s]);
                 stages &= stages - 1;
             }
         }
@@ -515,14 +495,13 @@ impl<W> Scheduler<W> {
     /// observable work, `None` if no component will ever act again
     /// without new input.
     ///
-    /// The fold is a minimum over the cached wakes in stage order; a
-    /// marked entry is asked again first. Every candidate is contractually
-    /// `>= now`, so an entry equal to `now` is already the global minimum
-    /// and the bare fold stops there. With the sanitizer on the fold
-    /// visits every component, asks each a fresh `next_event`, and checks
-    /// it for a wake in the past and, unmarked, against the cached entry
-    /// (`stage-wake-cache`); the minimum is the same. The profiler times
-    /// the probe and counts a wake for the component the fold settles on.
+    /// The fold is the wake cache's minimum over the entries in stage
+    /// order; a marked entry is asked again first. Every candidate is
+    /// contractually `>= now`, so an entry equal to `now` is already the
+    /// global minimum and the fold stops there. With the sanitizer on,
+    /// every component is first asked a fresh `next_event` and checked
+    /// against its entry; the minimum is the same. The profiler times the
+    /// probe and counts a wake for the component the fold settles on.
     pub fn next_wake(&mut self, world: &W) -> Option<Tick> {
         if !self.instr.prof.on() {
             return self.wake_fold(world).0;
@@ -538,49 +517,36 @@ impl<W> Scheduler<W> {
     }
 
     /// [`Scheduler::next_wake`] without the profiler: the minimum and the
-    /// component it came from (first wins on ties).
+    /// component it came from (first wins on ties). With the sanitizer on
+    /// every component is asked and checked first.
     fn wake_fold(&mut self, world: &W) -> (Option<Tick>, Option<usize>) {
-        let san = &self.instr.san;
         let now = self.now;
-        let mut w = NO_WAKE;
-        let mut argmin: Option<usize> = None;
-        for &k in &self.tick_order {
-            let slot = &mut self.comps[k];
-            let bit = 1u64 << k;
-            if self.marked & bit != 0 || san.on() {
-                let fresh = slot.comp.next_event(now, world).unwrap_or(NO_WAKE);
-                if san.on() {
-                    Self::check_wake(san, slot, self.marked & bit != 0, fresh, now);
-                }
-                slot.at = fresh;
-                self.marked &= !bit;
-            }
-            if slot.at < w {
-                w = slot.at;
-                argmin = Some(k);
-            }
-            if w == now && !san.on() {
-                break;
-            }
+        if self.instr.san.on() {
+            self.check_wakes(world);
         }
+        let (order, comps, wakes) = (&self.tick_order, &self.comps, &mut self.wakes);
+        let ask = |k: usize| comps[k].comp.next_event(now, world).unwrap_or(NO_WAKE);
+        let entries = order.iter().map(|&k| (k, wakes.refresh(k, || ask(k))));
+        let (w, argmin) = WakeCache::min(now, entries);
         ((w != NO_WAKE).then_some(w), argmin)
     }
 
-    /// The sanitizer's wake rules for one component: its fresh wake is not
-    /// in the past (`wake-in-past`), and, unless it was marked, equals its
-    /// cached entry (`stage-wake-cache`). The component is named only on
-    /// a violation: this runs for every component at every sanitized
-    /// probe.
-    fn check_wake(san: &Sanitizer, slot: &Slot<W>, marked: bool, fresh: Tick, now: Tick) {
-        if fresh < now {
-            let detail = format!("next_event reported {fresh} < now {now}");
-            san.flag(slot.comp.name(), "wake-in-past", now, detail);
-        }
-        if !marked && fresh != slot.at {
-            let show = |t: Tick| (t != NO_WAKE).then_some(t);
-            let (cached, fresh) = (show(slot.at), show(fresh));
-            let detail = format!("unmarked: cached wake {cached:?}, next_event {fresh:?}");
-            san.flag(slot.comp.name(), "stage-wake-cache", now, detail);
+    /// The sanitizer's wake rules, stage by stage: each component's fresh
+    /// wake is not in the past (`wake-in-past`) and, unless marked, equals
+    /// its cached entry (`wake-cache`); the fresh wake is then stored. A
+    /// component is named only on a violation: this runs for every
+    /// component at every sanitized probe.
+    fn check_wakes(&mut self, world: &W) {
+        let (san, now) = (&self.instr.san, self.now);
+        for &k in &self.tick_order {
+            let comp = &self.comps[k].comp;
+            let fresh = comp.next_event(now, world).unwrap_or(NO_WAKE);
+            if fresh < now {
+                let detail = format!("next_event reported {fresh} < now {now}");
+                san.flag(comp.name(), "wake-in-past", now, detail);
+            }
+            self.wakes.check(san, || comp.name(), k, fresh, now, None);
+            self.wakes.set(k, fresh);
         }
     }
 
@@ -667,7 +633,7 @@ impl<W> Scheduler<W> {
         done: impl FnMut(&Self, &W) -> bool,
     ) -> Result<(), Stop> {
         // The world may have changed since the last run.
-        self.mark_all();
+        self.wakes.mark_all();
         let r = self.run_loop(world, target, done);
         self.flush_profile();
         r
@@ -747,8 +713,7 @@ impl<W> Scheduler<W> {
         let now = self.now;
         let kept = if jumped {
             self.tick_order.iter().any(|&k| {
-                let slot = &self.comps[k];
-                slot.at == now && slot.comp.next_event(now, world) == Some(now)
+                self.wakes.get(k) == now && self.comps[k].comp.next_event(now, world) == Some(now)
             })
         } else {
             self.wake_fold(world).0 == Some(now)
@@ -1154,7 +1119,7 @@ mod tests {
         }
         assert_eq!(sanitized_with(Box::new(producer())), "");
         let report = sanitized_with(Box::new(Forgetful(producer())));
-        assert!(report.contains("stage-wake-cache"), "{report}");
+        assert!(report.contains("wake-cache"), "{report}");
         assert!(report.contains("consumer"), "{report}");
     }
 
@@ -1178,7 +1143,7 @@ mod tests {
             }
         }
         let report = sanitized_with(Box::new(Hasty(producer())));
-        assert!(report.contains("stage-wake-cache"), "{report}");
+        assert!(report.contains("wake-cache"), "{report}");
         assert!(report.contains("hasty"), "{report}");
     }
 

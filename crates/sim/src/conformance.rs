@@ -17,8 +17,10 @@
 //!   every component is quiescent. After a jump the re-probe asks the
 //!   components whose cached wake is `w`; nothing ticked since the
 //!   probe that cached it.
-//! - **stage-wake-cache** — every cached wake the scheduler has not
-//!   marked equals a fresh [`Component::next_event`] at each probe.
+//! - **wake-cache** — every cached wake the scheduler has not marked
+//!   equals a fresh [`Component::next_event`] at each probe (the rule
+//!   of [`WakeCache`](crate::wake::WakeCache), which the machine's engine
+//!   stage also applies to its engines).
 //! - **eventless-active** — when the global wake fold returns `None` (no
 //!   component will ever act again without input), every component must be
 //!   quiescent; a non-quiescent component with no scheduled event is a

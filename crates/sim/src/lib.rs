@@ -29,6 +29,7 @@ pub mod profile;
 pub mod rng;
 pub mod sample;
 pub mod time;
+pub mod wake;
 
 /// Statistics reporting ([`Report`], [`geomean`]).
 ///
@@ -46,3 +47,4 @@ pub use rng::SplitMix64;
 pub use sample::{SampleDump, Sampler};
 pub use stats::{geomean, Report};
 pub use time::{ClockDomain, Tick};
+pub use wake::WakeCache;

@@ -195,7 +195,7 @@ impl HostCore {
                 OpKind::Store { addr } => (addr, true),
                 OpKind::Alu { .. } => unreachable!("only memory ops are queued"),
             };
-            mem.try_request(
+            mem.request(
                 now,
                 MemRequest {
                     port: self.port,
@@ -203,8 +203,7 @@ impl HostCore {
                     addr,
                     write,
                 },
-            )
-            .expect("host port accepts requests");
+            );
             self.inflight += 1;
             fired += 1;
         }

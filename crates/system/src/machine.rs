@@ -38,8 +38,8 @@ use distda_sim::component::{Component, Instruments, Scheduler, Stop, Ticked};
 use distda_sim::port::{Channel, PortSnapshot};
 use distda_sim::port_names;
 use distda_sim::time::{ClockDomain, Tick};
+use distda_sim::wake::{WakeCache, NO_WAKE};
 use distda_trace::{EventKind, TraceSink};
-use std::cell::Cell;
 use std::ops::Range;
 
 /// Operand slots per channel buffer.
@@ -157,76 +157,36 @@ pub struct MachineState {
     /// edges on which the engine is not due are gated off; with it off
     /// every edge runs, as the tick-by-tick reference requires.
     skip: bool,
-    /// The engine stage's wake cache, parallel to `engines`.
-    wakes: EngineWakes,
-}
-
-/// The engine stage's wake cache: each engine's wake as last computed by
-/// [`engine_wake`] ([`NO_WAKE`] for `None`), and a mark set at every
-/// hand-over since that can change it. An unmarked entry equals what
-/// `engine_wake` would report at any tick up to the entry itself: only
-/// the engine's own edge or a marked hand-over moves any of its inputs,
-/// and a next-edge answer stays put while the clock approaches it.
-#[derive(Debug, Default)]
-struct EngineWakes {
-    at: Vec<Tick>,
-    marked: Vec<bool>,
-}
-
-/// [`EngineWakes`] entry of an engine that only external input can wake.
-const NO_WAKE: Tick = Tick::MAX;
-
-impl EngineWakes {
-    fn mark_all(&mut self) {
-        self.marked.fill(true);
-    }
-
-    /// Marks every engine with a response waiting at its memory port,
-    /// and says whether there was one. Callers run it when the
-    /// hierarchy's response count moved across a hand-over into it
-    /// (`mem.deliver`, `mem.tick`).
-    fn mark_responded(&mut self, engines: &[EngineSlot], mem: &MemSystem) -> bool {
-        let mut any = false;
-        for (marked, slot) in self.marked.iter_mut().zip(engines) {
-            let waiting = mem.has_responses(slot.port);
-            *marked |= waiting;
-            any |= waiting;
-        }
-        any
-    }
-
-    /// Engine `i`'s wake at `now`: the cached entry, or, if a hand-over
-    /// marked it since, `now` while a response waits at its memory port
-    /// (the stage collects it on its next tick) and `engine_wake`'s answer
-    /// otherwise.
-    fn wake(&self, i: usize, st: &MachineState, now: Tick) -> Tick {
-        let slot = &st.engines[i];
-        if !self.marked[i] {
-            self.at[i]
-        } else if st.mem.has_responses(slot.port) {
-            now
-        } else {
-            engine_wake(slot, &st.chans, now).unwrap_or(NO_WAKE)
-        }
-    }
+    /// The engine stage's wake cache, parallel to `engines`: each engine's
+    /// [`engine_wake`], marked at every hand-over since that can change it
+    /// (an operand or credit for it, a response at its port).
+    wakes: WakeCache,
 }
 
 /// The marks for responses the hierarchy pushed across a hand-over that
 /// moved its response count from `before`: the host if one waits at its
-/// port, the engine stage if one waits at an engine's (which it marks).
+/// port, the engine stage if one waits at an engine's, and every engine
+/// with one waiting, until the stage collects it.
 fn responded(
     before: u64,
     mem: &MemSystem,
     host: &HostCore,
     engines: &[EngineSlot],
-    wakes: &mut EngineWakes,
+    wakes: &mut WakeCache,
 ) -> Ticked {
     if mem.sys_stats().responses == before {
         return Ticked::NOTHING;
     }
+    let mut any = false;
+    for (i, slot) in engines.iter().enumerate() {
+        if mem.has_responses(slot.port) {
+            wakes.mark(i);
+            any = true;
+        }
+    }
     Ticked::NOTHING
         .mark_if(mem.has_responses(host.port()), stage::HOST)
-        .mark_if(wakes.mark_responded(engines, mem), stage::ENGINE)
+        .mark_if(any, stage::ENGINE)
 }
 
 impl MachineState {
@@ -319,7 +279,7 @@ impl Component<MachineState> for DeliveryComp {
                     to_mem = true;
                 }
                 NetMsg::ChanData { chan, v } => {
-                    wakes.marked[chan_engines[chan as usize].1] = true;
+                    wakes.mark(chan_engines[chan as usize].1);
                     to_engines = true;
                     if chans[chan as usize].queue.tx().offer(v).is_err() {
                         // Credits bound occupancy; an arrival beyond
@@ -343,7 +303,7 @@ impl Component<MachineState> for DeliveryComp {
                     }
                 }
                 NetMsg::ChanCredit { chan, n } => {
-                    wakes.marked[chan_engines[chan as usize].0] = true;
+                    wakes.mark(chan_engines[chan as usize].0);
                     to_engines = true;
                     chans[chan as usize].flow.grant(n as usize);
                     if san.on() {
@@ -502,17 +462,20 @@ impl Component<MachineState> for ChannelsComp {
     }
 }
 
-/// [`PartitionEngine::next_wake`] of the engine in `slot`, given the
-/// responses collected at its port and the state of its channels.
-fn engine_wake(slot: &EngineSlot, chans: &[ChanState], now: Tick) -> Option<Tick> {
-    slot.eng.next_wake(now, !slot.resp.is_empty(), |c, send| {
-        let ch = &chans[slot.chan_base + c as usize];
-        if send {
-            ch.flow.credits() > 0
-        } else {
-            !ch.queue.is_empty()
-        }
-    })
+/// [`PartitionEngine::next_wake`] of the engine in `slot` ([`NO_WAKE`]
+/// for `None`), given the responses collected at its port and the state
+/// of its channels.
+fn engine_wake(slot: &EngineSlot, chans: &[ChanState], now: Tick) -> Tick {
+    slot.eng
+        .next_wake(now, !slot.resp.is_empty(), |c, send| {
+            let ch = &chans[slot.chan_base + c as usize];
+            if send {
+                ch.flow.credits() > 0
+            } else {
+                !ch.queue.is_empty()
+            }
+        })
+        .unwrap_or(NO_WAKE)
 }
 
 /// Stage [`stage::ENGINE`], one for every configured engine: collects
@@ -522,56 +485,28 @@ fn engine_wake(slot: &EngineSlot, chans: &[ChanState], now: Tick) -> Option<Tick
 /// The stage probes and ticks from [`MachineState::wakes`]: an engine's
 /// wake is recomputed only after it ran an edge or when a hand-over marked
 /// it, so an engine that waits on a channel or a memory response costs one
-/// compare per probe and per executed tick. A tick marks the hierarchy
-/// when an engine issued a request and the injection port when one pushed
-/// a packet, and reports the stage's own wake, the minimum cached entry,
-/// unless an engine is left marked.
+/// compare per probe and per executed tick. A tick is one pass over the
+/// engines that refreshes each marked entry, runs each due engine and
+/// folds the new minimum. It marks the hierarchy when an engine issued a
+/// request and the injection port when one pushed a packet, and reports
+/// that minimum as the stage's own wake, unless an engine is left marked
+/// (a local send or receive marks the engine at the other end, which the
+/// pass may have visited already).
 #[derive(Default)]
 struct EngineStage {
     san: Sanitizer,
-    /// The tick `engine-wake-cache` was last checked at, plus one (0 for
-    /// never): the scheduler may ask `next_event` several times a tick.
-    checked: Cell<Tick>,
-}
-
-impl EngineStage {
-    const NAME: &'static str = "engine.all";
-
-    /// The `engine-wake-cache` rule: every unmarked engine's cached wake
-    /// equals its uncached `engine_wake`, and no response waits at its
-    /// memory port (a pushed response marks it until it is collected).
-    fn check_wakes(&self, now: Tick, st: &MachineState) {
-        for (i, slot) in st.engines.iter().enumerate() {
-            if st.wakes.marked[i] {
-                continue;
-            }
-            let cached = Some(st.wakes.at[i]).filter(|&t| t != NO_WAKE);
-            let fresh = engine_wake(slot, &st.chans, now);
-            let waiting = st.mem.has_responses(slot.port);
-            self.san.check(
-                cached == fresh && !waiting,
-                Self::NAME,
-                "engine-wake-cache",
-                now,
-                || {
-                    format!(
-                        "engine {i} unmarked: cached wake {cached:?}, engine_wake {fresh:?}, \
-                         responses waiting {waiting}"
-                    )
-                },
-            );
-        }
-    }
 }
 
 impl Component<MachineState> for EngineStage {
     fn name(&self) -> &str {
-        Self::NAME
+        "engine.all"
     }
 
     fn attach(&mut self, st: &mut MachineState, instr: &Instruments) {
         self.san = instr.san.clone();
-        self.checked.set(0);
+        // As the scheduler does with its stages: new instruments mark
+        // every entry, so none is left unchecked by them.
+        st.wakes.mark_all();
         for (i, slot) in st.engines.iter_mut().enumerate() {
             slot.eng.set_sink(instr.tracer.sink(&port_names::engine(i)));
         }
@@ -591,15 +526,15 @@ impl Component<MachineState> for EngineStage {
             ..
         } = st;
         let (requests, pushed) = (mem.sys_stats().requests, net_out.len());
+        let mut w = NO_WAKE;
         for (i, slot) in engines.iter_mut().enumerate() {
-            if wakes.marked[i] {
+            let due = wakes.due(i, now, || {
                 let mut rx = mem.responses(slot.port).rx();
                 while let Some(r) = rx.accept() {
                     slot.resp.push(r.id);
                 }
-                wakes.at[i] = engine_wake(slot, chans, now).unwrap_or(NO_WAKE);
-                wakes.marked[i] = false;
-            }
+                engine_wake(slot, chans, now)
+            });
             // An engine that is not due here would only re-try its blocked
             // node — the skip-ahead argument applied to one engine: the
             // edge is skipped, and its stall cycle is charged in bulk on
@@ -607,59 +542,67 @@ impl Component<MachineState> for EngineStage {
             // through `PartitionEngine::stats_at`). Off the engine's clock
             // edge `eng.tick` is a no-op anyway.
             let run = if *skip {
-                wakes.at[i] == now
+                due
             } else {
                 slot.eng.clock().fires_at(now)
             };
-            if !run {
-                continue;
+            if run {
+                // The engine reads and writes its tenant's functional view.
+                let (memimg, layout) = &mut views[slot.tenant as usize];
+                let mut ctx = Ctx {
+                    now,
+                    port: slot.port,
+                    chan_base: slot.chan_base,
+                    tenant: slot.tenant,
+                    mem,
+                    chans,
+                    net_out,
+                    memimg,
+                    layout: &*layout,
+                    resp: &mut slot.resp,
+                    chan_sink,
+                    chan_engines,
+                    wakes,
+                };
+                slot.eng.tick(now, &mut ctx);
+                // The next probe asks from the next tick on.
+                wakes.set(i, engine_wake(slot, chans, now + 1));
             }
-            // The engine reads and writes its tenant's functional view.
-            let (memimg, layout) = &mut views[slot.tenant as usize];
-            let mut ctx = Ctx {
-                now,
-                port: slot.port,
-                chan_base: slot.chan_base,
-                tenant: slot.tenant,
-                mem,
-                chans,
-                net_out,
-                memimg,
-                layout: &*layout,
-                resp: &mut slot.resp,
-                chan_sink,
-                chan_engines,
-                marked: &mut wakes.marked,
-            };
-            slot.eng.tick(now, &mut ctx);
-            // The next probe asks from the next tick on.
-            wakes.at[i] = engine_wake(slot, chans, now + 1).unwrap_or(NO_WAKE);
-            wakes.marked[i] = false;
+            w = w.min(wakes.get(i));
         }
         // Engines only add to the injection port; net-out drains it later.
         let t = Ticked::NOTHING
             .mark_if(mem.sys_stats().requests != requests, stage::MEM)
             .mark_if(net_out.len() != pushed, stage::NET_OUT);
-        if wakes.marked.contains(&true) {
+        if wakes.any_marked() {
             return t;
         }
-        let w = wakes.at.iter().copied().min().unwrap_or(NO_WAKE);
         t.wake((w != NO_WAKE).then_some(w))
     }
 
+    /// The minimum over the cached engine wakes; a marked engine is asked
+    /// (`now` while a response waits at its port: the stage collects it on
+    /// its next tick) and its answer is not kept. With the sanitizer on,
+    /// once a tick, every unmarked engine's entry is checked against its
+    /// uncached `engine_wake` (`wake-cache`, level `engine`), and no
+    /// response may wait at its port: a pushed response marks it until it
+    /// is collected.
     fn next_event(&self, now: Tick, st: &MachineState) -> Option<Tick> {
-        let mut w = NO_WAKE;
-        for i in 0..st.engines.len() {
-            w = w.min(st.wakes.wake(i, st, now));
-            if w == now {
-                break;
+        let (wakes, engines) = (&st.wakes, &st.engines);
+        let waiting = |slot: &EngineSlot| st.mem.has_responses(slot.port);
+        if self.san.on() && wakes.first_ask_at(now) {
+            for (i, slot) in engines.iter().enumerate() {
+                let fresh = engine_wake(slot, &st.chans, now);
+                let broken = waiting(slot).then_some("a response waits at its port");
+                wakes.check(&self.san, || self.name(), i, fresh, now, broken);
             }
         }
-        // Once a tick: a hand-over later in the tick that misses a mark
-        // leaves the entry stale until the next tick's check.
-        if self.san.on() && self.checked.replace(now + 1) != now + 1 {
-            self.check_wakes(now, st);
-        }
+        let ask = |slot| match waiting(slot) {
+            true => now,
+            false => engine_wake(slot, &st.chans, now),
+        };
+        let all = engines.iter().enumerate();
+        let (w, _) = WakeCache::min(now, all.map(|(i, slot)| (i, wakes.peek(i, || ask(slot)))));
         (w != NO_WAKE).then_some(w)
     }
 
@@ -918,7 +861,7 @@ impl Machine {
             host_sink: TraceSink::default(),
             chan_sink: TraceSink::default(),
             skip: distda_sim::env::skip(),
-            wakes: EngineWakes::default(),
+            wakes: WakeCache::new("engine"),
         };
         let mut sched = Scheduler::new(TICK_BUDGET, st.skip);
         // Registration order is also instrument-attach order (stable trace
@@ -1275,8 +1218,7 @@ impl Machine {
                 is_cgra: matches!(sub.model, IssueModel::Cgra { .. }),
                 tenant,
             });
-            self.st.wakes.at.push(NO_WAKE);
-            self.st.wakes.marked.push(true);
+            self.st.wakes.push();
             // Configuration traffic: microcode + one word per access.
             let words = (part.microcode_bytes() / 8 + part.accesses.len() + 1) as u64;
             config_words += words;
@@ -1646,10 +1588,24 @@ struct Ctx<'a> {
     layout: &'a Layout,
     resp: &'a mut Vec<u64>,
     chan_sink: &'a TraceSink,
-    /// Producer/consumer engine per global channel, and the wake marks a
-    /// local send or receive sets on the engine at the other end.
+    /// Producer/consumer engine per global channel, and the wake cache in
+    /// which a local send or receive marks the engine at the other end.
     chan_engines: &'a [(usize, usize)],
-    marked: &'a mut [bool],
+    wakes: &'a mut WakeCache,
+}
+
+impl Ctx<'_> {
+    /// Presents a line request at the engine's ACP.
+    fn request(&mut self, id: u64, addr: u64, write: bool) {
+        let port = self.port;
+        let req = MemRequest {
+            port,
+            id,
+            addr,
+            write,
+        };
+        self.mem.request(self.now, req);
+    }
 }
 
 impl EngineCtx for Ctx<'_> {
@@ -1665,7 +1621,7 @@ impl EngineCtx for Ctx<'_> {
             }
             // Credits bound occupancy, so the offer cannot be refused.
             assert!(ch.queue.tx().offer(v).is_ok(), "credits bound occupancy");
-            self.marked[self.chan_engines[g].1] = true;
+            self.wakes.mark(self.chan_engines[g].1);
             if self.chan_sink.on() {
                 self.chan_sink
                     .sample(self.now, &port_names::chan(g), ch.queue.len() as f64);
@@ -1706,7 +1662,7 @@ impl EngineCtx for Ctx<'_> {
         }
         if ch.is_local() {
             ch.flow.put();
-            self.marked[self.chan_engines[g].0] = true;
+            self.wakes.mark(self.chan_engines[g].0);
         } else if let Some(n) = ch.flow.defer() {
             let pkt = Packet::new(
                 ch.consumer_cluster,
@@ -1728,32 +1684,12 @@ impl EngineCtx for Ctx<'_> {
         Some(v)
     }
 
-    fn mem_read(&mut self, req_id: u64, addr: u64) -> bool {
-        self.mem
-            .try_request(
-                self.now,
-                MemRequest {
-                    port: self.port,
-                    id: req_id,
-                    addr,
-                    write: false,
-                },
-            )
-            .is_ok()
+    fn mem_read(&mut self, id: u64, addr: u64) {
+        self.request(id, addr, false);
     }
 
-    fn mem_write(&mut self, req_id: u64, addr: u64) -> bool {
-        self.mem
-            .try_request(
-                self.now,
-                MemRequest {
-                    port: self.port,
-                    id: req_id,
-                    addr,
-                    write: true,
-                },
-            )
-            .is_ok()
+    fn mem_write(&mut self, id: u64, addr: u64) {
+        self.request(id, addr, true);
     }
 
     fn poll_mem(&mut self) -> Option<u64> {
@@ -2117,9 +2053,9 @@ mod tests {
         (outcome, san.count())
     }
 
-    /// The wake caches under the sanitizer's `stage-wake-cache` and
-    /// `engine-wake-cache` rules: with skip-ahead on, no violation, and
-    /// the same results as the tick-by-tick run.
+    /// Both wake caches, the scheduler's stages and the engine stage's
+    /// engines, under the sanitizer's `wake-cache` rule: with skip-ahead
+    /// on, no violation, and the same results as the tick-by-tick run.
     fn wake_cache_holds(run: impl Fn(bool) -> (String, usize)) {
         let (skipped, violations) = run(true);
         assert_eq!(violations, 0);

@@ -220,7 +220,7 @@ fn uncollected_memory_responses_are_flagged() {
     let mut mem = MemSystem::new(MemConfig::default(), ClockDomain::from_ghz(2.0), 0, 0);
     let port = mem.register_port(PortKind::Host);
     for id in 0..4 {
-        mem.try_request(
+        mem.request(
             0,
             MemRequest {
                 port,
@@ -228,8 +228,7 @@ fn uncollected_memory_responses_are_flagged() {
                 addr: 64 * 8 * id,
                 write: false,
             },
-        )
-        .unwrap();
+        );
     }
     let mut sched: Scheduler<()> = Scheduler::new(1_000_000, true);
     sched.register(0, Box::new(mem), &mut ());

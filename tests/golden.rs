@@ -98,24 +98,82 @@ const GOLDEN: &[(&str, &str, &str, &str)] = &[
     ("pca", "Mono-DA-F@1GHz", "57756de7579c517c", "19771 13961 8796ca288d62f0be"),
     ("pca", "Dist-DA-IO@2GHz", "ba4edff33b75c91b", "38388 32645 0f6a1a6d06b9f348"),
     ("pca", "Dist-DA-F@1GHz", "335c6c46c6a7c75f", "19448 13803 93ae0b5a2c02c35d"),
+    ("disparity", "Dist-DA-IO@2GHz:4x4", "d710ec854ec7739c", "36437 30532 cd2b6f6d07507cac"),
+    ("disparity", "Dist-DA-F@1GHz:8x4", "fcbb660f8b69896f", "20837 15261 3206b05e27c84782"),
+    ("disparity", "Dist-DA-F@1GHz:4x4:fm150", "baf5d14f16d3bf46", "28787 22992 4d66e23b483e359e"),
+    ("disparity", "Dist-DA-IO@2GHz:fm300x4", "ac5d3cdd3c05898b", "36536 30652 a4d2e2f541a7a148"),
+    ("tracking", "Dist-DA-IO@2GHz:4x4", "f5df84e8d287e3cd", "15223 12162 3d0ef0f4872c436c"),
+    ("tracking", "Dist-DA-F@1GHz:8x4", "40e02d7a2adb1480", "7946 5221 4f90ca18a1882f26"),
+    ("tracking", "Dist-DA-F@1GHz:4x4:fm150", "990610fe5d0f8e11", "8236 5529 936a7eb50abcfede"),
+    ("tracking", "Dist-DA-IO@2GHz:fm300x4", "6e2f5588b380310b", "15199 12240 494943c5e6182236"),
+    ("fdtd-2d", "Dist-DA-IO@2GHz:4x4", "07ae13047c716e4c", "21540 18211 db196b86cb8fda68"),
+    ("fdtd-2d", "Dist-DA-F@1GHz:8x4", "12941e9f168f093d", "10672 7725 f4265f54eccf75a0"),
+    ("fdtd-2d", "Dist-DA-F@1GHz:4x4:fm150", "86a41ab836d32bc0", "10326 7452 c05ba1f0ad4286a6"),
+    ("fdtd-2d", "Dist-DA-IO@2GHz:fm300x4", "fc789903d7cf72c3", "21304 18022 2f6d421ac875cb9b"),
+    ("cholesky", "Dist-DA-IO@2GHz:4x4", "e6ae254a4fdcba87", "3974 3811 8a8e732b73afcb2e"),
+    ("cholesky", "Dist-DA-F@1GHz:8x4", "81f4c744371444d9", "2052 1902 695895a2cc8830da"),
+    ("cholesky", "Dist-DA-F@1GHz:4x4:fm150", "20d836c4b3e67414", "1938 1789 b7418776a97ab5f5"),
+    ("cholesky", "Dist-DA-IO@2GHz:fm300x4", "9f3831405057db79", "3914 3754 dcc23754dabb2a29"),
+    ("adi", "Dist-DA-IO@2GHz:4x4", "3549dc3e4c251ba0", "19242 16126 e1b7a5970e0a2e39"),
+    ("adi", "Dist-DA-F@1GHz:8x4", "6ca24476a613ae87", "8965 6143 88ec0603156a9fe1"),
+    ("adi", "Dist-DA-F@1GHz:4x4:fm150", "42258484c62e4280", "9175 6387 de71e90e94c10a9d"),
+    ("adi", "Dist-DA-IO@2GHz:fm300x4", "bf232314136ebd48", "19094 15994 5d6de13c8f2d3f27"),
+    ("seidel-2d", "Dist-DA-IO@2GHz:4x4", "edc564c99681ccd2", "10606 10402 8d60f7863959f810"),
+    ("seidel-2d", "Dist-DA-F@1GHz:8x4", "46deaea9d19c4a87", "1980 1801 26f3e456525f26e4"),
+    ("seidel-2d", "Dist-DA-F@1GHz:4x4:fm150", "e902439086087004", "1704 1545 c66c23697504030e"),
+    ("seidel-2d", "Dist-DA-IO@2GHz:fm300x4", "619d43ee5d1ddfa1", "10482 10278 b7ce97c4f0313605"),
+    ("pathfinder", "Dist-DA-IO@2GHz:4x4", "f38d067451e8774e", "6758 5049 ce7e69c37f3fa3a5"),
+    ("pathfinder", "Dist-DA-F@1GHz:8x4", "1accf0738bdd1152", "6017 4288 8047507921617a6c"),
+    ("pathfinder", "Dist-DA-F@1GHz:4x4:fm150", "b2d5705b628bdcd0", "6252 4503 c273d8bf865cfcc8"),
+    ("pathfinder", "Dist-DA-IO@2GHz:fm300x4", "3dc862b295cc7b8c", "7765 6019 b90968ddd4e09c7a"),
+    ("nw", "Dist-DA-IO@2GHz:4x4", "b55933389d54057f", "10340 8534 5c908ccda221fe27"),
+    ("nw", "Dist-DA-F@1GHz:8x4", "f1ba261d12dbbb15", "5289 3750 4f2ed9e9288c9005"),
+    ("nw", "Dist-DA-F@1GHz:4x4:fm150", "91e641bc353ffc89", "5032 3528 5a798a06277e33a1"),
+    ("nw", "Dist-DA-IO@2GHz:fm300x4", "a4c2d928ac63d697", "10682 8945 99fa20eb9adce2bc"),
+    ("bfs", "Dist-DA-IO@2GHz:4x4", "37f55a82937f0595", "24937 17684 a786c504b3fe65a1"),
+    ("bfs", "Dist-DA-F@1GHz:8x4", "3aef7b6be9ca9fd6", "24931 17453 7811432858667de0"),
+    ("bfs", "Dist-DA-F@1GHz:4x4:fm150", "4b5d58cfc84950b6", "22275 15361 49e30aed90d30a46"),
+    ("bfs", "Dist-DA-IO@2GHz:fm300x4", "ffe06739934c1cfb", "24885 17661 94ebb4306c996e73"),
+    ("pagerank", "Dist-DA-IO@2GHz:4x4", "5571747cb4beee1b", "19434 16072 261935d453f61104"),
+    ("pagerank", "Dist-DA-F@1GHz:8x4", "a6ab37aa0fc23e81", "15711 11843 0e8ad579a1836d46"),
+    ("pagerank", "Dist-DA-F@1GHz:4x4:fm150", "a1c13bd015660055", "14271 10983 a552e054d7e9c0b9"),
+    ("pagerank", "Dist-DA-IO@2GHz:fm300x4", "1ea09c3ecba50921", "19142 15791 222c969b1d31fd53"),
+    ("pointer-chase", "Dist-DA-IO@2GHz:4x4", "273fd32adacaf334", "6025 5227 245531e83a2145ee"),
+    ("pointer-chase", "Dist-DA-F@1GHz:8x4", "7f381708b9f303aa", "5952 5154 bea2abbf251bf2bf"),
+    ("pointer-chase", "Dist-DA-F@1GHz:4x4:fm150", "e4db3015199e9729", "4920 4122 36eddc9836b78155"),
+    ("pointer-chase", "Dist-DA-IO@2GHz:fm300x4", "95f9a8d5f4990c9d", "5509 4711 20f3e99c57d97000"),
+    ("pca", "Dist-DA-IO@2GHz:4x4", "805f594716442708", "38463 32734 642f0c0d4af309ff"),
+    ("pca", "Dist-DA-F@1GHz:8x4", "f741208e439846e5", "19797 14140 c057e9f31850994c"),
+    ("pca", "Dist-DA-F@1GHz:4x4:fm150", "4f77e39e1631c72c", "19612 13985 15f8b1f56839f93d"),
+    ("pca", "Dist-DA-IO@2GHz:fm300x4", "558e3c2dba3652bd", "38418 32689 30512f4c42766531"),
     ("pathfinder", "Dist-DA-IO+SW@2GHz", "17947b2ddc82279d", "5899 4162 99a37b8164ace4c5"),
     ("pathfinder", "Dist-DA-F+A@1GHz", "54549fa93c157a03", "5586 3899 6cf2d3de1f1aec47"),
     ("pathfinder", "Dist-DA-F@1GHz", "7a8ba26eedb96af7", "5586 3899 6cf2d3de1f1aec47"),
 ];
 
-/// The pinned cells: the suite under the six paper configurations at tiny
-/// scale, plus the Figure 14 variants on pathfinder and the full label
-/// `run` prints for Dist-DA-F, which must parse back to the paper cell.
+/// The pinned cells: the suite under the six paper configurations and the
+/// four rack labels CI validates, at tiny scale, plus the Figure 14
+/// variants on pathfinder and the full label `run` prints for Dist-DA-F,
+/// which must parse back to the paper cell.
 fn cells() -> Vec<(Workload, Vec<RunConfig>)> {
     let scale = Scale::tiny();
-    let paper: Vec<RunConfig> = ConfigKind::ALL.map(RunConfig::named).into();
-    let variants = ["Dist-DA-IO+SW", "Dist-DA-F+A", "Dist-DA-F@1GHz"]
-        .map(|l| RunConfig::from_label(l).unwrap())
-        .into();
+    let labels = |ls: &[&str]| -> Vec<RunConfig> {
+        ls.iter()
+            .map(|l| RunConfig::from_label(l).unwrap())
+            .collect()
+    };
+    let mut suite_cfgs: Vec<RunConfig> = ConfigKind::ALL.map(RunConfig::named).into();
+    suite_cfgs.extend(labels(&[
+        "Dist-DA-IO:4x4",
+        "Dist-DA-F:8x4",
+        "Dist-DA-F:4x4:fm150",
+        "Dist-DA-IO:fm300x4",
+    ]));
     let mut cells: Vec<_> = suite(&scale)
         .into_iter()
-        .map(|w| (w, paper.clone()))
+        .map(|w| (w, suite_cfgs.clone()))
         .collect();
+    let variants = labels(&["Dist-DA-IO+SW", "Dist-DA-F+A", "Dist-DA-F@1GHz"]);
     cells.push((pathfinder(&scale), variants));
     cells
 }

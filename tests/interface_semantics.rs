@@ -2,7 +2,7 @@
 //! level: configuration, dataflow decoupling, register-file transfer, and
 //! the execution-flow guarantees of Section V-B.
 
-use distda::accel::{EngineCtx, IssueModel, MockCtx, PartitionEngine};
+use distda::accel::IssueModel;
 use distda::compiler::{compile, PartitionMode};
 use distda::ir::prelude::*;
 use distda::mem::{MemConfig, MemSystem};
@@ -150,50 +150,4 @@ fn channel_occupancy_never_exceeds_capacity() {
     let h = m.configure_plan(plan, &[0, 1], &subs, &[], 0);
     m.launch(h, &[], &[vec![], vec![]], 0, 256, 1);
     m.run_offload(h).unwrap(); // would panic on any credit violation
-}
-
-/// A refused ACP read (a busy port) is a handshake too: the engine retries
-/// it on its next edge. So an engine ticked only on the edges its
-/// `next_wake` names finishes on the same tick, with the same counters,
-/// as one ticked on every edge.
-#[test]
-fn refused_reads_are_retried_on_the_next_edge() {
-    let mut b = ProgramBuilder::new("scale");
-    let x = b.array_f64("x", 32);
-    let y = b.array_f64("y", 32);
-    b.for_(0, 32, 1, |b, i| {
-        b.store(y, i.clone(), Expr::load(x, i) * Expr::cf(3.0));
-    });
-    let plan = compile(&b.build(), PartitionMode::Monolithic).offloads[0].clone();
-    let drive = |gated: bool| {
-        let mut e = PartitionEngine::new(
-            plan.partitions[0].clone(),
-            plan.params.clone(),
-            IssueModel::InOrder { width: 1 },
-            ClockDomain::from_ghz(2.0),
-            16,
-        );
-        let mut ctx = MockCtx::new(1);
-        // More refusals than the first edge's prefetch and demand fetch
-        // take, so a later edge's only handshake is a refused retry.
-        ctx.refuse_reads = 16;
-        for i in 0..32 {
-            ctx.set(x, i, Value::F(i as f64));
-        }
-        e.run(0, &[], &[], 0, 32, 1);
-        let mut t = 0;
-        while !e.is_done() {
-            let responded = !ctx.inflight.is_empty();
-            if !gated || e.next_wake(t, responded, |_, _| false) == Some(t) {
-                e.tick(t, &mut ctx);
-            }
-            t += 1;
-            assert!(t < 100_000, "gated={gated}: hung: {}", e.stall_debug());
-        }
-        for i in 0..32 {
-            assert_eq!(ctx.func_load(y, i), Value::F(3.0 * i as f64), "y[{i}]");
-        }
-        (t, e.stats_at(t), ctx.reads)
-    };
-    assert_eq!(drive(true), drive(false));
 }
